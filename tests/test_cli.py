@@ -1,5 +1,6 @@
 """Command-line surface: JSON round trips, exit codes, byte stability."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -272,3 +273,135 @@ def test_semigroup_json_roundtrip_via_cli(cli, s_b):
     from conesemi import CSemigroup
 
     assert CSemigroup.from_obj(json.loads(payload)) == s_b
+
+
+# -- golden bytes ----------------------------------------------------------------------
+#
+# Every subcommand and recipe, with the exact bytes it writes. Outputs longer
+# than 80 characters are pinned by their sha256. "FILE" in argv stands for a file
+# holding the case's input text, which then does not go to stdin.
+
+S_SKEW_JSON = '{"cone":{"type":"rays2d","rays":[[2,1],[1,3]]},"gaps":[[1,1],[2,1],[1,2]]}'
+GENS_A = (
+    '{"cone":{"type":"rays2d","rays":[[1,0],[1,1]]},'
+    '"generators":[[1,0],[2,1],[3,2],[3,3],[4,4],[5,5]]}'
+)
+GENS_SKEW = (
+    '{"cone":{"type":"rays2d","rays":[[2,1],[1,3]]},'
+    '"generators":[[1,3],[2,2],[2,3],[3,2],[2,4],[3,3],[4,2],[2,5],[3,4],[4,3],[5,3],[6,3]]}'
+)
+CONE_A = '{"type":"rays2d","rays":[[1,0],[1,1]]}'
+GENS_NOT_COFINITE = '{"cone":%s,"generators":[[2,0],[1,1]]}' % CONE_A
+GENS_ORACLE = '{"cone":%s,"generators":[[3,0],[5,0]]}' % CONE_A
+SWEEP = ["wilf", "sweep", "--cone", FULL2, "--max-genus", "3"]
+PATTERN = ["--cone", FULL2, "--pattern-gaps", "1,2,4,7"]
+
+GOLDEN_CASES = [
+    ("validate", ["validate"], S_A_JSON),
+    ("validate-in-file", ["validate", "--in", "FILE"], S_B_JSON),
+    ("validate-skew", ["validate"], S_SKEW_JSON),
+    ("gaps", ["gaps"], GENS_A),
+    ("gaps-skew", ["gaps"], GENS_SKEW),
+    ("check-generators-ok", ["check-generators"], GENS_A),
+    ("check-generators-not-cofinite", ["check-generators"], GENS_NOT_COFINITE),
+    ("msg", ["msg"], S_B_JSON),
+    ("msg-skew", ["msg"], S_SKEW_JSON),
+    ("frobenius", ["frobenius"], S_B_JSON),
+    ("frobenius-induced", ["frobenius", "--order", "induced"], S_B_JSON),
+    ("pf", ["pf"], S_B_JSON),
+    ("apery", ["apery", "--shift", "1,0"], S_A_JSON),
+    ("weights", ["weights"], S_SKEW_JSON),
+    ("elasticity", ["elasticity"], S_B_JSON),
+    ("restrict", ["restrict", "--ray", "0"], S_B_JSON),
+    ("construct-idemaxial", ["construct", "idemaxial", *PATTERN], ""),
+    ("construct-elasticity", ["construct", "elasticity", "--cone", "FILE", "--target", "7/2"],
+     FULL2),
+    ("construct-lower-set", ["construct", "lower-set", "--cone", FULL2, "--points", "2,3;4,0"], ""),
+    ("construct-pf-lines", ["construct", "pf-lines", *PATTERN], ""),
+    ("wilf-report", ["wilf", "report"], S_A_JSON),
+    ("wilf-report-induced", ["wilf", "report", "--order", "induced"], S_B_JSON),
+    ("wilf-sweep", SWEEP, ""),
+    ("wilf-sweep-jobs2", SWEEP + ["--jobs", "2"], ""),
+    ("wilf-sweep-induced", SWEEP[:-1] + ["2", "--order", "induced"], ""),
+    ("enumerate", ["enumerate", "--cone", FULL2, "--max-genus", "3"], ""),
+    ("enumerate-full", ["enumerate", "--cone", FULL2, "--max-genus", "2", "--full"], ""),
+    ("plot", ["plot"], S_A_JSON),
+    ("plot-layers", ["plot", "--levels", "--pf", "--generators", "--margin", "2"], S_B_JSON),
+    ("plot-viewport", ["plot", "--viewport", "6,4"], S_SKEW_JSON),
+    ("oracle-member", ["oracle", "member", "--x", "8,0", "--cap", "10"], GENS_ORACLE),
+    ("oracle-minimals", ["oracle", "minimals", "--cap", "20"], S_A_JSON),
+    ("oracle-gapsets", ["oracle", "gapsets", "--cone", FULL2, "--genus", "2"], ""),
+    ("error-not-closed", ["validate"], '{"cone":{"type":"full","p":2},"gaps":[[1,1]]}'),
+    ("error-malformed-json", ["validate"], "{not json"),
+    ("error-not-a-member", ["apery", "--shift", "2,2"], S_A_JSON),
+    ("error-negative-genus", ["enumerate", "--cone", FULL2, "--max-genus", "-1"], ""),
+]
+
+GOLDEN = {
+    'validate': (0, '{"genus":2,"ok":true}\n', ''),
+    'validate-in-file': (0, '{"genus":7,"ok":true}\n', ''),
+    'validate-skew': (0, '{"genus":3,"ok":true}\n', ''),
+    'gaps': (0, '{"cone":{"rays":[[1,0],[1,1]],"type":"rays2d"},"gaps":[[1,1],[2,2]]}\n', ''),
+    'gaps-skew': (
+        0,
+        '{"cone":{"rays":[[2,1],[1,3]],"type":"rays2d"},"gaps":[[1,1],[1,2],[2,1]]}\n',
+        '',
+    ),
+    'check-generators-ok': (0, '{"genus":2,"is_csemigroup":true}\n', ''),
+    'check-generators-not-cofinite': (0, 'sha256:fce8862d73f6bf1cca79c6b55371fad0', ''),
+    'msg': (0, 'sha256:f9edf7b199ccb684807d1b66fcfc3cbc', ''),
+    'msg-skew': (0, 'sha256:46885aab21a5fdee8d2e8eb56f40fa4b', ''),
+    'frobenius': (0, '{"frobenius_set":[[2,2],[3,1],[4,0]]}\n', ''),
+    'frobenius-induced': (0, '{"frobenius_set":[[1,1],[2,0],[3,0],[2,2],[3,1],[4,0]]}\n', ''),
+    'pf': (0, '{"pseudo_frobenius":[[1,1],[2,0],[3,0],[2,2],[3,1],[4,0]]}\n', ''),
+    'apery': (0, '{"apery_set":[[2,1],[3,2]]}\n', ''),
+    'weights': (0, '{"excluded":[1,2,3]}\n', ''),
+    'elasticity': (0, '{"quasi_elasticity":"1"}\n', ''),
+    'restrict': (0, '{"conductor":5,"frobenius":4,"gaps":[1,2,3,4],"multiplicity":5}\n', ''),
+    'construct-idemaxial': (0, 'sha256:93398df5d59bc3ed8cde529348b72ac7', ''),
+    'construct-elasticity': (0, 'sha256:9702912a8a7f9df02db1c83a8fcc4d49', ''),
+    'construct-lower-set': (0, 'sha256:da146daff1bc346686b887050b04338d', ''),
+    'construct-pf-lines': (0, 'sha256:5dc4ade638589c11a7c6f53e1fbec740', ''),
+    'wilf-report': (0, '{"c":3,"e":6,"holds":true,"margin":0,"n":1,"p":2}\n', ''),
+    'wilf-report-induced': (0, '{"c":7,"e":15,"holds":false,"margin":-14,"n":0,"p":2}\n', ''),
+    'wilf-sweep': (0, 'sha256:4fa975e36d0ab16d73c82732b6b804ed', ''),
+    'wilf-sweep-jobs2': (0, 'sha256:4fa975e36d0ab16d73c82732b6b804ed', ''),
+    'wilf-sweep-induced': (0, 'sha256:613a6b7eddee130bc9c308de293860a0', ''),
+    'enumerate': (0, '{"counts":[1,2,7,23]}\n', ''),
+    'enumerate-full': (0, 'sha256:d70c24a09fd4e5f6b77192eb1b991f59', ''),
+    'plot': (0, 'sha256:6fddaa4e2126650f0d0077f2a0cddec9', ''),
+    'plot-layers': (0, 'sha256:f3e12d233964be84cfa6e8b8fee42c9d', ''),
+    'plot-viewport': (0, 'sha256:b9232ccccab3c1b4a81f522785fa79a7', ''),
+    'oracle-member': (0, '{"member":true}\n', ''),
+    'oracle-minimals': (0, '{"minimals":[[1,0],[2,1],[3,2],[3,3],[4,4],[5,5]]}\n', ''),
+    'oracle-gapsets': (0, 'sha256:d85e99b9444c3bac32706d667774925f', ''),
+    'error-not-closed': (1, '', 'sha256:e6def0edee96f49fb903127a94d7711b'),
+    'error-malformed-json': (1, '', 'sha256:7a763867a68e4a384081db86544e9283'),
+    'error-not-a-member': (
+        1,
+        '',
+        '{"detail":"(2, 2) is not in the semigroup","error":"NotAMember","point":[2,2]}\n',
+    ),
+    'error-negative-genus': (
+        1,
+        '',
+        '{"detail":"g_max must be nonnegative","error":"InvalidInput"}\n',
+    ),
+}
+
+
+def _pin(text: str) -> str:
+    if len(text) <= 80:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("case,argv,stdin_text", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_bytes(cli, tmp_path, case, argv, stdin_text):
+    if "FILE" in argv:
+        path = tmp_path / "input.json"
+        path.write_text(stdin_text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        stdin_text = ""
+    code, out, err = cli(argv, stdin_text)
+    assert (code, _pin(out), _pin(err)) == GOLDEN[case]
