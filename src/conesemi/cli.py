@@ -4,7 +4,9 @@ Cone and semigroup objects travel as JSON: a cone is
 ``{"type":"full","p":2}`` or ``{"type":"rays2d","rays":[[1,0],[1,1]]}``
 (optionally wrapped in ``{"cone": ...}``), a semigroup is
 ``{"cone": ..., "gaps": [[1,1],[2,2]]}`` and a generating set is
-``{"cone": ..., "generators": [[1,0],[2,1]]}``.
+``{"cone": ..., "generators": [[1,0],[2,1]]}``. Coordinates and ``p`` must be
+JSON integers; a value of the wrong shape is an InvalidInput error naming its
+JSON path.
 
 Results go to stdout with sorted keys and sorted point lists; diagnostics go
 to stderr. Exit codes: 0 success, 1 domain error, 2 usage error. The env var
@@ -18,10 +20,10 @@ import json
 import sys
 from fractions import Fraction
 
-from . import construct as construct_mod
+from . import construct
 from .errors import ConesemiError, InvalidInput
-from .genexp import GeneratorInput, expand
-from .geom import Cone
+from .genexp import GeneratorInput, expand, is_csemigroup
+from .geom import Cone, json_field, json_points
 from .oracle import oracle_all_gapsets, oracle_member, oracle_minimals
 from .render import RenderSpec, plot
 from .semigroup import CSemigroup, NumericalSemigroup
@@ -32,258 +34,169 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(_dump(obj))
-
-
-def _read_json(path: str | None):
+def read_json(source: str | None):
+    """Decoded JSON from stdin (None or "-"), inline text starting with "{",
+    or a file; anything unreadable or malformed is InvalidInput."""
     try:
-        if path is None or path == "-":
+        if source is None or source == "-":
             return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
+        if source.lstrip().startswith("{"):
+            return json.loads(source)
+        with open(source, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise InvalidInput(f"cannot read input: {e}")
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and over-long integers
         raise InvalidInput(f"malformed JSON input: {e}")
 
 
-def _load_semigroup(args) -> CSemigroup:
-    return CSemigroup.from_obj(_read_json(args.infile))
-
-
-def _load_cone(spec: str) -> Cone:
-    if spec.lstrip().startswith("{"):
-        try:
-            return Cone.from_obj(json.loads(spec))
-        except json.JSONDecodeError as e:
-            raise InvalidInput(f"malformed inline cone JSON: {e}")
-    with open(spec, "r", encoding="utf-8") as fh:
-        return Cone.from_obj(json.load(fh))
-
-
-def _parse_point(text: str) -> tuple[int, ...]:
+def _ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers such as 2,3; the empty string is no integers."""
     try:
-        return tuple(int(c) for c in text.split(","))
+        return tuple(int(t) for t in text.split(",")) if text else ()
     except ValueError:
         raise InvalidInput(f"expected comma-separated integers, got {text!r}")
 
 
-def _parse_points(text: str) -> list[tuple[int, ...]]:
-    return [_parse_point(chunk) for chunk in text.split(";") if chunk]
-
-
-def _parse_fraction(text: str) -> Fraction:
+def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidInput(f"expected a rational like 7 or 16/3, got {text!r}")
 
 
-# -- subcommand handlers ---------------------------------------------------------
+def _pattern(cone: Cone, a) -> construct.IdemaxialSpec:
+    return construct.IdemaxialSpec(cone, NumericalSemigroup.from_gaps(_ints(a.pattern_gaps)))
 
 
-def _cmd_validate(args) -> int:
-    s = _load_semigroup(args)
-    _emit({"ok": True, "genus": s.genus})
-    return 0
-
-
-def _cmd_gaps(args) -> int:
-    obj = _read_json(args.infile)
-    if "generators" not in obj or "cone" not in obj:
-        raise InvalidInput("expected {'cone': ..., 'generators': ...}")
-    cone = Cone.from_obj(obj["cone"])
-    gens = [tuple(int(c) for c in g) for g in obj["generators"]]
-    s = expand(GeneratorInput(cone, tuple(gens)))
-    _emit(s.to_obj())
-    return 0
-
-
-def _cmd_is_csemigroup(args) -> int:
-    from .genexp import is_csemigroup
-
-    obj = _read_json(args.infile)
-    cone = Cone.from_obj(obj["cone"])
-    gens = [tuple(int(c) for c in g) for g in obj["generators"]]
-    decision = is_csemigroup(GeneratorInput(cone, tuple(gens)))
-    _emit(decision.to_obj())
-    return 0
-
-
-def _cmd_msg(args) -> int:
-    s = _load_semigroup(args)
-    _emit({"minimal_generators": [list(m) for m in s.minimal_generators]})
-    return 0
-
-
-def _cmd_frobenius(args) -> int:
-    s = _load_semigroup(args)
-    _emit({"frobenius_set": [list(f) for f in s.frobenius_set(order=args.order)]})
-    return 0
-
-
-def _cmd_pf(args) -> int:
-    s = _load_semigroup(args)
-    _emit({"pseudo_frobenius": [list(a) for a in s.pseudo_frobenius()]})
-    return 0
-
-
-def _cmd_apery(args) -> int:
-    s = _load_semigroup(args)
-    _emit({"apery_set": [list(a) for a in s.apery_set(_parse_point(args.shift))]})
-    return 0
-
-
-def _cmd_weights(args) -> int:
-    s = _load_semigroup(args)
-    _emit(s.weight_set().to_obj())
-    return 0
-
-
-def _cmd_elasticity(args) -> int:
-    s = _load_semigroup(args)
-    _emit({"quasi_elasticity": str(s.quasi_elasticity())})
-    return 0
-
-
-def _cmd_restrict(args) -> int:
-    s = _load_semigroup(args)
-    _emit(s.ray_restriction(args.ray).to_obj())
-    return 0
-
-
-def _cmd_construct_idemaxial(args) -> int:
-    cone = _load_cone(args.cone)
-    pattern = NumericalSemigroup.from_gaps(
-        int(t) for t in args.pattern_gaps.split(",") if t
-    )
-    s = construct_mod.idemaxial(construct_mod.IdemaxialSpec(cone, pattern))
-    _emit(s.to_obj())
-    return 0
-
-
-def _cmd_construct_elasticity(args) -> int:
-    cone = _load_cone(args.cone)
-    s = construct_mod.high_elasticity(cone, _parse_fraction(args.target))
-    _emit(s.to_obj())
-    return 0
-
-
-def _cmd_construct_lower_set(args) -> int:
-    cone = _load_cone(args.cone)
-    s = construct_mod.lower_set_semigroup(cone, _parse_points(args.points))
-    _emit(s.to_obj())
-    return 0
-
-
-def _cmd_pf_lines(args) -> int:
-    cone = _load_cone(args.cone)
-    pattern = NumericalSemigroup.from_gaps(
-        int(t) for t in args.pattern_gaps.split(",") if t
-    )
-    report = construct_mod.pf_lines_check(construct_mod.IdemaxialSpec(cone, pattern))
-    _emit(report.to_obj())
-    return 0
-
-
-def _cmd_wilf_report(args) -> int:
-    s = _load_semigroup(args)
-    _emit(wilf_report(s, order=args.order).to_obj())
-    return 0
-
-
-def _cmd_wilf_sweep(args) -> int:
-    cone = _load_cone(args.cone)
-    summary = wilf_sweep(cone, args.max_genus, order=args.order, jobs=args.jobs)
-    text = _dump(summary.to_obj())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_enumerate(args) -> int:
-    cone = _load_cone(args.cone)
-    levels = enumerate_genus(cone, args.max_genus)
+def _enumerate(cone: Cone, a) -> dict:
+    levels = enumerate_genus(cone, a.max_genus)
     obj: dict = {"counts": [lv.count for lv in levels]}
-    if args.full:
+    if a.full:
         obj["levels"] = [
-            {
-                "genus": lv.genus,
-                "semigroups": [[list(g) for g in s.gaps] for s in lv.semigroups],
-            }
-            for lv in levels
+            {"genus": lv.genus, "semigroups": [s.gaps for s in lv.semigroups]} for lv in levels
         ]
-    _emit(obj)
-    return 0
+    return obj
 
 
-def _cmd_plot(args) -> int:
-    s = _load_semigroup(args)
+def _plot(s: CSemigroup, a) -> str:
     viewport = None
-    if args.viewport:
-        viewport = _parse_point(args.viewport)
+    if a.viewport:
+        viewport = _ints(a.viewport)
         if len(viewport) != 2:
             raise InvalidInput("viewport takes two bounds, e.g. 8,8")
-    spec = RenderSpec(
-        viewport=viewport,
-        margin=args.margin,
-        show_levels=args.levels,
-        show_pf=args.pf,
-        show_generators=args.generators,
-    )
-    svg = plot(s, spec)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
-    return 0
+    spec = RenderSpec(viewport=viewport, margin=a.margin, show_levels=a.levels,
+                      show_pf=a.pf, show_generators=a.generators)
+    return plot(s, spec)
 
 
-def _cmd_oracle_member(args) -> int:
-    obj = _read_json(args.infile)
-    cone = Cone.from_obj(obj["cone"])
-    gens = [tuple(int(c) for c in g) for g in obj["generators"]]
-    result = oracle_member(cone, gens, _parse_point(args.x), args.cap)
-    _emit({"member": result})
-    return 0
+def _oracle_member(obj, a) -> dict:
+    # any dimension, unlike GeneratorInput, which serves the 2D expansion
+    cone = Cone.from_obj(json_field(obj, "cone"))
+    gens = json_points(json_field(obj, "generators"), "generators")
+    return {"member": oracle_member(cone, gens, _ints(a.x), a.cap)}
 
 
-def _cmd_oracle_minimals(args) -> int:
-    s = _load_semigroup(args)
-    _emit({"minimals": [list(m) for m in oracle_minimals(s, args.cap)]})
-    return 0
+def _oracle_gapsets(cone: Cone, a) -> dict:
+    sets = oracle_all_gapsets(cone, a.genus, a.cap)
+    return {"count": len(sets), "gap_sets": sets}
 
 
-def _cmd_oracle_gapsets(args) -> int:
-    cone = _load_cone(args.cone)
-    sets = oracle_all_gapsets(cone, args.genus, args.cap)
-    _emit({"count": len(sets), "gap_sets": [[list(g) for g in gs] for gs in sets]})
-    return 0
+# -- command table -------------------------------------------------------------
+#
+# One row per command: (path, help, input, run, extra arguments). The input
+# kind names the option that supplies the JSON (--in or --cone) and its
+# decoder; run takes the decoded input and the parsed arguments and returns a
+# JSON-ready object, or a string written as is. Rows call module-level names
+# at run time, so replacing e.g. `cli.expand` takes effect.
 
 
-# -- parser ---------------------------------------------------------------------
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def _add_infile(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--in",
-        dest="infile",
-        default=None,
-        metavar="FILE",
-        help="input JSON file (default: stdin)",
-    )
+IN = _arg("--in", dest="source", metavar="FILE", help="input JSON file (default: stdin)")
+CONE = _arg("--cone", dest="source", metavar="CONE", required=True,
+            help="cone JSON file or inline JSON")
+INPUTS = {
+    "semigroup": (IN, CSemigroup.from_obj),
+    "generators": (IN, GeneratorInput.from_obj),
+    "json": (IN, lambda obj: obj),
+    "cone": (CONE, Cone.from_obj),
+}
 
+GROUPS = {
+    "construct": ("recipe", "build semigroups from recipes"),
+    "wilf": ("action", "Wilf-type counts and sweeps"),
+    "oracle": ("what", "slow reference computations"),
+}
 
-def _add_order(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--order",
-        choices=("cone", "induced"),
-        default="cone",
-        help="partial order used for maximality / counting (default: cone)",
-    )
+ORDER = _arg("--order", choices=("cone", "induced"), default="cone",
+             help="partial order used for maximality / counting (default: cone)")
+MAX_GENUS = _arg("--max-genus", type=int, required=True)
+PATTERN = _arg("--pattern-gaps", required=True, metavar="LIST", help="e.g. 1,2,4,7")
+
+COMMANDS = [
+    ("validate", "check a semigroup JSON and report its genus", "semigroup",
+     lambda s, a: {"ok": True, "genus": s.genus}, []),
+    ("gaps", "expand a generating set into its gap set", "generators",
+     lambda g, a: expand(g).to_obj(), []),
+    ("check-generators", "decide whether generators span a cofinite semigroup", "generators",
+     lambda g, a: is_csemigroup(g).to_obj(), []),
+    ("msg", "minimal generating set", "semigroup",
+     lambda s, a: {"minimal_generators": s.minimal_generators}, []),
+    ("frobenius", "maximal gaps under the chosen order", "semigroup",
+     lambda s, a: {"frobenius_set": s.frobenius_set(order=a.order)}, [ORDER]),
+    ("pf", "pseudo-Frobenius gaps", "semigroup",
+     lambda s, a: {"pseudo_frobenius": s.pseudo_frobenius()}, []),
+    ("apery", "Apery set relative to a member", "semigroup",
+     lambda s, a: {"apery_set": s.apery_set(_ints(a.shift))},
+     [_arg("--shift", required=True, metavar="X,Y", help="nonzero member b")]),
+    ("weights", "weight set as its excluded levels", "semigroup",
+     lambda s, a: s.weight_set().to_obj(), []),
+    ("elasticity", "quasi-elasticity of the Frobenius weights", "semigroup",
+     lambda s, a: {"quasi_elasticity": str(s.quasi_elasticity())}, []),
+    ("restrict", "numerical semigroup on an extremal ray", "semigroup",
+     lambda s, a: s.ray_restriction(a.ray).to_obj(),
+     [_arg("--ray", type=int, required=True, help="ray index (0-based)")]),
+    ("construct idemaxial", "idemaxial semigroup from a pattern", "cone",
+     lambda c, a: construct.idemaxial(_pattern(c, a)).to_obj(), [PATTERN]),
+    ("construct elasticity", "semigroup with quasi-elasticity beyond a target", "cone",
+     lambda c, a: construct.high_elasticity(c, _fraction(a.target)).to_obj(),
+     [_arg("--target", required=True, help="rational target, e.g. 10 or 7/2")]),
+    ("construct lower-set", "remove the lower sets of given points", "cone",
+     lambda c, a: construct.lower_set_semigroup(
+         c, [_ints(p) for p in a.points.split(";") if p]).to_obj(),
+     [_arg("--points", required=True, metavar="PTS", help="e.g. 1,1;10,0")]),
+    ("construct pf-lines", "pseudo-Frobenius line report for an idemaxial pattern", "cone",
+     lambda c, a: construct.pf_lines_check(_pattern(c, a)).to_obj(), [PATTERN]),
+    ("wilf report", "counts e, n, c and the margin for one semigroup", "semigroup",
+     lambda s, a: wilf_report(s, order=a.order).to_obj(), [ORDER]),
+    ("wilf sweep", "check every semigroup up to a genus bound", "cone",
+     lambda c, a: wilf_sweep(c, a.max_genus, order=a.order, jobs=a.jobs).to_obj(),
+     [MAX_GENUS, ORDER,
+      _arg("--jobs", type=int, default=1, help="parallel workers (default 1)"),
+      _arg("--out", metavar="FILE", help="write report JSON here")]),
+    ("enumerate", "count (and list) semigroups by genus", "cone", _enumerate,
+     [MAX_GENUS, _arg("--full", action="store_true", help="include the gap sets per genus")]),
+    ("plot", "render a 2D semigroup as SVG", "semigroup", _plot,
+     [_arg("--svg", dest="out", metavar="FILE", help="output file (default: stdout)"),
+      _arg("--margin", type=int, default=3, help="weight units beyond the gaps"),
+      _arg("--viewport", metavar="X,Y", help="explicit bounds"),
+      _arg("--levels", action="store_true", help="draw weight level lines"),
+      _arg("--pf", action="store_true", help="mark pseudo-Frobenius gaps"),
+      _arg("--generators", action="store_true", help="mark minimal generators")]),
+    ("oracle member", "graded-table membership in a generated semigroup", "json",
+     _oracle_member,
+     [_arg("--x", required=True, metavar="X,Y"),
+      _arg("--cap", type=int, required=True, help="weight cap for the table")]),
+    ("oracle minimals", "pairwise-scan minimal members", "semigroup",
+     lambda s, a: {"minimals": oracle_minimals(s, a.cap)},
+     [_arg("--cap", type=int, required=True)]),
+    ("oracle gapsets", "all closure-valid gap sets of a genus", "cone", _oracle_gapsets,
+     [_arg("--genus", type=int, required=True), _arg("--cap", type=int)]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,133 +205,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of cofinite subsemigroups of pointed integer cones.",
         epilog="Set CONESEMI_CAPACITY to override the default enumeration cap of 10^7 points.",
     )
+    parser.set_defaults(out=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a semigroup JSON and report its genus")
-    _add_infile(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("gaps", help="expand a generating set into its gap set")
-    _add_infile(p)
-    p.set_defaults(func=_cmd_gaps)
-
-    p = sub.add_parser("check-generators", help="decide whether generators span a cofinite semigroup")
-    _add_infile(p)
-    p.set_defaults(func=_cmd_is_csemigroup)
-
-    p = sub.add_parser("msg", help="minimal generating set")
-    _add_infile(p)
-    p.set_defaults(func=_cmd_msg)
-
-    p = sub.add_parser("frobenius", help="maximal gaps under the chosen order")
-    _add_infile(p)
-    _add_order(p)
-    p.set_defaults(func=_cmd_frobenius)
-
-    p = sub.add_parser("pf", help="pseudo-Frobenius gaps")
-    _add_infile(p)
-    p.set_defaults(func=_cmd_pf)
-
-    p = sub.add_parser("apery", help="Apery set relative to a member")
-    _add_infile(p)
-    p.add_argument("--shift", required=True, metavar="X,Y", help="nonzero member b")
-    p.set_defaults(func=_cmd_apery)
-
-    p = sub.add_parser("weights", help="weight set as its excluded levels")
-    _add_infile(p)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("elasticity", help="quasi-elasticity of the Frobenius weights")
-    _add_infile(p)
-    p.set_defaults(func=_cmd_elasticity)
-
-    p = sub.add_parser("restrict", help="numerical semigroup on an extremal ray")
-    _add_infile(p)
-    p.add_argument("--ray", type=int, required=True, help="ray index (0-based)")
-    p.set_defaults(func=_cmd_restrict)
-
-    p = sub.add_parser("construct", help="build semigroups from recipes")
-    csub = p.add_subparsers(dest="recipe", required=True)
-    c = csub.add_parser("idemaxial", help="idemaxial semigroup from a pattern")
-    c.add_argument("--cone", required=True, help="cone JSON file or inline JSON")
-    c.add_argument("--pattern-gaps", required=True, metavar="LIST", help="e.g. 1,2,4,7")
-    c.set_defaults(func=_cmd_construct_idemaxial)
-    c = csub.add_parser("elasticity", help="semigroup with quasi-elasticity beyond a target")
-    c.add_argument("--cone", required=True)
-    c.add_argument("--target", required=True, help="rational target, e.g. 10 or 7/2")
-    c.set_defaults(func=_cmd_construct_elasticity)
-    c = csub.add_parser("lower-set", help="remove the lower sets of given points")
-    c.add_argument("--cone", required=True)
-    c.add_argument("--points", required=True, metavar="PTS", help="e.g. 1,1;10,0")
-    c.set_defaults(func=_cmd_construct_lower_set)
-    c = csub.add_parser("pf-lines", help="pseudo-Frobenius line report for an idemaxial pattern")
-    c.add_argument("--cone", required=True)
-    c.add_argument("--pattern-gaps", required=True, metavar="LIST")
-    c.set_defaults(func=_cmd_pf_lines)
-
-    p = sub.add_parser("wilf", help="Wilf-type counts and sweeps")
-    wsub = p.add_subparsers(dest="action", required=True)
-    w = wsub.add_parser("report", help="counts e, n, c and the margin for one semigroup")
-    _add_infile(w)
-    _add_order(w)
-    w.set_defaults(func=_cmd_wilf_report)
-    w = wsub.add_parser("sweep", help="check every semigroup up to a genus bound")
-    w.add_argument("--cone", required=True)
-    w.add_argument("--max-genus", type=int, required=True)
-    _add_order(w)
-    w.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    w.add_argument("--out", default=None, metavar="FILE", help="write report JSON here")
-    w.set_defaults(func=_cmd_wilf_sweep)
-
-    p = sub.add_parser("enumerate", help="count (and list) semigroups by genus")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--max-genus", type=int, required=True)
-    p.add_argument("--full", action="store_true", help="include the gap sets per genus")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("plot", help="render a 2D semigroup as SVG")
-    _add_infile(p)
-    p.add_argument("--svg", default=None, metavar="FILE", help="output file (default: stdout)")
-    p.add_argument("--margin", type=int, default=3, help="weight units beyond the gaps")
-    p.add_argument("--viewport", default=None, metavar="X,Y", help="explicit bounds")
-    p.add_argument("--levels", action="store_true", help="draw weight level lines")
-    p.add_argument("--pf", action="store_true", help="mark pseudo-Frobenius gaps")
-    p.add_argument("--generators", action="store_true", help="mark minimal generators")
-    p.set_defaults(func=_cmd_plot)
-
-    p = sub.add_parser("oracle", help="slow reference computations")
-    osub = p.add_subparsers(dest="what", required=True)
-    o = osub.add_parser("member", help="graded-table membership in a generated semigroup")
-    _add_infile(o)
-    o.add_argument("--x", required=True, metavar="X,Y")
-    o.add_argument("--cap", type=int, required=True, help="weight cap for the table")
-    o.set_defaults(func=_cmd_oracle_member)
-    o = osub.add_parser("minimals", help="pairwise-scan minimal members")
-    _add_infile(o)
-    o.add_argument("--cap", type=int, required=True)
-    o.set_defaults(func=_cmd_oracle_minimals)
-    o = osub.add_parser("gapsets", help="all closure-valid gap sets of a genus")
-    o.add_argument("--cone", required=True)
-    o.add_argument("--genus", type=int, required=True)
-    o.add_argument("--cap", type=int, default=None)
-    o.set_defaults(func=_cmd_oracle_gapsets)
-
+    groups = {}
+    for path, help_text, kind, run, extra in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group and group not in groups:
+            dest, group_help = GROUPS[group]
+            groups[group] = sub.add_parser(group, help=group_help).add_subparsers(
+                dest=dest, required=True)
+        p = (groups[group] if group else sub).add_parser(name, help=help_text)
+        source, decode = INPUTS[kind]
+        for flags, kwargs in [source, *extra]:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(decode=decode, run=run)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _write(text: str, path: str | None) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
-        return args.func(args)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InvalidInput(f"cannot write output: {e}")
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        result = args.run(args.decode(read_json(args.source)), args)
+        _write(result if isinstance(result, str) else _dump(result), args.out)
     except ConesemiError as e:
         diag = {"error": type(e).__name__, "detail": str(e)}
         diag.update(e.payload)
         sys.stderr.write(_dump(diag))
         return 1
-    except FileNotFoundError as e:
-        sys.stderr.write(_dump({"error": "FileNotFound", "detail": str(e)}))
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -36,7 +36,17 @@ from .errors import (
     UnsupportedDimension,
     ZeroPoint,
 )
-from .geom import Cone, Point, canon_key, is_zero, point_budget
+from .geom import (
+    Cone,
+    Point,
+    _ceil_div,
+    _cross,
+    canon_key,
+    is_zero,
+    json_field,
+    json_points,
+    point_budget,
+)
 from .semigroup import CSemigroup, NumericalSemigroup, make_csemigroup
 
 DEFAULT_DEPTH_BUDGET = 1 << 14
@@ -68,6 +78,12 @@ class GeneratorInput:
         gens.sort(key=canon_key)
         object.__setattr__(self, "generators", tuple(gens))
 
+    @classmethod
+    def from_obj(cls, obj) -> "GeneratorInput":
+        """Decode ``{"cone": ..., "generators": [[x, y], ...]}``."""
+        cone = Cone.from_obj(json_field(obj, "cone"))
+        return cls(cone, tuple(json_points(json_field(obj, "generators"), "generators")))
+
 
 @dataclass(frozen=True)
 class ExpandDecision:
@@ -86,14 +102,6 @@ class ExpandDecision:
             obj["reason"] = self.reason
             obj["detail"] = self.detail
         return obj
-
-
-def _cross(a: Point, b: Point) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -242,16 +250,6 @@ class _Sweep:
         return out
 
 
-def _ray_multiples(cone: Cone, gens, i: int) -> list[int]:
-    d = cone.det
-    out = []
-    for a in gens:
-        sc = cone.scaled_coords(a)
-        if all(sc[j] == 0 for j in range(2) if j != i):
-            out.append(sc[i] // d)
-    return sorted(set(out))
-
-
 def _box_is_clear(cone: Cone, sweep1: _Sweep, k1: int, k2: int) -> bool:
     """Whether every lattice point with ray coordinates in
     [k1, 2*k1) x [k2, 2*k2) is a member."""
@@ -279,14 +277,12 @@ def expand(g: GeneratorInput, depth_budget: int = DEFAULT_DEPTH_BUDGET) -> CSemi
     d = cone.det
     ray_ns = []
     for i, r in enumerate(cone.rays):
-        multiples = _ray_multiples(cone, g.generators, i)
+        multiples = cone.ray_multiples(g.generators, i)
         if not multiples:
             raise ConeMismatch(
                 f"no generator lies on extremal ray {r}", ray=list(r)
             )
-        common = 0
-        for m in multiples:
-            common = gcd(common, m)
+        common = gcd(*multiples)
         if common != 1:
             raise NotCofinite(
                 f"generators on ray {r} are multiples of {common}", ray=list(r)

@@ -168,6 +168,15 @@ class Cone:
         self._check_dim(x)
         return self.contains(sub(y, x))
 
+    def ray_multiples(self, points, i: int) -> list[int]:
+        """The k with k * rays[i] among the points, in input order."""
+        out = []
+        for x in points:
+            sc = self.scaled_coords(x)
+            if all(c == 0 for j, c in enumerate(sc) if j != i):
+                out.append(sc[i] // self.det)
+        return out
+
     @property
     def normals(self) -> tuple[Point, ...]:
         """Inward normals of the supporting hyperplanes."""
@@ -231,19 +240,58 @@ class Cone:
 
     @staticmethod
     def from_obj(obj) -> "Cone":
+        """Decode ``{"type":"full","p":P}`` or ``{"type":"rays2d","rays":[R1,R2]}``,
+        optionally wrapped in ``{"cone": ...}``."""
         if isinstance(obj, dict) and "cone" in obj:
             obj = obj["cone"]
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise InvalidInput("cone object must have a 'type' field")
-        kind = obj["type"]
+        kind = json_field(obj, "type", "cone")
         if kind == "full":
-            return Cone.full_cone(int(obj["p"]))
+            return Cone.full_cone(json_int(json_field(obj, "p", "cone"), "cone.p"))
         if kind == "rays2d":
-            rays = obj["rays"]
+            rays = json_points(json_field(obj, "rays", "cone"), "cone.rays")
             if len(rays) != 2:
-                raise InvalidInput("rays2d cone takes exactly two rays")
-            return Cone.from_rays([int(c) for c in rays[0]], [int(c) for c in rays[1]])
-        raise InvalidInput(f"unknown cone type {kind!r}")
+                raise InvalidInput("rays2d cone takes exactly two rays", path="cone.rays")
+            return Cone.from_rays(*rays)
+        raise InvalidInput(f"unknown cone type {kind!r:.40}", path="cone.type")
+
+
+# -- checked JSON readers --------------------------------------------------------
+#
+# Every object the program reads arrives as decoded JSON. These readers check
+# one shape each and raise InvalidInput naming the JSON path of the offending
+# value, such as ``cone.p`` or ``gaps[3][1]``.
+
+
+def json_field(obj, key: str, path: str = ""):
+    """obj[key], where obj (found at path) must be a JSON object holding key."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"{path or 'input'} must be a JSON object", path=path)
+    if key not in obj:
+        raise InvalidInput(f"missing field {where}", path=where)
+    return obj[key]
+
+
+def json_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidInput(f"{path} must be a list, got {value!r:.40}", path=path)
+    return value
+
+
+def json_int(value, path: str) -> int:
+    """A JSON integer; booleans, floats and numeric strings are refused."""
+    if type(value) is not int:
+        raise InvalidInput(f"{path} must be an integer, got {value!r:.40}", path=path)
+    return value
+
+
+def json_points(value, path: str) -> list[Point]:
+    """A JSON list of integer points, as tuples."""
+    points = []
+    for i, x in enumerate(json_list(value, path)):
+        coords = json_list(x, f"{path}[{i}]")
+        points.append(tuple(json_int(c, f"{path}[{i}][{j}]") for j, c in enumerate(coords)))
+    return points
 
 
 def lower_set(cone: Cone, x: Point) -> list[Point]:

@@ -18,6 +18,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import (
+    CapacityExceeded,
     EmptyGapSet,
     GapOutsideCone,
     InvalidInput,
@@ -35,7 +36,10 @@ from .geom import (
     canon_key,
     enumerate_cone_points,
     is_zero,
+    json_field,
+    json_points,
     lower_set,
+    point_budget,
     sub,
     weight,
 )
@@ -61,15 +65,25 @@ class NumericalSemigroup:
 
     @classmethod
     def from_generators(cls, generators) -> "NumericalSemigroup":
-        """Expand a coprime generating set; gaps found by graded reachability."""
+        """Expand a coprime generating set; gaps found by graded reachability.
+
+        The table marks exactly the sums of generators, so its unmarked
+        entries form a closed gap set without a separate closure check.
+        """
         gens = sorted({int(g) for g in generators})
         if not gens or gens[0] < 1:
             raise InvalidInput("generators must be positive integers")
-        if _gcd_all(gens) != 1:
+        if gcd(*gens) != 1:
             raise InvalidInput(f"generators {gens} must have gcd 1")
         m = gens[0]
         bound = m * gens[-1] + 2
+        cap = point_budget()
         while True:
+            if bound > cap:
+                raise CapacityExceeded(
+                    f"reachability table for {gens} needs {bound} entries, more than {cap}; "
+                    "raise CONESEMI_CAPACITY to override"
+                )
             reach = bytearray(bound)
             reach[0] = 1
             for t in range(1, bound):
@@ -82,10 +96,7 @@ class NumericalSemigroup:
             for t in range(bound):
                 run = run + 1 if reach[t] else 0
                 if run == m:
-                    stable = t - m + 1
-                    return cls.from_gaps(
-                        k for k in range(stable) if not reach[k]
-                    )
+                    return cls(tuple(k for k in range(t - m + 1) if not reach[k]))
             bound *= 2
 
     @cached_property
@@ -138,13 +149,6 @@ class NumericalSemigroup:
             "conductor": self.conductor,
             "multiplicity": self.multiplicity,
         }
-
-
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 @dataclass(frozen=True)
@@ -331,13 +335,7 @@ class CSemigroup:
         rays = self.cone.rays
         if not 0 <= i < len(rays):
             raise InvalidRay(f"ray index {i} out of range for {len(rays)} rays")
-        d = self.cone.det
-        ks = []
-        for h in self.gaps:
-            sc = self.cone.scaled_coords(h)
-            if all(sc[j] == 0 for j in range(len(rays)) if j != i):
-                ks.append(sc[i] // d)
-        return NumericalSemigroup.from_gaps(ks)
+        return NumericalSemigroup.from_gaps(self.cone.ray_multiples(self.gaps, i))
 
     # -- serialization ----------------------------------------------------------------
 
@@ -346,11 +344,9 @@ class CSemigroup:
 
     @staticmethod
     def from_obj(obj) -> "CSemigroup":
-        if "cone" not in obj or "gaps" not in obj:
-            raise InvalidInput("semigroup object needs 'cone' and 'gaps' fields")
-        cone = Cone.from_obj(obj["cone"])
-        gaps = [tuple(int(c) for c in g) for g in obj["gaps"]]
-        return make_csemigroup(cone, gaps)
+        """Decode and validate ``{"cone": ..., "gaps": [[x, y], ...]}``."""
+        cone = Cone.from_obj(json_field(obj, "cone"))
+        return make_csemigroup(cone, json_points(json_field(obj, "gaps"), "gaps"))
 
     def sort_key(self):
         return tuple(canon_key(g) for g in self.gaps)

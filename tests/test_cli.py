@@ -1,13 +1,19 @@
 """Command-line surface: JSON round trips, exit codes, byte stability."""
 
+import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conesemi import errors
 from conesemi.cli import main
 
 S_A_JSON = '{"cone":{"type":"rays2d","rays":[[1,0],[1,1]]},"gaps":[[1,1],[2,2]]}'
@@ -405,3 +411,132 @@ def test_golden_bytes(cli, tmp_path, case, argv, stdin_text):
         stdin_text = ""
     code, out, err = cli(argv, stdin_text)
     assert (code, _pin(out), _pin(err)) == GOLDEN[case]
+
+
+# -- malformed input ---------------------------------------------------------------------
+#
+# Each input ends in exit 1 and one InvalidInput line on stderr naming the
+# JSON path of the bad value; none may end in a traceback or be accepted.
+
+N2 = '{"type":"full","p":2}'
+MALFORMED = [
+    ("no-p", ["validate"], '{"cone":{"type":"full"},"gaps":[]}', "cone.p"),
+    ("p-string", ["validate"], '{"cone":{"type":"full","p":"x"},"gaps":[]}', "cone.p"),
+    ("p-bool", ["validate"], '{"cone":{"type":"full","p":true},"gaps":[]}', "cone.p"),
+    ("gaps-int", ["msg"], '{"cone":%s,"gaps":5}' % N2, "gaps"),
+    ("rays-int", ["frobenius"], '{"cone":{"type":"rays2d","rays":5},"gaps":[]}', "cone.rays"),
+    ("point-string", ["validate"], '{"cone":%s,"gaps":[[0,1],[1,"a"]]}' % N2, "gaps[1][1]"),
+    ("gap-float", ["validate"], '{"cone":%s,"gaps":[[1.5,0]]}' % N2, "gaps[0][0]"),
+    ("no-generators", ["check-generators"], '{"cone":%s}' % N2, "generators"),
+    ("oracle-no-generators", ["oracle", "member", "--x", "1,0", "--cap", "3"],
+     '{"cone":%s}' % N2, "generators"),
+    ("pattern-not-int", ["construct", "idemaxial", "--cone", N2, "--pattern-gaps", "1,x"], "",
+     None),
+    ("in-directory", ["validate", "--in", "DIR"], "", None),
+]
+
+
+@pytest.mark.parametrize("argv,stdin_text,path", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_names_the_path(cli, tmp_path, argv, stdin_text, path):
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    code, out, err = cli(argv, stdin_text)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    diag = json.loads(err)
+    assert diag["error"] == "InvalidInput"
+    if path is not None:
+        assert diag["path"] == path and path in diag["detail"]
+
+
+# -- fuzz: arbitrary JSON at every position of a valid input ------------------------------
+
+ERROR_NAMES = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.ConesemiError)
+}
+FUZZ_COMMANDS = {
+    "semigroup": [
+        ["validate"], ["msg"], ["frobenius", "--order", "induced"], ["pf"],
+        ["apery", "--shift", "1,0"], ["weights"], ["elasticity"], ["restrict", "--ray", "1"],
+        ["wilf", "report"], ["plot", "--pf"], ["oracle", "minimals", "--cap", "20"],
+    ],
+    "generators": [
+        ["gaps"], ["check-generators"], ["oracle", "member", "--x", "2,1", "--cap", "6"],
+    ],
+    "cone": [
+        ["construct", "idemaxial", "--cone", "-", "--pattern-gaps", "1,2,4,7"],
+        ["construct", "elasticity", "--cone", "-", "--target", "3"],
+        ["construct", "lower-set", "--cone", "-", "--points", "2,1"],
+        ["construct", "pf-lines", "--cone", "-", "--pattern-gaps", "1,2"],
+        ["enumerate", "--cone", "-", "--max-genus", "2"],
+        ["wilf", "sweep", "--cone", "-", "--max-genus", "2"],
+        ["oracle", "gapsets", "--cone", "-", "--genus", "1"],
+    ],
+}
+FUZZ_INPUTS = {
+    "semigroup": [json.loads(S_B_JSON), json.loads(S_SKEW_JSON)],
+    "generators": [json.loads(GENS_A), json.loads(GENS_SKEW)],
+    "cone": [json.loads(FULL2), json.loads(CONE_A), json.loads('{"type":"full","p":3}')],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(-3, 3)
+    | st.sampled_from([2**64, -(2**64), 10**400]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _positions(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _positions(child, path + (key,))
+
+
+def _mutated(obj, path, new):
+    if not path:
+        return new
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return obj
+
+
+_DELETE = object()
+
+
+def _run_main(argv, stdin_text):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "kind,argv", [(k, argv) for k, cmds in FUZZ_COMMANDS.items() for argv in cmds],
+    ids=[" ".join(argv[:2]) for cmds in FUZZ_COMMANDS.values() for argv in cmds],
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_never_a_traceback(kind, argv, data):
+    base = data.draw(st.sampled_from(FUZZ_INPUTS[kind]))
+    path = data.draw(st.sampled_from(list(_positions(base))))
+    new = data.draw(st.just(_DELETE) | JSON_VALUES if path else JSON_VALUES)
+    text = json.dumps(_mutated(base, path, new))
+    with mock.patch.dict(os.environ, {"CONESEMI_CAPACITY": "20000"}):
+        code, out, err = _run_main(argv, text)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] in ERROR_NAMES

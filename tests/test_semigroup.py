@@ -12,6 +12,7 @@ from conesemi import (
     make_csemigroup,
 )
 from conesemi.errors import (
+    CapacityExceeded,
     DimensionMismatch,
     EmptyGapSet,
     GapOutsideCone,
@@ -104,6 +105,25 @@ def test_numerical_from_generators():
     assert NumericalSemigroup.from_generators([1]).gaps == ()
     # pairwise non-coprime generators still work
     assert NumericalSemigroup.from_generators([6, 10, 15]).frobenius == 29
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (4, 7), (9, 10), (150, 151)])
+def test_numerical_from_generators_coprime_pair_genus(a, b):
+    ns = NumericalSemigroup.from_generators([a, b])
+    assert ns.genus == (a - 1) * (b - 1) // 2
+    assert ns.frobenius == a * b - a - b
+
+
+def test_numerical_from_generators_gaps_are_closed():
+    for gens in ([3, 5], [4, 6, 9], [6, 10, 15], [5, 7, 11], [10, 11, 23]):
+        ns = NumericalSemigroup.from_generators(gens)
+        assert NumericalSemigroup.from_gaps(ns.gaps) == ns
+
+
+def test_numerical_from_generators_charges_the_budget(monkeypatch):
+    monkeypatch.setenv("CONESEMI_CAPACITY", "1000")
+    with pytest.raises(CapacityExceeded):
+        NumericalSemigroup.from_generators([150, 151])
 
 
 def test_numerical_from_generators_rejects_non_coprime():
