@@ -34,7 +34,7 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def read_json(source: str | None):
+def _read_json(source: str | None):
     """Decoded JSON from stdin (None or "-"), inline text starting with "{",
     or a file; anything unreadable or malformed is InvalidInput."""
     try:
@@ -236,7 +236,7 @@ def _write(text: str, path: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.run(args.decode(read_json(args.source)), args)
+        result = args.run(args.decode(_read_json(args.source)), args)
         _write(result if isinstance(result, str) else _dump(result), args.out)
     except ConesemiError as e:
         diag = {"error": type(e).__name__, "detail": str(e)}

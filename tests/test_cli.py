@@ -481,7 +481,8 @@ FUZZ_INPUTS = {
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(-3, 3)
     | st.sampled_from([2**64, -(2**64), 10**400]),
-    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
     max_leaves=6,
 )
 
@@ -491,6 +492,9 @@ def _positions(value, path=()):
     if isinstance(value, (dict, list)):
         for key, child in value.items() if isinstance(value, dict) else enumerate(value):
             yield from _positions(child, path + (key,))
+
+
+_DELETE = object()
 
 
 def _mutated(obj, path, new):
@@ -507,9 +511,6 @@ def _mutated(obj, path, new):
     return obj
 
 
-_DELETE = object()
-
-
 def _run_main(argv, stdin_text):
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
@@ -524,7 +525,7 @@ def _run_main(argv, stdin_text):
 
 @pytest.mark.parametrize(
     "kind,argv", [(k, argv) for k, cmds in FUZZ_COMMANDS.items() for argv in cmds],
-    ids=[" ".join(argv[:2]) for cmds in FUZZ_COMMANDS.values() for argv in cmds],
+    ids=[" ".join(argv) for cmds in FUZZ_COMMANDS.values() for argv in cmds],
 )
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
