@@ -301,6 +301,12 @@ def expand(g: GeneratorInput, depth_budget: int = DEFAULT_DEPTH_BUDGET) -> CSemi
                 f"strip sweeps would summarize more than {budget} points; "
                 "raise CONESEMI_CAPACITY to override"
             )
+        # the box certificate scans (cap1 * d) * (cap2 * d) scaled coordinates
+        if cap1 * cap2 * d * d > budget:
+            raise CapacityExceeded(
+                f"the certificate box would scan more than {budget} points; "
+                "raise CONESEMI_CAPACITY to override"
+            )
         sweep1.extend(2 * cap2 * d)  # lines indexed by distance from ray 1
         sweep2.extend(2 * cap1 * d)
         if _box_is_clear(cone, sweep1, cap1, cap2):

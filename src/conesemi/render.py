@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, UnsupportedDimension
+from .errors import CapacityExceeded, InvalidInput, UnsupportedDimension
+from .geom import point_budget
 from .semigroup import CSemigroup
 
 _SCALE = 24
@@ -65,6 +66,12 @@ def plot(s: CSemigroup, spec: RenderSpec | None = None) -> str:
     else:
         extent = s.max_gap_weight + spec.margin
         ex = ey = max(extent, 1)
+    points, cap = (ex + 1) * (ey + 1), point_budget()
+    if points > cap:
+        raise CapacityExceeded(
+            f"viewport holds {points} points, more than {cap}; "
+            "raise CONESEMI_CAPACITY to override"
+        )
 
     def px(x, y) -> tuple:
         return (_PAD + Fraction(x) * _SCALE, _PAD + (Fraction(ey) - y) * _SCALE)

@@ -12,6 +12,7 @@ Orders in play:
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +41,7 @@ from .geom import (
     json_points,
     lower_set,
     point_budget,
+    scale,
     sub,
     weight,
 )
@@ -249,6 +251,45 @@ class CSemigroup:
             if not decomposable:
                 out.append(x)
         return tuple(out)
+
+    def remove_generator(self, m) -> "CSemigroup":
+        """S \\ {m} for a minimal generator m, its minimal generators derived
+        from these instead of rescanning the certified region.
+
+        Generators of S other than m stay minimal: a decomposition in S \\ {m}
+        is one in S. A new generator x of S \\ {m} decomposes in S only
+        through m, so x = m + n with n in msg(S), or x = 3m. Every member
+        that decomposes is a generator plus a nonzero member, so a candidate
+        is kept unless x - c is a nonzero member for another candidate c.
+        """
+        m = tuple(m)
+        msg = self.minimal_generators
+        if m not in msg:
+            raise InvalidInput(f"{m} is not a minimal generator", point=list(m))
+        cone, gap_set = self.cone, self.gap_set
+        fresh = {add(m, n) for n in msg} | {scale(3, m)}
+        # (weight, point, scaled coords): sorting gives the canonical order
+        candidates = sorted(
+            (weight(c), c, cone.scaled_coords(c)) for c in fresh.union(msg) if c != m
+        )
+
+        def decomposes(wx, x, sx) -> bool:
+            for wc, c, sc in candidates:
+                if wc >= wx:
+                    return False
+                if all(u <= t for u, t in zip(sc, sx)):
+                    # x - c stays in the cone; nonzero since weights differ
+                    y = sub(x, c)
+                    if y != m and y not in gap_set:
+                        return True
+            return False
+
+        at = bisect(self.gaps, canon_key(m), key=canon_key)
+        child = CSemigroup(cone, self.gaps[:at] + (m,) + self.gaps[at:])
+        child.__dict__["minimal_generators"] = tuple(
+            x for wx, x, sx in candidates if x not in fresh or not decomposes(wx, x, sx)
+        )
+        return child
 
     # -- gap-side invariants -----------------------------------------------------
 

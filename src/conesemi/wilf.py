@@ -7,11 +7,18 @@ every semigroup of bounded genus on a fixed cone.
 Enumeration walks the semigroup tree: the root is the gap-free semigroup,
 and the children of S remove one minimal generator beyond the canonically
 largest gap. Adding the canonically largest gap back is the unique inverse
-step, so every gap set of each genus appears exactly once.
+step, so every gap set of each genus appears exactly once. One walker,
+`_walk`, serves both `enumerate_genus` and `wilf_sweep`.
+
+Only the root scans its certified region for minimal generators. Each
+child inherits its generators from its parent through
+`CSemigroup.remove_generator`; the region scan stays the reference for
+standalone semigroups and in the tests.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -90,12 +97,27 @@ def _children(s: CSemigroup) -> list[CSemigroup]:
     largest gap makes the parent map (put the largest gap back) unique.
     """
     biggest = canon_key(s.gaps[-1]) if s.gaps else None
-    out = []
-    for m in s.minimal_generators:
-        if biggest is None or canon_key(m) > biggest:
-            gaps = tuple(sorted(s.gaps + (m,), key=canon_key))
-            out.append(CSemigroup(s.cone, gaps))
-    return out
+    return [
+        s.remove_generator(m)
+        for m in s.minimal_generators
+        if biggest is None or canon_key(m) > biggest
+    ]
+
+
+def _walk(cone: Cone, g_max: int, cap: int, too_many: str, expand):
+    """Yield each genus level of the tree up to g_max, canonically sorted,
+    with what expand(level, grow) gave for it: one (result, children) pair
+    per node, children only while grow is true. Raises CapacityExceeded
+    with the too_many message before expanding past cap nodes in all."""
+    level = [make_csemigroup(cone, [])]
+    total = 0
+    for g in range(g_max + 1):
+        total += len(level)
+        if total > cap:
+            raise CapacityExceeded(too_many)
+        results = expand(level, g < g_max)
+        yield level, results
+        level = sorted((k for _, kids in results for k in kids), key=CSemigroup.sort_key)
 
 
 def enumerate_genus(cone: Cone, g_max: int, budget: int | None = None) -> list[GenusLevel]:
@@ -103,23 +125,11 @@ def enumerate_genus(cone: Cone, g_max: int, budget: int | None = None) -> list[G
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     cap = point_budget() if budget is None else budget
-    root = make_csemigroup(cone, [])
-    levels = [GenusLevel(0, (root,))]
-    frontier = [root]
-    total = 1
-    for g in range(1, g_max + 1):
-        grown: list[CSemigroup] = []
-        for s in frontier:
-            grown.extend(_children(s))
-        grown.sort(key=CSemigroup.sort_key)
-        total += len(grown)
-        if total > cap:
-            raise CapacityExceeded(
-                f"more than {cap} semigroups up to genus {g_max}"
-            )
-        frontier = grown
-        levels.append(GenusLevel(g, tuple(grown)))
-    return levels
+    walk = _walk(
+        cone, g_max, cap, f"more than {cap} semigroups up to genus {g_max}",
+        lambda level, grow: [(None, _children(s) if grow else []) for s in level],
+    )
+    return [GenusLevel(g, tuple(level)) for g, (level, _) in enumerate(walk)]
 
 
 @dataclass(frozen=True)
@@ -166,37 +176,36 @@ def wilf_sweep(
     Levels are barriers; nodes within a level may be evaluated in parallel
     (jobs > 1) and the result is identical to the sequential run because
     per-level output order is canonical and the aggregates are order-free.
+    One pool serves the whole sweep, opened at the first level with more
+    than one node.
     """
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
     cap = point_budget() if budget is None else budget
-    frontier = [make_csemigroup(cone, [])]
     counts = []
     min_margin: int | None = None
     counterexamples = []
-    total = 0
-    for g in range(g_max + 1):
-        work = [(s, order, g < g_max) for s in frontier]
-        if jobs > 1 and len(work) > 1:
-            with get_context().Pool(jobs) as pool:
-                results = pool.map(_sweep_node, work, chunksize=max(1, len(work) // (4 * jobs)))
-        else:
-            results = [_sweep_node(w) for w in work]
-        counts.append(len(frontier))
-        total += len(frontier)
-        if total > cap:
-            raise CapacityExceeded(f"more than {cap} semigroups in the sweep")
-        grown: list[CSemigroup] = []
-        for s, (report, kids) in zip(frontier, results):
-            if min_margin is None or report.margin < min_margin:
-                min_margin = report.margin
-            if not report.holds:
-                counterexamples.append((s, report))
-            grown.extend(kids)
-        grown.sort(key=CSemigroup.sort_key)
-        frontier = grown
+    with ExitStack() as stack:
+        pool = None
+
+        def expand(level, grow):
+            nonlocal pool
+            work = [(s, order, grow) for s in level]
+            if jobs == 1 or len(work) < 2:
+                return [_sweep_node(w) for w in work]
+            if pool is None:
+                pool = stack.enter_context(get_context().Pool(jobs))
+            return pool.map(_sweep_node, work, chunksize=max(1, len(work) // (4 * jobs)))
+
+        for level, results in _walk(cone, g_max, cap, f"more than {cap} semigroups in the sweep", expand):
+            counts.append(len(level))
+            for s, (report, _) in zip(level, results):
+                if min_margin is None or report.margin < min_margin:
+                    min_margin = report.margin
+                if not report.holds:
+                    counterexamples.append((s, report))
     return WilfSummary(
         cone=cone,
         max_genus=g_max,

@@ -237,6 +237,15 @@ def test_plot_rejects_1d(cli):
     assert json.loads(err)["error"] == "UnsupportedDimension"
 
 
+def test_plot_charges_the_viewport_to_the_budget(cli, monkeypatch):
+    monkeypatch.setenv("CONESEMI_CAPACITY", "1000")
+    code, out, err = cli(["plot", "--margin", "150"], '{"cone":{"type":"full","p":2},"gaps":[[1,0]]}')
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "CapacityExceeded"
+    code, _, _ = cli(["plot", "--viewport", "30,31"], S_A_JSON)
+    assert code == 0  # 31 * 32 = 992 points fit
+
+
 def test_plot_layers_and_file(cli, tmp_path):
     svg_file = tmp_path / "out.svg"
     code, out, _ = cli(

@@ -141,6 +141,19 @@ def test_expand_sweep_budget_guard(cone_a, monkeypatch):
         expand(GeneratorInput(cone_a, ((7, 0), (9, 0), (1, 1))))
 
 
+def test_expand_box_budget_guard(monkeypatch):
+    """With det 20 the certificate box scans 20 * 20 = 400 candidates for
+    K1 = K2 = 1, five times the 80 points the strip sweeps summarize."""
+    from conesemi import Cone
+    from conesemi.errors import CapacityExceeded
+
+    g = GeneratorInput(Cone.from_rays((1, 0), (1, 20)), tuple((1, k) for k in range(21)))
+    assert expand(g).gaps == ()
+    monkeypatch.setenv("CONESEMI_CAPACITY", "200")
+    with pytest.raises(CapacityExceeded):
+        expand(g)
+
+
 def test_expand_detects_missing_line_access(cone_skew):
     """Dropping (1,1) from the Hilbert basis makes the whole lattice line at
     ray-1 distance 1 unreachable: no other generator has that offset, so the

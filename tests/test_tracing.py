@@ -1,0 +1,44 @@
+"""The benchmark tracer still finds every entry point it patches.
+
+`bench/tracing.py` installs its recorders by replacing module and class
+attributes by name; a renamed attribute would only show as a failure of
+`bench/run.py --trace 1`. This runs a small sweep under the tracer.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from conesemi import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    import tracing
+
+    return tracing
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tracer_records_the_sweep_layers(tracing, jobs, capsys):
+    rec = tracing.Recorder()
+    restore = tracing.install(rec)
+    rec.active = True
+    try:
+        code = cli.main(["wilf", "sweep", "--cone", '{"type":"full","p":2}',
+                         "--max-genus", "3", "--jobs", str(jobs)])
+    finally:
+        rec.active = False
+        restore()
+    assert code == 0 and capsys.readouterr().out
+    spans = rec.spans + [s for worker in rec.worker_spans for s in worker]
+    names = [s[0] for s in spans]
+    assert {"wilf.sweep", "wilf.report", "semigroup.msg"} <= set(names)
+    assert names.count("wilf.report") == 1 + 2 + 7 + 23
+    assert names.count("semigroup.msg") == 1  # the root; children inherit
+    assert rec.pools == (jobs > 1)  # one pool for the whole sweep

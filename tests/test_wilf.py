@@ -1,10 +1,14 @@
 """Wilf-type counts, tree enumeration, and the sweep harness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conesemi import make_csemigroup, oracle_all_gapsets
+from conesemi import CSemigroup, make_csemigroup, oracle_all_gapsets
 from conesemi.errors import CapacityExceeded, InvalidInput
-from conesemi.wilf import enumerate_genus, wilf_report, wilf_sweep
+from conesemi.wilf import _children, enumerate_genus, wilf_report, wilf_sweep
+
+TEST_CONES = ("full1", "full2", "full3", "cone_a", "cone_skew")
 
 FULL2_GENUS2_GAPSETS = {
     frozenset(g)
@@ -150,3 +154,38 @@ def test_sweep_induced_order_reports_counterexamples(full2):
     summary = wilf_sweep(full2, 1, order="induced")
     assert summary.counterexamples != ()
     assert summary.min_margin < 0
+
+
+@pytest.mark.parametrize("name", TEST_CONES)
+def test_children_inherit_the_rescanned_generators(name, request):
+    cone = request.getfixturevalue(name)
+    for level in enumerate_genus(cone, 5)[1:]:
+        for s in level.semigroups:
+            assert "minimal_generators" in vars(s)  # inherited, not scanned
+            assert s.minimal_generators == CSemigroup(cone, s.gaps).minimal_generators
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone_a, cone_skew, data):
+    """Down a random tree path to genus 9; at each node also remove a random
+    minimal generator, which need not lie past the largest gap."""
+    cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew]))
+    s = make_csemigroup(cone, [])
+    while s.genus < 9:
+        m = data.draw(st.sampled_from(s.minimal_generators))
+        child = s.remove_generator(m)
+        assert child == make_csemigroup(cone, s.gaps + (m,))
+        assert child.minimal_generators == CSemigroup(cone, child.gaps).minimal_generators
+        kids = _children(s)
+        if not kids:
+            break
+        s = data.draw(st.sampled_from(kids))
+        assert s.minimal_generators == CSemigroup(cone, s.gaps).minimal_generators
+
+
+def test_remove_generator_refuses_a_non_generator(s_a):
+    # a gap, a decomposable member, zero, and a point outside the cone
+    for x in ((1, 1), (2, 0), (0, 0), (0, 1)):
+        with pytest.raises(InvalidInput):
+            s_a.remove_generator(x)
