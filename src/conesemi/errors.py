@@ -76,10 +76,6 @@ class ConeMismatch(ConesemiError):
     """The generators do not span the prescribed cone (a ray is uncovered)."""
 
 
-class BudgetExceeded(ConesemiError):
-    """Adaptive certification outgrew its cap; input looks pathological."""
-
-
 class PointOutsideCone(ConesemiError):
     """A prescribed point is not a lattice point of the cone."""
 

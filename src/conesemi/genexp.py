@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
-    BudgetExceeded,
-    CapacityExceeded,
     ConeMismatch,
     NotCofinite,
     PointOutsideCone,
@@ -42,14 +40,12 @@ from .geom import (
     _ceil_div,
     _cross,
     canon_key,
+    charge,
     is_zero,
     json_field,
     json_points,
-    point_budget,
 )
 from .semigroup import CSemigroup, NumericalSemigroup, make_csemigroup
-
-DEFAULT_DEPTH_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -266,12 +262,13 @@ def _box_is_clear(cone: Cone, sweep1: _Sweep, k1: int, k2: int) -> bool:
     return True
 
 
-def expand(g: GeneratorInput, depth_budget: int = DEFAULT_DEPTH_BUDGET) -> CSemigroup:
+def expand(g: GeneratorInput) -> CSemigroup:
     """The semigroup generated by g, provided its gap set is finite.
 
     Raises ConeMismatch when a ray carries no generator, NotCofinite when
-    the complement is provably infinite, BudgetExceeded when the certified
-    region outgrows depth_budget before stabilizing.
+    the complement is provably infinite, CapacityExceeded when the strip
+    sweeps or the certificate box would outgrow CONESEMI_CAPACITY before
+    the certified region stabilizes.
     """
     cone = g.cone
     d = cone.det
@@ -293,30 +290,18 @@ def expand(g: GeneratorInput, depth_budget: int = DEFAULT_DEPTH_BUDGET) -> CSemi
     cap2 = max(ray_ns[1].conductor, 1)
     sweep1 = _Sweep(cone, g.generators, 0, ray_ns[0])
     sweep2 = _Sweep(cone, g.generators, 1, ray_ns[1])
-    budget = point_budget()
     while True:
         # sweep work is lines times window width; charge it like enumeration
-        if 2 * d * (cap2 * cap1 + cap1 * cap2) > budget:
-            raise CapacityExceeded(
-                f"strip sweeps would summarize more than {budget} points; "
-                "raise CONESEMI_CAPACITY to override"
-            )
-        # the box certificate scans (cap1 * d) * (cap2 * d) scaled coordinates
-        if cap1 * cap2 * d * d > budget:
-            raise CapacityExceeded(
-                f"the certificate box would scan more than {budget} points; "
-                "raise CONESEMI_CAPACITY to override"
-            )
+        charge(4 * d * cap1 * cap2, "the strip sweeps")
+        # the box certificate scans (cap1 * d) * (cap2 * d) scaled coordinates;
+        # this charge grows 4x per doubling, so it also ends a box that never clears
+        charge(cap1 * cap2 * d * d, "the certificate box")
         sweep1.extend(2 * cap2 * d)  # lines indexed by distance from ray 1
         sweep2.extend(2 * cap1 * d)
         if _box_is_clear(cone, sweep1, cap1, cap2):
             break
         cap1 *= 2
         cap2 *= 2
-        if max(cap1, cap2) > depth_budget:
-            raise BudgetExceeded(
-                f"certified region exceeded depth {depth_budget} without stabilizing"
-            )
 
     gaps: set[Point] = set()
     for j in range(cap2 * d):
@@ -326,10 +311,10 @@ def expand(g: GeneratorInput, depth_budget: int = DEFAULT_DEPTH_BUDGET) -> CSemi
     return make_csemigroup(cone, sorted(gaps, key=canon_key))
 
 
-def is_csemigroup(g: GeneratorInput, depth_budget: int = DEFAULT_DEPTH_BUDGET) -> ExpandDecision:
+def is_csemigroup(g: GeneratorInput) -> ExpandDecision:
     """Decide whether the generators span a cofinite subsemigroup of the cone."""
     try:
-        s = expand(g, depth_budget)
+        s = expand(g)
     except NotCofinite as e:
         return ExpandDecision(False, reason="NotCofinite", detail=str(e))
     except ConeMismatch as e:

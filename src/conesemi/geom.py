@@ -25,18 +25,26 @@ Point = tuple[int, ...]
 DEFAULT_POINT_BUDGET = 10_000_000
 
 
-def point_budget() -> int:
-    """Active cap on enumerated point counts (env CONESEMI_CAPACITY overrides)."""
+def charge(points: int, what: str) -> None:
+    """Refuse work that needs more than CONESEMI_CAPACITY points, before it runs.
+
+    The one reader of CONESEMI_CAPACITY (default 10^7) and the one source of
+    CapacityExceeded for the point budget. The message names the cap, never
+    the charge, which can be too large to print.
+    """
     raw = os.environ.get("CONESEMI_CAPACITY")
-    if raw is None:
-        return DEFAULT_POINT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidInput(f"CONESEMI_CAPACITY must be an integer, got {raw!r}")
-    if value <= 0:
-        raise InvalidInput("CONESEMI_CAPACITY must be positive")
-    return value
+    cap = DEFAULT_POINT_BUDGET
+    if raw is not None:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InvalidInput(f"CONESEMI_CAPACITY must be an integer, got {raw!r}")
+        if cap <= 0:
+            raise InvalidInput("CONESEMI_CAPACITY must be positive")
+    if points > cap:
+        raise CapacityExceeded(
+            f"{what} needs more than {cap} points; raise CONESEMI_CAPACITY to override"
+        )
 
 
 def weight(x: Point) -> int:
@@ -304,20 +312,17 @@ def lower_set(cone: Cone, x: Point) -> list[Point]:
     cone._check_dim(x)
     if not cone.contains(x):
         return []
-    cap = point_budget()
     if cone.full:
         size = 1
         for c in x:
             size *= c + 1
-        if size > cap:
-            raise CapacityExceeded(f"lower set of {x} has more than {cap} points")
+        charge(size, "the lower set")
         pts = list(itertools.product(*(range(c + 1) for c in x)))
     else:
         d = cone.det
         r1, r2 = cone.rays
         uh, vh = cone.scaled_coords(x)
-        if (uh + 1) * (vh + 1) > cap:
-            raise CapacityExceeded(f"lower set of {x} has more than {cap} candidates")
+        charge((uh + 1) * (vh + 1), "the lower-set scan")
         pts = []
         for u in range(uh + 1):
             for v in range(vh + 1):
@@ -329,18 +334,13 @@ def lower_set(cone: Cone, x: Point) -> list[Point]:
     return pts
 
 
-def enumerate_cone_points(cone: Cone, max_weight: int, budget: int | None = None) -> list[Point]:
+def enumerate_cone_points(cone: Cone, max_weight: int) -> list[Point]:
     """All cone lattice points of weight <= max_weight in canonical order."""
     if max_weight < 0:
         raise InvalidInput("max_weight must be nonnegative")
-    cap = point_budget() if budget is None else budget
     out: list[Point] = []
     for t in range(max_weight + 1):
         level = cone.points_at_weight(t)
-        if len(out) + len(level) > cap:
-            raise CapacityExceeded(
-                f"more than {cap} points below weight {max_weight}; "
-                "raise CONESEMI_CAPACITY to override"
-            )
+        charge(len(out) + len(level), "the enumeration to the weight cap")
         out.extend(level)
     return out

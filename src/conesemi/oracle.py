@@ -12,7 +12,7 @@ import itertools
 from math import comb
 
 from .errors import CapacityExceeded, InvalidInput
-from .geom import Cone, Point, add, enumerate_cone_points, is_zero, point_budget, sub, weight
+from .geom import Cone, Point, add, charge, enumerate_cone_points, is_zero, sub, weight
 from .semigroup import CSemigroup, msg_weight_bound
 
 
@@ -92,10 +92,7 @@ def oracle_all_gapsets(
         weight_cap = 2 * genus * max(weight(r) for r in cone.rays)
     cap = weight_cap
     pts = [p for p in enumerate_cone_points(cone, cap) if not is_zero(p)]
-    if comb(len(pts), genus) > point_budget():
-        raise CapacityExceeded(
-            f"{comb(len(pts), genus)} candidate subsets exceed the point budget"
-        )
+    charge(comb(len(pts), genus), "the gap-set filter")
     out = []
     for combo in itertools.combinations(pts, genus):
         gap_set = frozenset(combo)

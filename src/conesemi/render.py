@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityExceeded, InvalidInput, UnsupportedDimension
-from .geom import point_budget
+from .errors import InvalidInput, UnsupportedDimension
+from .geom import charge
 from .semigroup import CSemigroup
 
 _SCALE = 24
@@ -33,14 +33,10 @@ _STYLE = (
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Viewport bounds (lattice units, origin-anchored) and layer toggles."""
+    """Viewport bounds (lattice units, origin-anchored) and the optional layers."""
 
     viewport: tuple[int, int] | None = None
     margin: int = 3
-    show_cone: bool = True
-    show_members: bool = True
-    show_gaps: bool = True
-    show_frobenius: bool = True
     show_pf: bool = False
     show_generators: bool = False
     show_levels: bool = False
@@ -66,12 +62,7 @@ def plot(s: CSemigroup, spec: RenderSpec | None = None) -> str:
     else:
         extent = s.max_gap_weight + spec.margin
         ex = ey = max(extent, 1)
-    points, cap = (ex + 1) * (ey + 1), point_budget()
-    if points > cap:
-        raise CapacityExceeded(
-            f"viewport holds {points} points, more than {cap}; "
-            "raise CONESEMI_CAPACITY to override"
-        )
+    charge((ex + 1) * (ey + 1), "the plot viewport")
 
     def px(x, y) -> tuple:
         return (_PAD + Fraction(x) * _SCALE, _PAD + (Fraction(ey) - y) * _SCALE)
@@ -85,10 +76,9 @@ def plot(s: CSemigroup, spec: RenderSpec | None = None) -> str:
     ]
 
     cone = s.cone
-    if spec.show_cone:
-        corners = _region_corners(cone, ex, ey)
-        pts = " ".join(f"{_fmt(cx)},{_fmt(cy)}" for cx, cy in (px(x, y) for x, y in corners))
-        out.append(f'<polygon class="cone-region" points="{pts}"/>')
+    corners = _region_corners(cone, ex, ey)
+    pts = " ".join(f"{_fmt(cx)},{_fmt(cy)}" for cx, cy in (px(x, y) for x, y in corners))
+    out.append(f'<polygon class="cone-region" points="{pts}"/>')
 
     if spec.show_levels:
         for t in range(ex + ey + 1):
@@ -99,14 +89,13 @@ def plot(s: CSemigroup, spec: RenderSpec | None = None) -> str:
                 f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
             )
 
-    if spec.show_cone:
-        for ray in cone.rays:
-            end = _ray_exit(ray, ex, ey)
-            a, b = px(0, 0), px(*end)
-            out.append(
-                f'<line class="cone-edge" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
-            )
+    for ray in cone.rays:
+        end = _ray_exit(ray, ex, ey)
+        a, b = px(0, 0), px(*end)
+        out.append(
+            f'<line class="cone-edge" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
+            f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
+        )
 
     in_view = [
         (x, y)
@@ -115,27 +104,22 @@ def plot(s: CSemigroup, spec: RenderSpec | None = None) -> str:
         if cone.contains((x, y))
     ]
     gap_set = s.gap_set
-    if spec.show_members:
-        for pt in in_view:
-            if pt not in gap_set:
-                cx, cy = px(*pt)
-                out.append(f'<circle class="member" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4"/>')
-    if spec.show_gaps:
-        for pt in s.gaps:
-            if pt[0] <= ex and pt[1] <= ey:
-                cx, cy = px(*pt)
-                out.append(
-                    f'<path class="gap-cross" d="M {_fmt(cx - 5)} {_fmt(cy - 5)} '
-                    f'L {_fmt(cx + 5)} {_fmt(cy + 5)} M {_fmt(cx - 5)} {_fmt(cy + 5)} '
-                    f'L {_fmt(cx + 5)} {_fmt(cy - 5)}"/>'
-                )
-    if spec.show_frobenius and s.gaps:
-        for pt in s.frobenius_set():
-            if pt[0] <= ex and pt[1] <= ey:
-                cx, cy = px(*pt)
-                out.append(
-                    f'<circle class="frobenius-ring" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="9"/>'
-                )
+    for pt in in_view:
+        if pt not in gap_set:
+            cx, cy = px(*pt)
+            out.append(f'<circle class="member" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4"/>')
+    for pt in s.gaps:
+        if pt[0] <= ex and pt[1] <= ey:
+            cx, cy = px(*pt)
+            out.append(
+                f'<path class="gap-cross" d="M {_fmt(cx - 5)} {_fmt(cy - 5)} '
+                f'L {_fmt(cx + 5)} {_fmt(cy + 5)} M {_fmt(cx - 5)} {_fmt(cy + 5)} '
+                f'L {_fmt(cx + 5)} {_fmt(cy - 5)}"/>'
+            )
+    for pt in s.frobenius_set():
+        if pt[0] <= ex and pt[1] <= ey:
+            cx, cy = px(*pt)
+            out.append(f'<circle class="frobenius-ring" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="9"/>')
     if spec.show_pf and s.gaps:
         for pt in s.pseudo_frobenius():
             if pt[0] <= ex and pt[1] <= ey:

@@ -19,7 +19,6 @@ from functools import cached_property
 from math import gcd
 
 from .errors import (
-    CapacityExceeded,
     EmptyGapSet,
     GapOutsideCone,
     InvalidInput,
@@ -35,12 +34,12 @@ from .geom import (
     Point,
     add,
     canon_key,
+    charge,
     enumerate_cone_points,
     is_zero,
     json_field,
     json_points,
     lower_set,
-    point_budget,
     scale,
     sub,
     weight,
@@ -79,13 +78,8 @@ class NumericalSemigroup:
             raise InvalidInput(f"generators {gens} must have gcd 1")
         m = gens[0]
         bound = m * gens[-1] + 2
-        cap = point_budget()
         while True:
-            if bound > cap:
-                raise CapacityExceeded(
-                    f"reachability table for {gens} needs {bound} entries, more than {cap}; "
-                    "raise CONESEMI_CAPACITY to override"
-                )
+            charge(bound, "the reachability table")
             reach = bytearray(bound)
             reach[0] = 1
             for t in range(1, bound):
@@ -358,7 +352,9 @@ class CSemigroup:
         """Weights whose level line exists in the cone and carries no
         Frobenius-set gap, as a cofinite subset of the naturals."""
         excluded = {weight(f) for f in self.frobenius_set()}
-        for t in range(self.cone.empty_level_bound()):
+        bound = self.cone.empty_level_bound()
+        charge(bound, "the weight-set level scan")
+        for t in range(bound):
             if self.cone.level_is_empty(t):
                 excluded.add(t)
         return CofiniteNat(tuple(sorted(excluded)))

@@ -22,8 +22,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .errors import CapacityExceeded, InvalidInput
-from .geom import Cone, canon_key, lower_set, point_budget, sub
+from .errors import InvalidInput
+from .geom import Cone, canon_key, charge, lower_set, sub
 from .semigroup import CSemigroup, make_csemigroup
 
 
@@ -104,30 +104,27 @@ def _children(s: CSemigroup) -> list[CSemigroup]:
     ]
 
 
-def _walk(cone: Cone, g_max: int, cap: int, too_many: str, expand):
+def _walk(cone: Cone, g_max: int, expand):
     """Yield each genus level of the tree up to g_max, canonically sorted,
     with what expand(level, grow) gave for it: one (result, children) pair
-    per node, children only while grow is true. Raises CapacityExceeded
-    with the too_many message before expanding past cap nodes in all."""
+    per node, children only while grow is true. Every node is charged to
+    the point budget before its level is expanded."""
     level = [make_csemigroup(cone, [])]
     total = 0
     for g in range(g_max + 1):
         total += len(level)
-        if total > cap:
-            raise CapacityExceeded(too_many)
+        charge(total, "the genus-tree walk")
         results = expand(level, g < g_max)
         yield level, results
         level = sorted((k for _, kids in results for k in kids), key=CSemigroup.sort_key)
 
 
-def enumerate_genus(cone: Cone, g_max: int, budget: int | None = None) -> list[GenusLevel]:
+def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     """GenusLevel for each genus up to g_max, exhaustive and duplicate-free."""
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
-    cap = point_budget() if budget is None else budget
     walk = _walk(
-        cone, g_max, cap, f"more than {cap} semigroups up to genus {g_max}",
-        lambda level, grow: [(None, _children(s) if grow else []) for s in level],
+        cone, g_max, lambda level, grow: [(None, _children(s) if grow else []) for s in level]
     )
     return [GenusLevel(g, tuple(level)) for g, (level, _) in enumerate(walk)]
 
@@ -169,7 +166,6 @@ def wilf_sweep(
     g_max: int,
     order: str = "cone",
     jobs: int = 1,
-    budget: int | None = None,
 ) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
@@ -183,7 +179,6 @@ def wilf_sweep(
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
-    cap = point_budget() if budget is None else budget
     counts = []
     min_margin: int | None = None
     counterexamples = []
@@ -199,7 +194,7 @@ def wilf_sweep(
                 pool = stack.enter_context(get_context().Pool(jobs))
             return pool.map(_sweep_node, work, chunksize=max(1, len(work) // (4 * jobs)))
 
-        for level, results in _walk(cone, g_max, cap, f"more than {cap} semigroups in the sweep", expand):
+        for level, results in _walk(cone, g_max, expand):
             counts.append(len(level))
             for s, (report, _) in zip(level, results):
                 if min_margin is None or report.margin < min_margin:

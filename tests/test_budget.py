@@ -1,0 +1,73 @@
+"""The one point budget: every charge site stops at CONESEMI_CAPACITY.
+
+Each case is (what the site charges, cap, the call). Under the cap each call
+must raise CapacityExceeded with the one message shape, naming its own site,
+so a case cannot pass by tripping an earlier charge. The inputs are those of
+the older per-site guard tests where one exists.
+"""
+
+import pytest
+
+from conesemi import (
+    Cone,
+    GeneratorInput,
+    NumericalSemigroup,
+    RenderSpec,
+    enumerate_cone_points,
+    enumerate_genus,
+    expand,
+    lower_set,
+    make_csemigroup,
+    oracle_all_gapsets,
+    plot,
+    wilf_sweep,
+)
+from conesemi.errors import CapacityExceeded, InvalidInput
+
+FULL2 = Cone.full_cone(2)
+CONE_A = Cone.from_rays((1, 0), (1, 1))
+DET20 = Cone.from_rays((1, 0), (1, 20))
+SKINNY = Cone.from_rays((1000, 999), (999, 998))
+
+SITES = {
+    "lower_set-full": ("the lower set", 100, lambda: lower_set(FULL2, (50, 50))),
+    "lower_set-sector": ("the lower-set scan", 100, lambda: lower_set(CONE_A, (2000, 0))),
+    "enumerate_cone_points": (
+        "the enumeration to the weight cap", 10, lambda: enumerate_cone_points(CONE_A, 100)),
+    "from_generators": (
+        "the reachability table", 1000, lambda: NumericalSemigroup.from_generators([150, 151])),
+    "enumerate_genus": ("the genus-tree walk", 10, lambda: enumerate_genus(FULL2, 4)),
+    "wilf_sweep": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4)),
+    # strips 4 * 48 * 1 = 192 > 100 >= the box 48 and the <7, 9> table 65
+    "expand-strips": ("the strip sweeps", 100,
+                      lambda: expand(GeneratorInput(CONE_A, ((7, 0), (9, 0), (1, 1))))),
+    # det 20: the box scans 400 > 200 >= the strips' 80
+    "expand-box": ("the certificate box", 200,
+                   lambda: expand(GeneratorInput(DET20, tuple((1, k) for k in range(21))))),
+    "plot": ("the plot viewport", 1000,
+             lambda: plot(make_csemigroup(FULL2, [(1, 0)]), RenderSpec(margin=150))),
+    # 27 candidate gaps to weight 6, C(27, 3) = 2925 subsets
+    "oracle_all_gapsets": ("the gap-set filter", 100, lambda: oracle_all_gapsets(FULL2, 3)),
+    # the empty-level bound of this sector is about 4 * 10^6
+    "weight_set": ("the weight-set level scan", 1000,
+                   lambda: make_csemigroup(SKINNY, []).weight_set()),
+}
+
+
+@pytest.mark.parametrize("site", list(SITES))
+def test_every_charge_site_stops_at_the_cap(site, monkeypatch):
+    what, cap, call = SITES[site]
+    monkeypatch.setenv("CONESEMI_CAPACITY", str(cap))
+    with pytest.raises(CapacityExceeded) as info:
+        call()
+    assert str(info.value) == (
+        f"{what} needs more than {cap} points; raise CONESEMI_CAPACITY to override"
+    )
+
+
+@pytest.mark.parametrize("raw", ["junk", "0", "-1"])
+def test_every_charge_site_refuses_a_bad_capacity(raw, monkeypatch):
+    monkeypatch.setenv("CONESEMI_CAPACITY", raw)
+    for _, _, call in SITES.values():
+        with pytest.raises(InvalidInput, match="CONESEMI_CAPACITY must be"):
+            call()

@@ -246,6 +246,36 @@ def test_plot_charges_the_viewport_to_the_budget(cli, monkeypatch):
     assert code == 0  # 31 * 32 = 992 points fit
 
 
+# Sizes far past the cap, some too large to print, each end in one
+# CapacityExceeded line: (argv, stdin, CONESEMI_CAPACITY or None for the default).
+NINES = "9" * 3000
+OVER_CAPACITY = {
+    "plot-viewport": (["plot", "--viewport", f"{NINES},{NINES}"],
+                      '{"cone":{"type":"full","p":2},"gaps":[[1,0]]}', None),
+    "elasticity-target": (["construct", "elasticity", "--cone", FULL2, "--target", "1e5000"],
+                          "", None),
+    "oracle-gapsets-genus": (["oracle", "gapsets", "--cone", '{"type":"full","p":1}',
+                              "--genus", "8000"], "", None),
+    "weights-skinny-sector": (["weights"], '{"cone":{"type":"rays2d","rays":'
+                              '[[1000,999],[999,998]]},"gaps":[]}', "1000"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVER_CAPACITY))
+def test_over_capacity_is_one_error_line(case):
+    argv, stdin_text, cap = OVER_CAPACITY[case]
+    env = {k: v for k, v in os.environ.items() if k != "CONESEMI_CAPACITY"}
+    if cap is not None:
+        env["CONESEMI_CAPACITY"] = cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "conesemi.cli", *argv],
+        input=stdin_text, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "CapacityExceeded"
+
+
 def test_plot_layers_and_file(cli, tmp_path):
     svg_file = tmp_path / "out.svg"
     code, out, _ = cli(

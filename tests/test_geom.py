@@ -126,9 +126,10 @@ def test_enumerate_full3(full3):
     assert len(pts) == 1 + 3 + 6
 
 
-def test_enumerate_capacity(cone_a):
+def test_enumerate_capacity(cone_a, monkeypatch):
+    monkeypatch.setenv("CONESEMI_CAPACITY", "10")
     with pytest.raises(CapacityExceeded):
-        enumerate_cone_points(cone_a, 100, budget=10)
+        enumerate_cone_points(cone_a, 100)
 
 
 def test_capacity_env_override(monkeypatch, cone_a):

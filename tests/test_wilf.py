@@ -112,9 +112,10 @@ def test_enumerate_children_validate(cone_skew):
             assert s.genus == level.genus
 
 
-def test_enumerate_capacity(full2):
+def test_enumerate_capacity(full2, monkeypatch):
+    monkeypatch.setenv("CONESEMI_CAPACITY", "10")
     with pytest.raises(CapacityExceeded):
-        enumerate_genus(full2, 4, budget=10)
+        enumerate_genus(full2, 4)
 
 
 def test_enumerate_genus0(cone_skew):
