@@ -14,8 +14,11 @@ termination certificate instead of open-ended search:
      proves the complement infinite.
   3. The region at ray-distance >= K_i from both rays is certified gap-free
      by checking the finite box [K_1, 2K_1) x [K_2, 2K_2) in ray coordinates:
-     any deeper point is a box point plus multiples of K_i * r_i. The K_i
-     double (and the strips re-sweep) while the box still contains gaps.
+     any deeper point is a box point plus multiples of K_i * r_i. Each box
+     row is one line of the ray-1 sweep, on which the box is a run of K_1
+     consecutive points, so a row is read off the line's summary: its first
+     member and its window. The K_i double (and the strips re-sweep) while
+     the box still contains gaps.
 
 Every sweep step is a finite exact computation, so the result is the exact
 gap set whenever it is finite, and a NotCofinite diagnosis with a witness
@@ -39,6 +42,7 @@ from .geom import (
     Point,
     _ceil_div,
     _cross,
+    _ext_gcd,
     canon_key,
     charge,
     is_zero,
@@ -100,14 +104,6 @@ class ExpandDecision:
         return obj
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g."""
-    if b == 0:
-        return (a, 1, 0)
-    g, s, t = _ext_gcd(b, a % b)
-    return (g, t, s - (a // b) * t)
-
-
 @dataclass
 class _LineTable:
     """Membership summary of one lattice line x = base + t * ray.
@@ -128,6 +124,12 @@ class _LineTable:
         if t < self.t0 + self.k:
             return self.window[t - self.t0]
         return True
+
+    def all_members(self, lo: int, hi: int) -> bool:
+        """Whether every t in [lo, hi) is a member, for lo < hi."""
+        if self.t0 is None or lo < self.t0:
+            return False
+        return False not in self.window[lo - self.t0 : hi - self.t0]
 
     def first_member_at_least(self, s: int) -> int | None:
         if self.t0 is None:
@@ -184,16 +186,6 @@ class _Sweep:
             j * self.base1[1] + t * self.ray[1],
         )
 
-    def member_at(self, j: int, t: int) -> bool:
-        return self.tables[j].member(t)
-
-    def member_point(self, x: Point) -> bool:
-        """Membership of a lattice point lying on a swept line."""
-        j = self._line_of(x)
-        t, rem = divmod(self._offset(x) - j * self.ob1, self.d)
-        assert rem == 0
-        return self.tables[j].member(t)
-
     def extend(self, n_lines: int) -> None:
         """Summarize lines up to index n_lines - 1 (continuing past work)."""
         for j in range(len(self.tables), n_lines):
@@ -246,19 +238,21 @@ class _Sweep:
         return out
 
 
-def _box_is_clear(cone: Cone, sweep1: _Sweep, k1: int, k2: int) -> bool:
+def _box_is_clear(sweep1: _Sweep, k1: int, k2: int) -> bool:
     """Whether every lattice point with ray coordinates in
-    [k1, 2*k1) x [k2, 2*k2) is a member."""
-    d = cone.det
-    r1, r2 = cone.rays
-    for u in range(k1 * d, 2 * k1 * d):
-        for v in range(k2 * d, 2 * k2 * d):
-            px = u * r1[0] + v * r2[0]
-            py = u * r1[1] + v * r2[1]
-            if px % d or py % d:
-                continue
-            if not sweep1.member_point((px // d, py // d)):
-                return False
+    [k1, 2*k1) x [k2, 2*k2) is a member, read line by line.
+
+    Box row j, a scaled ray-2 coordinate in [k2*d, 2*k2*d), is line j of
+    sweep1, whose point t has scaled ray-1 coordinate j*ob1 + t*d. Its box
+    points are the k1 parameters from ceil((k1*d - j*ob1) / d) on, and they
+    are all members unless the range starts before the line's first member
+    or meets a non-member of its window.
+    """
+    d, ob1 = sweep1.d, sweep1.ob1
+    for j in range(k2 * d, 2 * k2 * d):
+        lo = _ceil_div(k1 * d - j * ob1, d)
+        if not sweep1.tables[j].all_members(lo, lo + k1):
+            return False
     return True
 
 
@@ -293,12 +287,12 @@ def expand(g: GeneratorInput) -> CSemigroup:
     while True:
         # sweep work is lines times window width; charge it like enumeration
         charge(4 * d * cap1 * cap2, "the strip sweeps")
-        # the box certificate scans (cap1 * d) * (cap2 * d) scaled coordinates;
+        # the certificate box spans (cap1 * d) * (cap2 * d) scaled coordinates;
         # this charge grows 4x per doubling, so it also ends a box that never clears
         charge(cap1 * cap2 * d * d, "the certificate box")
         sweep1.extend(2 * cap2 * d)  # lines indexed by distance from ray 1
         sweep2.extend(2 * cap1 * d)
-        if _box_is_clear(cone, sweep1, cap1, cap2):
+        if _box_is_clear(sweep1, cap1, cap2):
             break
         cap1 *= 2
         cap2 *= 2

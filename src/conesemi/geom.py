@@ -90,6 +90,14 @@ def _floor_div(a: int, b: int) -> int:
     return a // b
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g."""
+    if b == 0:
+        return (a, 1, 0)
+    g, s, t = _ext_gcd(b, a % b)
+    return (g, t, s - (a // b) * t)
+
+
 def _primitive(r: Point) -> Point:
     g = gcd(r[0], r[1])
     return (r[0] // g, r[1] // g)
@@ -302,6 +310,39 @@ def json_points(value, path: str) -> list[Point]:
     return points
 
 
+def lattice_box(cone: Cone, x: Point) -> list[Point]:
+    """Cone lattice points a with x - a also in the cone, for x in the cone.
+
+    In scaled ray coordinates this is a coordinate box, listed in
+    lexicographic box order, so the point i places from the end is x minus
+    the point i places from the start. The box is charged to
+    CONESEMI_CAPACITY before it is scanned.
+    """
+    if cone.full:
+        size = 1
+        for c in x:
+            size *= c + 1
+        charge(size, "the lower set")
+        return list(itertools.product(*(range(c + 1) for c in x)))
+    d = cone.det
+    r1, r2 = cone.rays
+    uh, vh = cone.scaled_coords(x)
+    charge((uh + 1) * (vh + 1), "the lower-set scan")
+    # the lattice points with scaled ray-1 coordinate u are u * base + k * r2,
+    # with scaled ray-2 coordinate u * c + k * d: one residue class of v
+    g, s, t = _ext_gcd(r2[1], r2[0])
+    base = (s, -t)  # cross(base, r2) == 1
+    c = _cross(r1, base)
+    pts = []
+    for u in range(uh + 1):
+        bx, by = u * base[0], u * base[1]
+        pts.extend(
+            (bx + k * r2[0], by + k * r2[1])
+            for k in range(-(u * c // d), (vh - u * c) // d + 1)
+        )
+    return pts
+
+
 def lower_set(cone: Cone, x: Point) -> list[Point]:
     """Cone lattice points a with x - a also in the cone, canonical order.
 
@@ -312,32 +353,15 @@ def lower_set(cone: Cone, x: Point) -> list[Point]:
     cone._check_dim(x)
     if not cone.contains(x):
         return []
-    if cone.full:
-        size = 1
-        for c in x:
-            size *= c + 1
-        charge(size, "the lower set")
-        pts = list(itertools.product(*(range(c + 1) for c in x)))
-    else:
-        d = cone.det
-        r1, r2 = cone.rays
-        uh, vh = cone.scaled_coords(x)
-        charge((uh + 1) * (vh + 1), "the lower-set scan")
-        pts = []
-        for u in range(uh + 1):
-            for v in range(vh + 1):
-                px = u * r1[0] + v * r2[0]
-                py = u * r1[1] + v * r2[1]
-                if px % d == 0 and py % d == 0:
-                    pts.append((px // d, py // d))
-    pts.sort(key=canon_key)
-    return pts
+    return sorted(lattice_box(cone, x), key=canon_key)
 
 
 def enumerate_cone_points(cone: Cone, max_weight: int) -> list[Point]:
     """All cone lattice points of weight <= max_weight in canonical order."""
     if max_weight < 0:
         raise InvalidInput("max_weight must be nonnegative")
+    # the levels are walked even where a skinny sector leaves them empty
+    charge(max_weight + 1, "the enumeration to the weight cap")
     out: list[Point] = []
     for t in range(max_weight + 1):
         level = cone.points_at_weight(t)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import and_
 
 from .errors import (
     EmptyGapSet,
@@ -39,6 +40,7 @@ from .geom import (
     is_zero,
     json_field,
     json_points,
+    lattice_box,
     lower_set,
     scale,
     sub,
@@ -394,8 +396,11 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
 
     Checks: every gap is a nonzero lattice point of the cone, and for every
     gap h each decomposition h = a + b into nonzero cone points has a or b
-    among the gaps (the complement is closed under addition). The witness in
-    a NotClosed error is the canonically first offending decomposition.
+    among the gaps (the complement is closed under addition). Each gap's
+    lower set is scanned unsorted; only the canonically first gap with an
+    offending decomposition is scanned again in canonical order, so the
+    witness in a NotClosed error is still the canonically first offending
+    decomposition (first h, then first a).
     """
     seen = set()
     normalized = []
@@ -412,12 +417,14 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
     normalized.sort(key=canon_key)
     gap_set = frozenset(normalized)
     for h in normalized:
-        for a in lower_set(cone, h):
-            if is_zero(a) or a == h:
-                continue
-            b = sub(h, a)
-            if a not in gap_set and b not in gap_set:
-                raise NotClosed(h, a, b)
+        free = [a not in gap_set for a in lattice_box(cone, h)]
+        # the box lists h - a as far from its end as a is from its start
+        if any(map(and_, free, reversed(free))):
+            # a = 0 and a = h pair with the gap h, so a witness is nonzero
+            for a in lower_set(cone, h):
+                b = sub(h, a)
+                if a not in gap_set and b not in gap_set:
+                    raise NotClosed(h, a, b)
     return CSemigroup(cone=cone, gaps=tuple(normalized))
 
 

@@ -28,12 +28,20 @@ FULL2 = Cone.full_cone(2)
 CONE_A = Cone.from_rays((1, 0), (1, 1))
 DET20 = Cone.from_rays((1, 0), (1, 20))
 SKINNY = Cone.from_rays((1000, 999), (999, 998))
+SKINNY_6 = Cone.from_rays((10**6, 10**6 - 1), (10**6 - 1, 10**6 - 2))
 
 SITES = {
     "lower_set-full": ("the lower set", 100, lambda: lower_set(FULL2, (50, 50))),
     "lower_set-sector": ("the lower-set scan", 100, lambda: lower_set(CONE_A, (2000, 0))),
     "enumerate_cone_points": (
         "the enumeration to the weight cap", 10, lambda: enumerate_cone_points(CONE_A, 100)),
+    # 21 levels fit under the cap, their 231 points do not
+    "enumerate_cone_points-points": (
+        "the enumeration to the weight cap", 100, lambda: enumerate_cone_points(FULL2, 20)),
+    # the certified region's weight cap is about 4 * 10^6 mostly empty levels
+    "enumerate_cone_points-levels": (
+        "the enumeration to the weight cap", 1000,
+        lambda: make_csemigroup(SKINNY_6, []).minimal_generators),
     "from_generators": (
         "the reachability table", 1000, lambda: NumericalSemigroup.from_generators([150, 151])),
     "enumerate_genus": ("the genus-tree walk", 10, lambda: enumerate_genus(FULL2, 4)),
@@ -41,7 +49,7 @@ SITES = {
     # strips 4 * 48 * 1 = 192 > 100 >= the box 48 and the <7, 9> table 65
     "expand-strips": ("the strip sweeps", 100,
                       lambda: expand(GeneratorInput(CONE_A, ((7, 0), (9, 0), (1, 1))))),
-    # det 20: the box scans 400 > 200 >= the strips' 80
+    # det 20: the box spans 400 > 200 >= the strips' 80
     "expand-box": ("the certificate box", 200,
                    lambda: expand(GeneratorInput(DET20, tuple((1, k) for k in range(21))))),
     "plot": ("the plot viewport", 1000,

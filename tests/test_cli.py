@@ -258,6 +258,8 @@ OVER_CAPACITY = {
                               "--genus", "8000"], "", None),
     "weights-skinny-sector": (["weights"], '{"cone":{"type":"rays2d","rays":'
                               '[[1000,999],[999,998]]},"gaps":[]}', "1000"),
+    "msg-skinny-sector": (["msg"], '{"cone":{"type":"rays2d","rays":'
+                          '[[1000000,999999],[999999,999998]]},"gaps":[]}', "1000"),
 }
 
 

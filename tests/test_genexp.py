@@ -1,11 +1,16 @@
 """Generator expansion: exact gap sets, certificates, and diagnoses."""
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesemi import (
+    Cone,
     GeneratorInput,
+    NumericalSemigroup,
     enumerate_cone_points,
     expand,
     is_csemigroup,
@@ -19,6 +24,8 @@ from conesemi.errors import (
     UnsupportedDimension,
     ZeroPoint,
 )
+from conesemi.genexp import _box_is_clear, _LineTable, _Sweep
+from conesemi.geom import _cross
 from conesemi.wilf import enumerate_genus
 
 S_A_MSG = ((1, 0), (2, 1), (3, 2), (3, 3), (4, 4), (5, 5))
@@ -142,9 +149,8 @@ def test_expand_sweep_budget_guard(cone_a, monkeypatch):
 
 
 def test_expand_box_budget_guard(monkeypatch):
-    """With det 20 the certificate box scans 20 * 20 = 400 candidates for
-    K1 = K2 = 1, five times the 80 points the strip sweeps summarize."""
-    from conesemi import Cone
+    """With det 20 the certificate box spans 20 * 20 = 400 scaled coordinates
+    for K1 = K2 = 1, five times the 80 points the strip sweeps summarize."""
     from conesemi.errors import CapacityExceeded
 
     g = GeneratorInput(Cone.from_rays((1, 0), (1, 20)), tuple((1, k) for k in range(21)))
@@ -163,3 +169,112 @@ def test_expand_detects_missing_line_access(cone_skew):
     with pytest.raises(NotCofinite) as err:
         expand(GeneratorInput(cone_skew, partial))
     assert err.value.payload["line_point"] == [1, 1]
+
+
+# -- the box certificate, line by line -------------------------------------------
+
+BOX_CONES = {
+    "N2": Cone.full_cone(2),
+    "S11": Cone.from_rays((1, 0), (1, 1)),
+    "D5": Cone.from_rays((2, 1), (1, 3)),
+}
+
+
+def _box_is_clear_per_point(cone, sweep1, k1, k2):
+    """Reference: the certificate box tested one lattice point at a time."""
+    d = cone.det
+    r1, r2 = cone.rays
+    for u in range(k1 * d, 2 * k1 * d):
+        for v in range(k2 * d, 2 * k2 * d):
+            px = u * r1[0] + v * r2[0]
+            py = u * r1[1] + v * r2[1]
+            if px % d or py % d:
+                continue
+            x = (px // d, py // d)
+            j = _cross(r1, x)
+            t, rem = divmod(_cross(x, r2) - j * sweep1.ob1, d)
+            assert rem == 0
+            if not sweep1.tables[j].member(t):
+                return False
+    return True
+
+
+def _first_box(cone, gens):
+    """The ray-1 sweep of gens and the first depths (k1, k2) expand tries."""
+    g = GeneratorInput(cone, gens)
+    ray_ns = [
+        NumericalSemigroup.from_generators(cone.ray_multiples(g.generators, i)) for i in (0, 1)
+    ]
+    k1, k2 = (max(ns.conductor, 1) for ns in ray_ns)
+    return _Sweep(cone, g.generators, 0, ray_ns[0]), k1, k2
+
+
+def _box_steps(cone, gens, max_steps=6):
+    """(k1, k2, per-line, per-point) for each doubling step expand takes."""
+    sweep1, k1, k2 = _first_box(cone, gens)
+    steps = []
+    for _ in range(max_steps):
+        sweep1.extend(2 * k2 * cone.det)
+        clear = _box_is_clear(sweep1, k1, k2)
+        steps.append((k1, k2, clear, _box_is_clear_per_point(cone, sweep1, k1, k2)))
+        if clear:
+            break
+        k1, k2 = 2 * k1, 2 * k2
+    return steps
+
+
+@pytest.mark.parametrize("name", sorted(BOX_CONES))
+def test_box_certificate_finds_a_single_non_member(name):
+    """Each point of a clear box in turn is made the one non-member of its
+    line's box range; both checks must see it, wherever it sits."""
+    cone = BOX_CONES[name]
+    r1, r2 = cone.rays
+    basis = make_csemigroup(cone, []).minimal_generators
+    # the Hilbert basis with each ray r replaced by 2r and 3r, plus r1 + r2
+    gens = tuple(g for g in basis if g not in (r1, r2)) + tuple(
+        (k * r[0], k * r[1]) for r in (r1, r2) for k in (2, 3)
+    ) + ((r1[0] + r2[0], r1[1] + r2[1]),)
+    sweep1, k1, k2 = _first_box(cone, gens)
+    d = cone.det
+    sweep1.extend(2 * k2 * d)
+    assert (k1, k2) == (2, 2) and _box_is_clear(sweep1, k1, k2)
+    for j in range(k2 * d, 2 * k2 * d):
+        table = sweep1.tables[j]
+        lo = -((j * sweep1.ob1 - k1 * d) // d)
+        for t in range(lo, lo + k1):
+            sweep1.tables[j] = _LineTable(table.t_min, lo, t - lo + 1, (True,) * (t - lo) + (False,))
+            assert not _box_is_clear(sweep1, k1, k2)
+            assert not _box_is_clear_per_point(cone, sweep1, k1, k2)
+        sweep1.tables[j] = table
+    assert _box_is_clear_per_point(cone, sweep1, k1, k2)
+
+
+def test_box_certificate_matches_the_per_point_scan_on_doubling_steps():
+    """Boxes that are not clear at the first depth. With det 1 the ray
+    multiples alone fill the first box, so these sets lie in the det-5 sector."""
+    for gens in (
+        ((4, 2), (18, 9), (7, 21), (8, 24), (3, 3), (1, 1)),
+        ((8, 4), (18, 9), (5, 15), (6, 18), (2, 1), (3, 2), (2, 2)),
+    ):
+        steps = _box_steps(BOX_CONES["D5"], gens)
+        assert [(line, point) for _, _, line, point in steps] == [(False, False), (True, True)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_box_certificate_matches_the_per_point_scan(data):
+    name = data.draw(st.sampled_from(sorted(BOX_CONES)))
+    cone = BOX_CONES[name]
+    gens = []
+    for r in cone.rays:
+        a = data.draw(st.integers(2, 7))
+        b = data.draw(st.integers(a + 1, 9).filter(lambda b: gcd(a, b) == 1))
+        gens += [(a * r[0], a * r[1]), (b * r[0], b * r[1])]
+    inside = [p for p in enumerate_cone_points(cone, 6) if any(p)]
+    gens += data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=6))
+    try:
+        steps = _box_steps(cone, tuple(gens))
+    except NotCofinite:
+        return  # a memberless line: the box is never reached
+    for k1, k2, line, point in steps:
+        assert line == point, (name, gens, k1, k2)

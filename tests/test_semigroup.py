@@ -4,11 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesemi import (
+    Cone,
     CSemigroup,
+    GeneratorInput,
     NumericalSemigroup,
     enumerate_cone_points,
+    expand,
     make_csemigroup,
 )
 from conesemi.errors import (
@@ -23,7 +28,8 @@ from conesemi.errors import (
     ZeroGap,
     ZeroShift,
 )
-from conesemi.wilf import enumerate_genus
+from conesemi.geom import canon_key, weight
+from conesemi.wilf import _children, enumerate_genus
 
 S_A_MSG = ((1, 0), (2, 1), (3, 2), (3, 3), (4, 4), (5, 5))
 
@@ -326,3 +332,106 @@ def test_lemmas_genus_le_3(full2, cone_a):
                     assert not any(
                         g != f and cone.leq(f, g) for g in frob
                     )  # antichain
+
+
+# -- the closure check against a pairwise brute force --------------------------------
+
+CLOSURE_CONES = {
+    "N2": Cone.full_cone(2),
+    "S11": Cone.from_rays((1, 0), (1, 1)),
+    "D5": Cone.from_rays((2, 1), (1, 3)),
+    "N3": Cone.full_cone(3),
+}
+
+
+def _first_decomposition(cone, gaps):
+    """The canonically first (h, a, b) with h = a + b a gap and a, b nonzero
+    members, by trying every pair of members; None when the set is closed."""
+    gap_set = set(gaps)
+    top = max((weight(h) for h in gaps), default=0)
+    members = [p for p in enumerate_cone_points(cone, top) if any(p) and p not in gap_set]
+    found = []
+    for a in members:
+        for b in members:
+            h = tuple(x + y for x, y in zip(a, b))
+            if h in gap_set:
+                found.append((canon_key(h), canon_key(a), (h, a, b)))
+    return min(found)[2] if found else None
+
+
+def _closed_gap_set(cone, data):
+    """A union of lower sets, or a node down a random genus-tree path."""
+    if data.draw(st.booleans()):
+        top = 6 if cone.p == 2 else 4
+        tops = data.draw(st.lists(st.sampled_from(enumerate_cone_points(cone, top)[1:]),
+                                  max_size=3))
+        return sorted(
+            {a for f in tops for a in enumerate_cone_points(cone, weight(f))
+             if any(a) and cone.contains(tuple(x - y for x, y in zip(f, a)))},
+            key=canon_key,
+        )
+    s = make_csemigroup(cone, [])
+    for _ in range(data.draw(st.integers(0, 8))):
+        kids = _children(s)
+        if not kids:
+            break
+        s = data.draw(st.sampled_from(kids))
+    return list(s.gaps)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closure_check_matches_pairwise_brute_force(data):
+    """make_csemigroup accepts exactly the closed sets; on a set that is not
+    closed, its witness is the canonically first decomposition (least gap,
+    then least first summand), which the sorted per-gap scan reported."""
+    name = data.draw(st.sampled_from(sorted(CLOSURE_CONES)))
+    cone = CLOSURE_CONES[name]
+    gaps = _closed_gap_set(cone, data)
+    assert _first_decomposition(cone, gaps) is None
+    edit = data.draw(st.sampled_from(["none", "drop", "add"]))
+    if edit == "drop" and gaps:
+        gaps.remove(data.draw(st.sampled_from(gaps)))
+    elif edit == "add":
+        top = max((weight(h) for h in gaps), default=0) + 2
+        gaps.append(data.draw(st.sampled_from(
+            [p for p in enumerate_cone_points(cone, top) if any(p) and p not in gaps])))
+    expected = _first_decomposition(cone, gaps)
+    shuffled = data.draw(st.permutations(gaps))
+    if expected is None:
+        s = make_csemigroup(cone, shuffled)
+        assert s.gaps == tuple(sorted(gaps, key=canon_key))
+        if cone.p == 2:
+            assert expand(GeneratorInput(cone, s.minimal_generators)).gaps == s.gaps
+    else:
+        with pytest.raises(NotClosed) as err:
+            make_csemigroup(cone, shuffled)
+        assert (err.value.gap, err.value.a, err.value.b) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CONES))
+def test_closure_check_sorts_only_the_first_offending_lower_set(name, monkeypatch):
+    """Closed sets are checked without a sorted lower set; a set that is not
+    closed sorts one, that of its canonically first offending gap."""
+    import conesemi.semigroup as semigroup_module
+
+    sorted_for = []
+    real = semigroup_module.lower_set
+
+    def counting(cone, x):
+        sorted_for.append(x)
+        return real(cone, x)
+
+    monkeypatch.setattr(semigroup_module, "lower_set", counting)
+    cone = CLOSURE_CONES[name]
+    for level in enumerate_genus(cone, 3):
+        for s in level.semigroups:
+            make_csemigroup(cone, s.gaps)
+            assert sorted_for == []
+            # the sum of two generators is a member with a decomposition
+            m, n = s.minimal_generators[0], s.minimal_generators[-1]
+            gaps = s.gaps + (tuple(a + b for a, b in zip(m, n)),)
+            with pytest.raises(NotClosed):
+                make_csemigroup(cone, gaps)
+            assert sorted_for == [_first_decomposition(cone, gaps)[0]]
+            sorted_for.clear()
