@@ -12,7 +12,7 @@ Orders in play:
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -257,34 +257,50 @@ class CSemigroup:
         through m, so x = m + n with n in msg(S), or x = 3m. Every member
         that decomposes is a generator plus a nonzero member, so a candidate
         is kept unless x - c is a nonzero member for another candidate c.
+
+        The decomposition test runs on packed scaled coordinates (see
+        `_pack`). Every candidate coordinate is at most 3 times the largest
+        generator coordinate of S, so fields of that width never carry into
+        a guard bit. The input check, the canonical order and the returned
+        generators stay tuples, and nothing packed is kept on the instance.
         """
         m = tuple(m)
         msg = self.minimal_generators
         if m not in msg:
             raise InvalidInput(f"{m} is not a minimal generator", point=list(m))
-        cone, gap_set = self.cone, self.gap_set
-        fresh = {add(m, n) for n in msg} | {scale(3, m)}
-        # (weight, point, scaled coords): sorting gives the canonical order
-        candidates = sorted(
-            (weight(c), c, cone.scaled_coords(c)) for c in fresh.union(msg) if c != m
-        )
-
-        def decomposes(wx, x, sx) -> bool:
-            for wc, c, sc in candidates:
-                if wc >= wx:
-                    return False
-                if all(u <= t for u, t in zip(sc, sx)):
-                    # x - c stays in the cone; nonzero since weights differ
-                    y = sub(x, c)
-                    if y != m and y not in gap_set:
-                        return True
-            return False
-
+        cone = self.cone
+        scaled = [cone.scaled_coords(n) for n in msg]
+        width = (3 * max(map(max, scaled))).bit_length()
+        packed = {n: _pack(sc, width) for n, sc in zip(msg, scaled)}
+        wm, pm = weight(m), packed.pop(m)
+        old = [(weight(n), pn, n) for n, pn in packed.items()]
+        # m + n as (weight, packed, n), the point built only if it is kept;
+        # sums of fields that stay below 2^width are fieldwise sums
+        fresh = [(wm + wn, pm + pn, n) for wn, pn, n in old]
+        fresh += [(2 * wm, 2 * pm, m), (3 * wm, 3 * pm, scale(2, m))]
+        ranked = sorted(old + fresh)
+        weights = [wc for wc, _, _ in ranked]
+        lighter = [pc for _, pc, _ in ranked]
+        # a difference of candidates fits the fields, so a wider gap is none
+        holes = {pm}
+        for h in self.gaps:
+            sc = cone.scaled_coords(h)
+            if max(sc) >> width == 0:
+                holes.add(_pack(sc, width))
+        guards = _pack([1 << width] * cone.p, width)
+        kept = [(wn, n) for wn, _, n in old]
+        for wx, px, n in fresh:
+            high = px | guards
+            for pc in lighter[: bisect_left(weights, wx)]:
+                # no field borrows, so x - c stays in the cone; it is
+                # nonzero since the weights differ
+                if (high - pc) & guards == guards and px - pc not in holes:
+                    break
+            else:
+                kept.append((wx, add(m, n)))
         at = bisect(self.gaps, canon_key(m), key=canon_key)
         child = CSemigroup(cone, self.gaps[:at] + (m,) + self.gaps[at:])
-        child.__dict__["minimal_generators"] = tuple(
-            x for wx, x, sx in candidates if x not in fresh or not decomposes(wx, x, sx)
-        )
+        child.__dict__["minimal_generators"] = tuple(x for _, x in sorted(kept))
         return child
 
     # -- gap-side invariants -----------------------------------------------------
@@ -389,6 +405,22 @@ class CSemigroup:
 
     def sort_key(self):
         return tuple(canon_key(g) for g in self.gaps)
+
+
+def _pack(coords, width: int) -> int:
+    """Nonnegative coordinates below 2^width as one int, one field each.
+
+    Field i holds bits i*(width+1) to i*(width+1)+width-1, and the bit above
+    it is the field's guard bit; packing 2^width in every field gives the
+    mask H of all guard bits. For packed x and c, ((x | H) - c) & H == H
+    exactly when x_i >= c_i for every i: setting a guard bit lends each field
+    2^width, so no borrow crosses fields, and a field's guard bit survives
+    the subtraction unless that field borrowed it.
+    """
+    out = 0
+    for u in reversed(coords):
+        out = out << (width + 1) | u
+    return out
 
 
 def make_csemigroup(cone: Cone, gaps) -> CSemigroup:

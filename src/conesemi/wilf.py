@@ -8,7 +8,9 @@ Enumeration walks the semigroup tree: the root is the gap-free semigroup,
 and the children of S remove one minimal generator beyond the canonically
 largest gap. Adding the canonically largest gap back is the unique inverse
 step, so every gap set of each genus appears exactly once. One walker,
-`_walk`, serves both `enumerate_genus` and `wilf_sweep`.
+`_walk`, serves both `enumerate_genus` and `wilf_sweep`. It walks the
+subtree under any root breadth-first, which is how `wilf_sweep` splits
+`jobs > 1` between pool workers: one subtree per task.
 
 Only the root scans its certified region for minimal generators. Each
 child inherits its generators from its parent through
@@ -18,12 +20,13 @@ standalone semigroups and in the tests.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .errors import InvalidInput
-from .geom import Cone, canon_key, charge, lower_set, sub
+# lower_set is unused here but stays importable: the benchmark tracer
+# replaces wilf.lower_set along with the other modules' copies
+from .geom import Cone, canon_key, charge, lattice_box, lower_set, sub
 from .semigroup import CSemigroup, make_csemigroup
 
 
@@ -61,17 +64,18 @@ def wilf_report(s: CSemigroup, order: str = "cone") -> WilfReport:
     cone = s.cone
     region: set = set()
     for b in s.gaps:
-        region.update(lower_set(cone, b))
+        region.update(lattice_box(cone, b))
     if order == "cone":
-        inside = region
+        # every gap lies in the region, and every other region point is a member
+        n = len(region) - s.genus
     elif order == "induced":
-        inside = {
+        region = {
             a for a in region if any(s.member(sub(b, a)) for b in s.gaps)
         }
+        n = sum(1 for a in region if a not in s.gap_set)
     else:
         raise InvalidInput(f"order must be 'cone' or 'induced', got {order!r}")
-    c = len(inside)
-    n = sum(1 for a in inside if a not in s.gap_set)
+    c = len(region)
     e = len(s.minimal_generators)
     margin = e * n - cone.p * c
     return WilfReport(e=e, n=n, c=c, p=cone.p, margin=margin, holds=margin >= 0)
@@ -104,19 +108,24 @@ def _children(s: CSemigroup) -> list[CSemigroup]:
     ]
 
 
-def _walk(cone: Cone, g_max: int, expand):
-    """Yield each genus level of the tree up to g_max, canonically sorted,
-    with what expand(level, grow) gave for it: one (result, children) pair
-    per node, children only while grow is true. Every node is charged to
-    the point budget before its level is expanded."""
-    level = [make_csemigroup(cone, [])]
-    total = 0
-    for g in range(g_max + 1):
+def _walk(root: CSemigroup, g_max: int, walked: int, expand):
+    """Yield each genus level of the subtree under root, from the root's
+    genus up to g_max, canonically sorted, with what expand(level, grow)
+    gave for it: one (result, children) pair per node, children only while
+    grow is true. Each level is charged to the point budget before it is
+    expanded, on top of `walked` nodes visited elsewhere."""
+    level = [root]
+    total = walked
+    for g in range(root.genus, g_max + 1):
         total += len(level)
         charge(total, "the genus-tree walk")
         results = expand(level, g < g_max)
         yield level, results
-        level = sorted((k for _, kids in results for k in kids), key=CSemigroup.sort_key)
+        level = _next_level(results)
+
+
+def _next_level(results) -> list[CSemigroup]:
+    return sorted((k for _, kids in results for k in kids), key=CSemigroup.sort_key)
 
 
 def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
@@ -124,7 +133,8 @@ def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     walk = _walk(
-        cone, g_max, lambda level, grow: [(None, _children(s) if grow else []) for s in level]
+        make_csemigroup(cone, []), g_max, 0,
+        lambda level, grow: [(None, _children(s) if grow else []) for s in level],
     )
     return [GenusLevel(g, tuple(level)) for g, (level, _) in enumerate(walk)]
 
@@ -154,11 +164,45 @@ class WilfSummary:
         }
 
 
-def _sweep_node(args):
-    s, order, expand_children = args
-    report = wilf_report(s, order)
-    kids = _children(s) if expand_children else []
-    return report, kids
+def _report_level(order: str):
+    """The sweep's expand step for _walk: each node's report and children."""
+
+    def expand(level, grow):
+        return [(wilf_report(s, order), _children(s) if grow else []) for s in level]
+
+    return expand
+
+
+def _tally(level, results) -> tuple:
+    """(count, least margin or None, counterexamples) of one walked level."""
+    reports = [r for r, _ in results]
+    low = min((r.margin for r in reports), default=None)
+    return len(level), low, tuple((s, r) for s, r in zip(level, reports) if not r.holds)
+
+
+# Nodes this process has walked as a pool worker. A pool serves one sweep,
+# so the count covers the worker's earlier subtrees of the same sweep.
+_pool_walked = 0
+
+
+def _sweep_node(task) -> tuple:
+    """Sweep the subtree under one root: a _tally row for each genus from
+    the root's up to g_max.
+
+    The budget counts the `walked` nodes the parent visited and, in a pool
+    worker, every node the worker walked before this task.
+    """
+    global _pool_walked
+    root, order, g_max, walked, pooled = task
+    if pooled:
+        walked += _pool_walked
+    rows = tuple(
+        _tally(level, results)
+        for level, results in _walk(root, g_max, walked, _report_level(order))
+    )
+    if pooled:
+        _pool_walked += sum(count for count, _, _ in rows)
+    return rows
 
 
 def wilf_sweep(
@@ -169,43 +213,50 @@ def wilf_sweep(
 ) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
-    Levels are barriers; nodes within a level may be evaluated in parallel
-    (jobs > 1) and the result is identical to the sequential run because
-    per-level output order is canonical and the aggregates are order-free.
-    One pool serves the whole sweep, opened at the first level with more
-    than one node.
+    With jobs == 1 one task sweeps the whole tree from the gap-free root.
+    With jobs > 1 the tree is split by subtree (Fromentin and Hivert): this
+    process walks the first levels until one holds at least 8 * jobs
+    nodes, and a pool of jobs workers sweeps the subtrees under them, one
+    root per task. The rows are summed in root order and the
+    counterexamples sorted by (genus, sort_key), so the summary does not
+    depend on jobs. The walk is charged to the point budget as it goes,
+    and its merged total before this returns.
     """
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
-    counts = []
-    min_margin: int | None = None
+    roots = [make_csemigroup(cone, [])]
+    head = []
+    if jobs > 1:
+        for level, results in _walk(roots[0], g_max, 0, _report_level(order)):
+            head.append(_tally(level, results))
+            roots = _next_level(results)
+            if len(roots) >= 8 * jobs:
+                break
+    walked = sum(count for count, _, _ in head)
+    tasks = [(s, order, g_max, walked, jobs > 1) for s in roots]
+    if jobs == 1 or not tasks:
+        subtrees = [_sweep_node(t) for t in tasks]
+    else:
+        with get_context().Pool(jobs) as pool:
+            subtrees = pool.map(_sweep_node, tasks, chunksize=1)
+    counts = [0] * (g_max + 1)
+    margins = []
     counterexamples = []
-    with ExitStack() as stack:
-        pool = None
-
-        def expand(level, grow):
-            nonlocal pool
-            work = [(s, order, grow) for s in level]
-            if jobs == 1 or len(work) < 2:
-                return [_sweep_node(w) for w in work]
-            if pool is None:
-                pool = stack.enter_context(get_context().Pool(jobs))
-            return pool.map(_sweep_node, work, chunksize=max(1, len(work) // (4 * jobs)))
-
-        for level, results in _walk(cone, g_max, expand):
-            counts.append(len(level))
-            for s, (report, _) in zip(level, results):
-                if min_margin is None or report.margin < min_margin:
-                    min_margin = report.margin
-                if not report.holds:
-                    counterexamples.append((s, report))
+    for start, rows in [(0, head)] + [(s.genus, r) for s, r in zip(roots, subtrees)]:
+        for g, (count, low, bad) in enumerate(rows, start):
+            counts[g] += count
+            if low is not None:
+                margins.append(low)
+            counterexamples.extend(bad)
+    charge(sum(counts), "the genus-tree walk")
+    counterexamples.sort(key=lambda sr: (sr[0].genus, sr[0].sort_key()))
     return WilfSummary(
         cone=cone,
         max_genus=g_max,
         order=order,
         counts=tuple(counts),
-        min_margin=min_margin if min_margin is not None else 0,
+        min_margin=min(margins),
         counterexamples=tuple(counterexamples),
     )

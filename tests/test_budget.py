@@ -20,6 +20,7 @@ from conesemi import (
     make_csemigroup,
     oracle_all_gapsets,
     plot,
+    wilf,
     wilf_sweep,
 )
 from conesemi.errors import CapacityExceeded, InvalidInput
@@ -46,6 +47,8 @@ SITES = {
         "the reachability table", 1000, lambda: NumericalSemigroup.from_generators([150, 151])),
     "enumerate_genus": ("the genus-tree walk", 10, lambda: enumerate_genus(FULL2, 4)),
     "wilf_sweep": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4)),
+    # the parent walks 10 nodes to genus 2; a worker's first subtree is the 11th
+    "wilf_sweep-jobs2": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4, jobs=2)),
     # strips 4 * 48 * 1 = 192 > 100 >= the box 48 and the <7, 9> table 65
     "expand-strips": ("the strip sweeps", 100,
                       lambda: expand(GeneratorInput(CONE_A, ((7, 0), (9, 0), (1, 1))))),
@@ -79,3 +82,49 @@ def test_every_charge_site_refuses_a_bad_capacity(raw, monkeypatch):
     for _, _, call in SITES.values():
         with pytest.raises(InvalidInput, match="CONESEMI_CAPACITY must be"):
             call()
+
+
+class _InProcessPool:
+    """Stands in for the sweep's pool context: runs the tasks here, in
+    order, each in a fresh worker or all in one."""
+
+    def __init__(self, fresh_workers: bool):
+        self.fresh_workers = fresh_workers
+        self.started = 0
+
+    def Pool(self, jobs):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=None):
+        out = []
+        for task in tasks:
+            if self.fresh_workers:
+                wilf._pool_walked = 0
+            self.started += 1
+            out.append(fn(task))
+        return out
+
+
+@pytest.mark.parametrize("fresh_workers", [True, False])
+def test_split_sweeps_charge_every_subtree_and_the_total(fresh_workers, monkeypatch):
+    """FULL2 to genus 4 under --jobs 2: the parent walks the 10 nodes to
+    genus 2 and hands out the 23 roots of genus 3, whose subtrees hold at
+    most 10 nodes each. With the parent's 10, every subtree fits a cap of 30,
+    but the 104 nodes together do not: the parent refuses the merged total.
+    One worker that walks every subtree refuses its own running total."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "30")
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
+    pool = _InProcessPool(fresh_workers)
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    with pytest.raises(CapacityExceeded, match="the genus-tree walk needs more than 30"):
+        wilf_sweep(FULL2, 4, jobs=2)
+    if fresh_workers:
+        assert pool.started == 23
+    else:
+        assert pool.started < 23

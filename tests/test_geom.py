@@ -4,9 +4,16 @@ import random
 
 import pytest
 
-from conesemi import Cone, enumerate_cone_points, lower_set, weight
+from conesemi import Cone, enumerate_cone_points, geom, lower_set, weight
 from conesemi.errors import CapacityExceeded, DimensionMismatch, InvalidInput
-from conesemi.geom import add, canon_key, scale, sub
+from conesemi.geom import add, canon_key, lattice_box, scale, sub
+
+DET20 = Cone.from_rays((1, 0), (1, 20))
+SECTORS = [
+    Cone.from_rays(r1, r2)
+    for r1, r2 in (((1, 0), (1, 1)), ((2, 1), (1, 3)), ((1, 0), (1, 20)),
+                   ((3, 1), (1, 4)), ((5, 2), (2, 7)), ((1, 0), (2, 7)))
+]
 
 
 def test_cone_normalizes_rays():
@@ -161,6 +168,27 @@ def test_lower_set_budget_guard(cone_a, full2, monkeypatch):
         lower_set(cone_a, (2000, 0))
     with pytest.raises(CapacityExceeded):
         lower_set(full2, (50, 50))
+
+
+def test_sector_lower_set_is_charged_near_its_point_count(monkeypatch):
+    """The det-20 lower set of (30, 20) has 611 points and is charged 630,
+    not the 581 * 21 = 12,201 pairs of scaled coordinates in its box."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "1000")
+    assert len(lower_set(DET20, (30, 20))) == 611
+    monkeypatch.setenv("CONESEMI_CAPACITY", "629")
+    with pytest.raises(CapacityExceeded):
+        lower_set(DET20, (30, 20))
+
+
+def test_sector_lower_set_charge_covers_its_points(monkeypatch):
+    charged = []
+    monkeypatch.setattr(geom, "charge", lambda points, what: charged.append(points))
+    rng = random.Random(6)
+    for cone in SECTORS:
+        pts = enumerate_cone_points(cone, 40)
+        for _ in range(300):
+            box = lattice_box(cone, rng.choice(pts))
+            assert charged[-1] >= len(box)
 
 
 def test_point_arithmetic_guards():

@@ -29,6 +29,7 @@ from conesemi.errors import (
     ZeroShift,
 )
 from conesemi.geom import canon_key, weight
+from conesemi.semigroup import _pack
 from conesemi.wilf import _children, enumerate_genus
 
 S_A_MSG = ((1, 0), (2, 1), (3, 2), (3, 3), (4, 4), (5, 5))
@@ -435,3 +436,29 @@ def test_closure_check_sorts_only_the_first_offending_lower_set(name, monkeypatc
                 make_csemigroup(cone, gaps)
             assert sorted_for == [_first_decomposition(cone, gaps)[0]]
             sorted_for.clear()
+
+
+# -- packed scaled coordinates -----------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_guard_bit_test_agrees_with_the_componentwise_test(data):
+    """((x | H) - c) & H == H exactly when x_i >= c_i in every field, and then
+    x - c packs the fieldwise difference; sums below 2^width pack the
+    fieldwise sum. Fields are drawn at 0, at 2^width - 1 and in between."""
+    width = data.draw(st.integers(1, 12))
+    p = data.draw(st.integers(1, 3))
+    top = (1 << width) - 1
+    field = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    x = data.draw(st.lists(field, min_size=p, max_size=p))
+    c = data.draw(st.lists(field, min_size=p, max_size=p))
+    guards = _pack([1 << width] * p, width)
+    px, pc = _pack(x, width), _pack(c, width)
+    assert px & guards == 0 and pc & guards == 0
+    fits = all(a >= b for a, b in zip(x, c))
+    assert (((px | guards) - pc) & guards == guards) == fits
+    if fits:
+        assert px - pc == _pack([a - b for a, b in zip(x, c)], width)
+    if all(a + b <= top for a, b in zip(x, c)):
+        assert px + pc == _pack([a + b for a, b in zip(x, c)], width)

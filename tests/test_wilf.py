@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesemi import CSemigroup, make_csemigroup, oracle_all_gapsets
+from conesemi import Cone, CSemigroup, enumerate_cone_points, make_csemigroup, oracle_all_gapsets
 from conesemi.errors import CapacityExceeded, InvalidInput
 from conesemi.wilf import _children, enumerate_genus, wilf_report, wilf_sweep
 
 TEST_CONES = ("full1", "full2", "full3", "cone_a", "cone_skew")
+DET20 = Cone.from_rays((1, 0), (1, 20))
 
 FULL2_GENUS2_GAPSETS = {
     frozenset(g)
@@ -59,6 +60,22 @@ def test_report_classical_against_direct_count(full1):
         expected_n = sum(1 for t in range(frob + 1) if s.member((t,)))
         rep = wilf_report(s)
         assert (rep.c, rep.n) == (expected_c, expected_n)
+
+
+@pytest.mark.parametrize("name", TEST_CONES)
+def test_report_counts_match_the_definition(name, request):
+    """(e, n, c) on every node to genus 4 against the definitions: the cone
+    points below some gap in the cone order, the members among them, and
+    the generators a fresh region scan finds."""
+    cone = request.getfixturevalue(name)
+    for level in enumerate_genus(cone, 4):
+        for s in level.semigroups:
+            below = [a for a in enumerate_cone_points(cone, s.max_gap_weight)
+                     if any(cone.leq(a, b) for b in s.gaps)]
+            rep = wilf_report(s)
+            assert rep.c == len(below)
+            assert rep.n == sum(1 for a in below if s.member(a))
+            assert rep.e == len(CSemigroup(cone, s.gaps).minimal_generators)
 
 
 def test_report_induced_order_degenerates(s_a):
@@ -171,7 +188,7 @@ def test_children_inherit_the_rescanned_generators(name, request):
 def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone_a, cone_skew, data):
     """Down a random tree path to genus 9; at each node also remove a random
     minimal generator, which need not lie past the largest gap."""
-    cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew]))
+    cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20]))
     s = make_csemigroup(cone, [])
     while s.genus < 9:
         m = data.draw(st.sampled_from(s.minimal_generators))
@@ -185,8 +202,16 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
         assert s.minimal_generators == CSemigroup(cone, s.gaps).minimal_generators
 
 
-def test_remove_generator_refuses_a_non_generator(s_a):
+def test_remove_generator_refuses_a_non_generator(s_a, full2):
     # a gap, a decomposable member, zero, and a point outside the cone
     for x in ((1, 1), (2, 0), (0, 0), (0, 1)):
         with pytest.raises(InvalidInput):
             s_a.remove_generator(x)
+    # members too wide for the 4-bit fields (plus guard bits) that the
+    # generators (2,0), (3,0), (0,1), (1,1) pack into: without the check on
+    # the tuple, (32,0) and (33,0) pack as (0,1) and (1,1) do, and the
+    # others alias generators when the fields are laid out the other way
+    s = make_csemigroup(full2, [(1, 0)])
+    for x in ((32, 0), (33, 0), (0, 128), (0, 192), (0, 65)):
+        with pytest.raises(InvalidInput):
+            s.remove_generator(x)
