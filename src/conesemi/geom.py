@@ -328,8 +328,10 @@ def lattice_box(cone: Cone, x: Point) -> list[Point]:
     r1, r2 = cone.rays
     uh, vh = cone.scaled_coords(x)
     # the lattice points with one scaled coordinate fixed have the other in
-    # one residue class mod d, so either coordinate bounds the count
-    charge(min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1)), "the lower-set scan")
+    # one residue class mod d, so either coordinate bounds the count; the
+    # scan below also steps through every u, listed or not
+    points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
+    charge(max(uh + 1, points), "the lower-set scan")
     # the lattice points with scaled ray-1 coordinate u are u * base + k * r2,
     # with scaled ray-2 coordinate u * c + k * d: one residue class of v
     g, s, t = _ext_gcd(r2[1], r2[0])

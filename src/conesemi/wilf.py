@@ -220,7 +220,7 @@ def wilf_sweep(
     root per task. The rows are summed in root order and the
     counterexamples sorted by (genus, sort_key), so the summary does not
     depend on jobs. The walk is charged to the point budget as it goes,
-    and its merged total before this returns.
+    and a split walk's merged total before this returns.
     """
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
@@ -231,9 +231,11 @@ def wilf_sweep(
     if jobs > 1:
         for level, results in _walk(roots[0], g_max, 0, _report_level(order)):
             head.append(_tally(level, results))
-            roots = _next_level(results)
-            if len(roots) >= 8 * jobs:
+            if sum(len(kids) for _, kids in results) >= 8 * jobs:
+                roots = _next_level(results)
                 break
+        else:
+            roots = []
     walked = sum(count for count, _, _ in head)
     tasks = [(s, order, g_max, walked, jobs > 1) for s in roots]
     if jobs == 1 or not tasks:
@@ -250,7 +252,10 @@ def wilf_sweep(
             if low is not None:
                 margins.append(low)
             counterexamples.extend(bad)
-    charge(sum(counts), "the genus-tree walk")
+    if jobs > 1:
+        # the workers charged their own shares; with one job, _walk has
+        # already charged the exact total
+        charge(sum(counts), "the genus-tree walk")
     counterexamples.sort(key=lambda sr: (sr[0].genus, sr[0].sort_key()))
     return WilfSummary(
         cone=cone,

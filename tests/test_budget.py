@@ -28,12 +28,16 @@ from conesemi.errors import CapacityExceeded, InvalidInput
 FULL2 = Cone.full_cone(2)
 CONE_A = Cone.from_rays((1, 0), (1, 1))
 DET20 = Cone.from_rays((1, 0), (1, 20))
+WIDE = Cone.from_rays((1, 0), (1, 1000))
 SKINNY = Cone.from_rays((1000, 999), (999, 998))
 SKINNY_6 = Cone.from_rays((10**6, 10**6 - 1), (10**6 - 1, 10**6 - 2))
 
 SITES = {
     "lower_set-full": ("the lower set", 100, lambda: lower_set(FULL2, (50, 50))),
     "lower_set-sector": ("the lower-set scan", 100, lambda: lower_set(CONE_A, (2000, 0))),
+    # det 1000: 101 points, but the scan steps through 100,001 ray-1 coordinates
+    "lower_set-sector-scan": (
+        "the lower-set scan", 1000, lambda: lower_set(WIDE, (100, 0))),
     "enumerate_cone_points": (
         "the enumeration to the weight cap", 10, lambda: enumerate_cone_points(CONE_A, 100)),
     # 21 levels fit under the cap, their 231 points do not
