@@ -132,8 +132,6 @@ GROUPS = {
     "oracle": ("what", "slow reference computations"),
 }
 
-ORDER = _arg("--order", choices=("cone", "induced"), default="cone",
-             help="partial order used for maximality / counting (default: cone)")
 MAX_GENUS = _arg("--max-genus", type=int, required=True)
 PATTERN = _arg("--pattern-gaps", required=True, metavar="LIST", help="e.g. 1,2,4,7")
 
@@ -147,7 +145,9 @@ COMMANDS = [
     ("msg", "minimal generating set", "semigroup",
      lambda s, a: {"minimal_generators": s.minimal_generators}, []),
     ("frobenius", "maximal gaps under the chosen order", "semigroup",
-     lambda s, a: {"frobenius_set": s.frobenius_set(order=a.order)}, [ORDER]),
+     lambda s, a: {"frobenius_set": s.frobenius_set(order=a.order)},
+     [_arg("--order", choices=("cone", "induced"), default="cone",
+           help="partial order used for maximality (default: cone)")]),
     ("pf", "pseudo-Frobenius gaps", "semigroup",
      lambda s, a: {"pseudo_frobenius": s.pseudo_frobenius()}, []),
     ("apery", "Apery set relative to a member", "semigroup",
@@ -172,10 +172,10 @@ COMMANDS = [
     ("construct pf-lines", "pseudo-Frobenius line report for an idemaxial pattern", "cone",
      lambda c, a: construct.pf_lines_check(_pattern(c, a)).to_obj(), [PATTERN]),
     ("wilf report", "counts e, n, c and the margin for one semigroup", "semigroup",
-     lambda s, a: wilf_report(s, order=a.order).to_obj(), [ORDER]),
+     lambda s, a: wilf_report(s).to_obj(), []),
     ("wilf sweep", "check every semigroup up to a genus bound", "cone",
-     lambda c, a: wilf_sweep(c, a.max_genus, order=a.order, jobs=a.jobs).to_obj(),
-     [MAX_GENUS, ORDER,
+     lambda c, a: wilf_sweep(c, a.max_genus, jobs=a.jobs).to_obj(),
+     [MAX_GENUS,
       _arg("--jobs", type=int, default=1, help="parallel workers (default 1)"),
       _arg("--out", metavar="FILE", help="write report JSON here")]),
     ("enumerate", "count (and list) semigroups by genus", "cone", _enumerate,

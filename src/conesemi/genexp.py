@@ -41,8 +41,6 @@ from .geom import (
     Cone,
     Point,
     _ceil_div,
-    _cross,
-    _ext_gcd,
     canon_key,
     charge,
     is_zero,
@@ -146,31 +144,24 @@ class _Sweep:
     """Line-by-line membership tables parallel to one extremal ray."""
 
     def __init__(self, cone: Cone, gens, axis: int, ray_ns: NumericalSemigroup):
-        r1, r2 = cone.rays
         self.d = cone.det
-        self.ray = r1 if axis == 0 else r2
-        if axis == 0:
-            self._line_of = lambda x: _cross(r1, x)
-            self._offset = lambda x: _cross(x, r2)
-            g, s, t = _ext_gcd(r1[0], r1[1])
-            base1 = (-t, s)  # cross(r1, base1) == 1
-        else:
-            self._line_of = lambda x: _cross(x, r2)
-            self._offset = lambda x: _cross(r1, x)
-            g, s, t = _ext_gcd(r2[1], r2[0])
-            base1 = (s, -t)  # cross(base1, r2) == 1
-        self.base1 = base1
-        self.ob1 = self._offset(base1)
+        self.ray = cone.rays[axis]
+        # line j holds the points whose other scaled coordinate is j; the
+        # scaled coordinate along the ray is the point's offset
+        line = 1 - axis
+        self.base1 = cone.unit_point(line)
+        self.ob1 = cone.scaled_coords(self.base1)[axis]
         self.k = max(ray_ns.conductor, 1)
         self.same_steps = []
         self.offline = []
         for a in gens:
-            ja = self._line_of(a)
+            sa = cone.scaled_coords(a)
+            ja, oa = sa[line], sa[axis]
             if ja == 0:
-                self.same_steps.append(self._offset(a) // self.d)
+                self.same_steps.append(oa // self.d)
             else:
                 # a sits at parameter mu on its line; landing offset is -mu
-                delta, rem = divmod(ja * self.ob1 - self._offset(a), self.d)
+                delta, rem = divmod(ja * self.ob1 - oa, self.d)
                 assert rem == 0
                 self.offline.append((ja, delta))
         self.same_steps.sort()

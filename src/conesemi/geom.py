@@ -169,6 +169,19 @@ class Cone:
         r1, r2 = self.rays
         return (_cross(x, r2), _cross(r1, x))
 
+    def unit_point(self, i: int) -> Point:
+        """A lattice point whose i-th scaled coordinate is 1 (2D only).
+
+        That coordinate is a cross product with the other ray, which is
+        primitive, so an extended gcd of that ray's coordinates solves it.
+        """
+        r1, r2 = self.rays
+        if i == 0:
+            _, s, t = _ext_gcd(r2[1], r2[0])
+            return (s, -t)  # cross(x, r2) == 1
+        _, s, t = _ext_gcd(r1[0], r1[1])
+        return (-t, s)  # cross(r1, x) == 1
+
     def contains(self, x: Point) -> bool:
         return all(c >= 0 for c in self.scaled_coords(x))
 
@@ -334,8 +347,7 @@ def lattice_box(cone: Cone, x: Point) -> list[Point]:
     charge(max(uh + 1, points), "the lower-set scan")
     # the lattice points with scaled ray-1 coordinate u are u * base + k * r2,
     # with scaled ray-2 coordinate u * c + k * d: one residue class of v
-    g, s, t = _ext_gcd(r2[1], r2[0])
-    base = (s, -t)  # cross(base, r2) == 1
+    base = cone.unit_point(0)
     c = _cross(r1, base)
     pts = []
     for u in range(uh + 1):

@@ -306,7 +306,8 @@ class CSemigroup:
     # -- gap-side invariants -----------------------------------------------------
 
     def frobenius_set(self, order: str = "cone") -> tuple[Point, ...]:
-        """Maximal gaps under the cone order (default) or the induced order."""
+        """Maximal gaps under the cone order (default) or the induced order;
+        the induced-maximal gaps are the pseudo-Frobenius set."""
         if order == "cone":
             dominated = self.cone.leq
         elif order == "induced":
@@ -322,17 +323,12 @@ class CSemigroup:
     def pseudo_frobenius(self) -> tuple[Point, ...]:
         """Gaps a with a + s in the semigroup for every nonzero member s.
 
-        Checking minimal generators suffices: a + m1 + m2 = (a + m1) + m2
-        with a + m1 already a member, and inductively for longer sums.
+        These are the gaps maximal under the induced order: a <= b for a gap
+        b != a exactly when b = a + s with s a nonzero member.
         """
         if not self.gaps:
             raise EmptyGapSet("the gap-free semigroup has no pseudo-Frobenius set")
-        msg = self.minimal_generators
-        return tuple(
-            a
-            for a in self.gaps
-            if all(add(a, m) not in self.gap_set for m in msg)
-        )
+        return self.frobenius_set("induced")
 
     def apery_set(self, b) -> tuple[Point, ...]:
         """Members a with a - b a gap; equivalently gaps shifted by b that land

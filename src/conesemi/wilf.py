@@ -26,7 +26,7 @@ from multiprocessing import get_context
 from .errors import InvalidInput
 # lower_set is unused here but stays importable: the benchmark tracer
 # replaces wilf.lower_set along with the other modules' copies
-from .geom import Cone, canon_key, charge, lattice_box, lower_set, sub
+from .geom import Cone, canon_key, charge, lattice_box, lower_set
 from .semigroup import CSemigroup, make_csemigroup
 
 
@@ -52,30 +52,21 @@ class WilfReport:
         }
 
 
-def wilf_report(s: CSemigroup, order: str = "cone") -> WilfReport:
+def wilf_report(s: CSemigroup) -> WilfReport:
     """Count the region under the gaps and test the inequality.
 
-    With the default cone order, c counts cone points below some gap
-    (reflexively, so 0 and the gaps themselves count) and n the members
-    among them. The induced-order variant is exposed for comparison; under
-    it no member is ever below a gap, so n = 0 and the inequality fails on
-    any semigroup with gaps.
+    c counts cone points below some gap in the cone order (reflexively, so
+    0 and the gaps themselves count) and n the members among them. The
+    induced order would give n = 0 on every semigroup: a member a with
+    b - a in S for a gap b would make b = a + (b - a) a member.
     """
     cone = s.cone
     region: set = set()
     for b in s.gaps:
         region.update(lattice_box(cone, b))
-    if order == "cone":
-        # every gap lies in the region, and every other region point is a member
-        n = len(region) - s.genus
-    elif order == "induced":
-        region = {
-            a for a in region if any(s.member(sub(b, a)) for b in s.gaps)
-        }
-        n = sum(1 for a in region if a not in s.gap_set)
-    else:
-        raise InvalidInput(f"order must be 'cone' or 'induced', got {order!r}")
     c = len(region)
+    # every gap lies in the region, and every other region point is a member
+    n = c - s.genus
     e = len(s.minimal_generators)
     margin = e * n - cone.p * c
     return WilfReport(e=e, n=n, c=c, p=cone.p, margin=margin, holds=margin >= 0)
@@ -145,7 +136,6 @@ class WilfSummary:
 
     cone: Cone
     max_genus: int
-    order: str
     counts: tuple[int, ...]
     min_margin: int
     counterexamples: tuple[tuple[CSemigroup, WilfReport], ...]
@@ -154,7 +144,8 @@ class WilfSummary:
         return {
             "cone": self.cone.to_obj(),
             "max_genus": self.max_genus,
-            "order": self.order,
+            # Wilf counts always use the cone order
+            "order": "cone",
             "counts": list(self.counts),
             "min_margin": self.min_margin,
             "counterexamples": [
@@ -164,13 +155,9 @@ class WilfSummary:
         }
 
 
-def _report_level(order: str):
+def _report_level(level, grow):
     """The sweep's expand step for _walk: each node's report and children."""
-
-    def expand(level, grow):
-        return [(wilf_report(s, order), _children(s) if grow else []) for s in level]
-
-    return expand
+    return [(wilf_report(s), _children(s) if grow else []) for s in level]
 
 
 def _tally(level, results) -> tuple:
@@ -193,24 +180,19 @@ def _sweep_node(task) -> tuple:
     worker, every node the worker walked before this task.
     """
     global _pool_walked
-    root, order, g_max, walked, pooled = task
+    root, g_max, walked, pooled = task
     if pooled:
         walked += _pool_walked
     rows = tuple(
         _tally(level, results)
-        for level, results in _walk(root, g_max, walked, _report_level(order))
+        for level, results in _walk(root, g_max, walked, _report_level)
     )
     if pooled:
         _pool_walked += sum(count for count, _, _ in rows)
     return rows
 
 
-def wilf_sweep(
-    cone: Cone,
-    g_max: int,
-    order: str = "cone",
-    jobs: int = 1,
-) -> WilfSummary:
+def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
     With jobs == 1 one task sweeps the whole tree from the gap-free root.
@@ -229,7 +211,7 @@ def wilf_sweep(
     roots = [make_csemigroup(cone, [])]
     head = []
     if jobs > 1:
-        for level, results in _walk(roots[0], g_max, 0, _report_level(order)):
+        for level, results in _walk(roots[0], g_max, 0, _report_level):
             head.append(_tally(level, results))
             if sum(len(kids) for _, kids in results) >= 8 * jobs:
                 roots = _next_level(results)
@@ -237,7 +219,7 @@ def wilf_sweep(
         else:
             roots = []
     walked = sum(count for count, _, _ in head)
-    tasks = [(s, order, g_max, walked, jobs > 1) for s in roots]
+    tasks = [(s, g_max, walked, jobs > 1) for s in roots]
     if jobs == 1 or not tasks:
         subtrees = [_sweep_node(t) for t in tasks]
     else:
@@ -260,7 +242,6 @@ def wilf_sweep(
     return WilfSummary(
         cone=cone,
         max_genus=g_max,
-        order=order,
         counts=tuple(counts),
         min_margin=min(margins),
         counterexamples=tuple(counterexamples),

@@ -4,7 +4,10 @@ from functools import cmp_to_key
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conesemi import enumerate_cone_points, lower_set_semigroup
 from conesemi.fme import feasible_strict
 from conesemi.wilf import enumerate_genus
 
@@ -95,3 +98,21 @@ def test_elimination_agrees_with_angular_oracle(full2, cone_a, cone_skew, s_b):
             assert feasible_strict(rows) == _angular_separable(rows)
             systems += 1
     assert systems > 1500
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_frobenius_elements_agree_with_angular_oracle(full2, cone_a, cone_skew, data):
+    """frobenius_elements on the union of the lower sets of 1-4 random
+    points: a gap is kept exactly when its separation rows pass the angular
+    decision."""
+    cone = data.draw(st.sampled_from([full2, cone_a, cone_skew]))
+    candidates = enumerate_cone_points(cone, 8)[1:]
+    points = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4))
+    s = lower_set_semigroup(cone, points)
+    units = [(1, 0), (0, 1)]
+    expected = tuple(
+        f for f in s.gaps
+        if _angular_separable([(f[0] - h[0], f[1] - h[1]) for h in s.gaps if h != f] + units)
+    )
+    assert s.frobenius_elements() == expected

@@ -28,7 +28,7 @@ from conesemi.errors import (
     ZeroGap,
     ZeroShift,
 )
-from conesemi.geom import canon_key, weight
+from conesemi.geom import add, canon_key, weight
 from conesemi.semigroup import _pack
 from conesemi.wilf import _children, enumerate_genus
 
@@ -238,6 +238,30 @@ def test_pseudo_frobenius_examples(s_a, s_b):
 def test_pseudo_frobenius_empty(cone_a):
     with pytest.raises(EmptyGapSet):
         make_csemigroup(cone_a, []).pseudo_frobenius()
+
+
+@pytest.mark.parametrize("name", ["full2", "cone_a", "cone_skew", "full3"])
+def test_pseudo_frobenius_is_the_induced_frobenius_set(name, request):
+    """On every node of genus 1-5, the induced-maximal gaps equal the
+    generator definition of PF(S): gaps a with a + m a member for every
+    minimal generator m. The fresh semigroup finds them without its
+    generators; the gap-free root has no induced-maximal gap."""
+    cone = request.getfixturevalue(name)
+    levels = enumerate_genus(cone, 5)
+    root = levels[0].semigroups[0]
+    assert root.frobenius_set("induced") == ()
+    with pytest.raises(EmptyGapSet):
+        root.pseudo_frobenius()
+    for level in levels[1:]:
+        for s in level.semigroups:
+            reference = tuple(
+                a for a in s.gaps
+                if all(add(a, m) not in s.gap_set for m in s.minimal_generators)
+            )
+            assert s.pseudo_frobenius() == s.frobenius_set("induced") == reference
+            fresh = CSemigroup(cone, s.gaps)
+            assert fresh.pseudo_frobenius() == reference
+            assert "minimal_generators" not in vars(fresh)
 
 
 def test_apery_examples(s_a, cone_a):

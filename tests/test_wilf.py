@@ -78,15 +78,6 @@ def test_report_counts_match_the_definition(name, request):
             assert rep.e == len(CSemigroup(cone, s.gaps).minimal_generators)
 
 
-def test_report_induced_order_degenerates(s_a):
-    rep = wilf_report(s_a, order="induced")
-    assert rep.n == 0
-    assert rep.c > 0
-    assert not rep.holds
-    with pytest.raises(InvalidInput):
-        wilf_report(s_a, order="weird")
-
-
 def test_enumerate_counts_small(full1, full2):
     assert [lv.count for lv in enumerate_genus(full1, 5)] == [1, 1, 2, 4, 7, 12]
     levels = enumerate_genus(full2, 2)
@@ -166,12 +157,6 @@ def test_sweep_parallel_matches_sequential(full2):
     seq = wilf_sweep(full2, 3, jobs=1)
     par = wilf_sweep(full2, 3, jobs=4)
     assert seq.to_obj() == par.to_obj()
-
-
-def test_sweep_induced_order_reports_counterexamples(full2):
-    summary = wilf_sweep(full2, 1, order="induced")
-    assert summary.counterexamples != ()
-    assert summary.min_margin < 0
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
