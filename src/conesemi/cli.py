@@ -11,6 +11,10 @@ JSON path.
 Results go to stdout with sorted keys and sorted point lists; diagnostics go
 to stderr. Exit codes: 0 success, 1 domain error, 2 usage error. The env var
 CONESEMI_CAPACITY overrides the default point-count cap.
+
+A command loads only the modules it runs: every semigroup query needs just
+`geom` and `semigroup`, and the rest of the package is imported when a
+command first calls into it.
 """
 
 from __future__ import annotations
@@ -18,16 +22,40 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from importlib import import_module
 
-from . import construct
 from .errors import ConesemiError, InvalidInput
-from .genexp import GeneratorInput, expand, is_csemigroup
 from .geom import Cone, json_field, json_points
-from .oracle import oracle_all_gapsets, oracle_member, oracle_minimals
-from .render import RenderSpec, plot
 from .semigroup import CSemigroup, NumericalSemigroup
-from .wilf import enumerate_genus, wilf_report, wilf_sweep
+
+
+def _lib(name: str):
+    """The conesemi module of that name, imported on its first use."""
+    return import_module(f"{__package__}.{name}")
+
+
+# The commands' entry points into other modules stay names of this module,
+# which the rows look up at run time; each imports its module when called.
+
+
+def expand(g):
+    return _lib("genexp").expand(g)
+
+
+def wilf_report(s):
+    return _lib("wilf").wilf_report(s)
+
+
+def wilf_sweep(cone, g_max, jobs=1):
+    return _lib("wilf").wilf_sweep(cone, g_max, jobs=jobs)
+
+
+def enumerate_genus(cone, g_max):
+    return _lib("wilf").enumerate_genus(cone, g_max)
+
+
+def plot(s, spec=None):
+    return _lib("render").plot(s, spec)
 
 
 def _dump(obj) -> str:
@@ -59,15 +87,18 @@ def _ints(text: str) -> tuple[int, ...]:
         raise InvalidInput(f"expected comma-separated integers, got {text!r}")
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidInput(f"expected a rational like 7 or 16/3, got {text!r}")
 
 
-def _pattern(cone: Cone, a) -> construct.IdemaxialSpec:
-    return construct.IdemaxialSpec(cone, NumericalSemigroup.from_gaps(_ints(a.pattern_gaps)))
+def _pattern(cone: Cone, a):
+    pattern = NumericalSemigroup.from_gaps(_ints(a.pattern_gaps))
+    return _lib("construct").IdemaxialSpec(cone, pattern)
 
 
 def _enumerate(cone: Cone, a) -> dict:
@@ -86,8 +117,8 @@ def _plot(s: CSemigroup, a) -> str:
         viewport = _ints(a.viewport)
         if len(viewport) != 2:
             raise InvalidInput("viewport takes two bounds, e.g. 8,8")
-    spec = RenderSpec(viewport=viewport, margin=a.margin, show_levels=a.levels,
-                      show_pf=a.pf, show_generators=a.generators)
+    spec = _lib("render").RenderSpec(viewport=viewport, margin=a.margin, show_levels=a.levels,
+                                     show_pf=a.pf, show_generators=a.generators)
     return plot(s, spec)
 
 
@@ -95,11 +126,11 @@ def _oracle_member(obj, a) -> dict:
     # any dimension, unlike GeneratorInput, which serves the 2D expansion
     cone = Cone.from_obj(json_field(obj, "cone"))
     gens = json_points(json_field(obj, "generators"), "generators")
-    return {"member": oracle_member(cone, gens, _ints(a.x), a.cap)}
+    return {"member": _lib("oracle").oracle_member(cone, gens, _ints(a.x), a.cap)}
 
 
 def _oracle_gapsets(cone: Cone, a) -> dict:
-    sets = oracle_all_gapsets(cone, a.genus, a.cap)
+    sets = _lib("oracle").oracle_all_gapsets(cone, a.genus, a.cap)
     return {"count": len(sets), "gap_sets": sets}
 
 
@@ -109,7 +140,8 @@ def _oracle_gapsets(cone: Cone, a) -> dict:
 # kind names the option that supplies the JSON (--in or --cone) and its
 # decoder; run takes the decoded input and the parsed arguments and returns a
 # JSON-ready object, or a string written as is. Rows call module-level names
-# at run time, so replacing e.g. `cli.expand` takes effect.
+# at run time, so replacing e.g. `cli.expand` takes effect, and reach other
+# modules through `_lib` only when they run.
 
 
 def _arg(*flags, **kwargs):
@@ -121,7 +153,7 @@ CONE = _arg("--cone", dest="source", metavar="CONE", required=True,
             help="cone JSON file or inline JSON")
 INPUTS = {
     "semigroup": (IN, CSemigroup.from_obj),
-    "generators": (IN, GeneratorInput.from_obj),
+    "generators": (IN, lambda obj: _lib("genexp").GeneratorInput.from_obj(obj)),
     "json": (IN, lambda obj: obj),
     "cone": (CONE, Cone.from_obj),
 }
@@ -141,7 +173,7 @@ COMMANDS = [
     ("gaps", "expand a generating set into its gap set", "generators",
      lambda g, a: expand(g).to_obj(), []),
     ("check-generators", "decide whether generators span a cofinite semigroup", "generators",
-     lambda g, a: is_csemigroup(g).to_obj(), []),
+     lambda g, a: _lib("genexp").is_csemigroup(g).to_obj(), []),
     ("msg", "minimal generating set", "semigroup",
      lambda s, a: {"minimal_generators": s.minimal_generators}, []),
     ("frobenius", "maximal gaps under the chosen order", "semigroup",
@@ -161,16 +193,16 @@ COMMANDS = [
      lambda s, a: s.ray_restriction(a.ray).to_obj(),
      [_arg("--ray", type=int, required=True, help="ray index (0-based)")]),
     ("construct idemaxial", "idemaxial semigroup from a pattern", "cone",
-     lambda c, a: construct.idemaxial(_pattern(c, a)).to_obj(), [PATTERN]),
+     lambda c, a: _lib("construct").idemaxial(_pattern(c, a)).to_obj(), [PATTERN]),
     ("construct elasticity", "semigroup with quasi-elasticity beyond a target", "cone",
-     lambda c, a: construct.high_elasticity(c, _fraction(a.target)).to_obj(),
+     lambda c, a: _lib("construct").high_elasticity(c, _fraction(a.target)).to_obj(),
      [_arg("--target", required=True, help="rational target, e.g. 10 or 7/2")]),
     ("construct lower-set", "remove the lower sets of given points", "cone",
-     lambda c, a: construct.lower_set_semigroup(
+     lambda c, a: _lib("construct").lower_set_semigroup(
          c, [_ints(p) for p in a.points.split(";") if p]).to_obj(),
      [_arg("--points", required=True, metavar="PTS", help="e.g. 1,1;10,0")]),
     ("construct pf-lines", "pseudo-Frobenius line report for an idemaxial pattern", "cone",
-     lambda c, a: construct.pf_lines_check(_pattern(c, a)).to_obj(), [PATTERN]),
+     lambda c, a: _lib("construct").pf_lines_check(_pattern(c, a)).to_obj(), [PATTERN]),
     ("wilf report", "counts e, n, c and the margin for one semigroup", "semigroup",
      lambda s, a: wilf_report(s).to_obj(), []),
     ("wilf sweep", "check every semigroup up to a genus bound", "cone",
@@ -192,7 +224,7 @@ COMMANDS = [
      [_arg("--x", required=True, metavar="X,Y"),
       _arg("--cap", type=int, required=True, help="weight cap for the table")]),
     ("oracle minimals", "pairwise-scan minimal members", "semigroup",
-     lambda s, a: {"minimals": oracle_minimals(s, a.cap)},
+     lambda s, a: {"minimals": _lib("oracle").oracle_minimals(s, a.cap)},
      [_arg("--cap", type=int, required=True)]),
     ("oracle gapsets", "all closure-valid gap sets of a genus", "cone", _oracle_gapsets,
      [_arg("--genus", type=int, required=True), _arg("--cap", type=int)]),

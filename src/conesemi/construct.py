@@ -16,8 +16,8 @@ Two constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegeneratePattern,
@@ -29,6 +29,7 @@ from .errors import (
 from .geom import (
     Cone,
     Point,
+    Record,
     add,
     canon_key,
     enumerate_cone_points,
@@ -80,16 +81,15 @@ def high_elasticity(cone: Cone, target) -> CSemigroup:
     return lower_set_semigroup(cone, [f1, f2])
 
 
-@dataclass(frozen=True)
-class IdemaxialSpec:
+class IdemaxialSpec(Record):
     """A 2D cone plus the common pattern of both ray restrictions."""
 
-    cone: Cone
-    pattern: NumericalSemigroup
+    _fields = ("cone", "pattern")
 
-    def __post_init__(self):
-        if self.cone.p != 2:
+    def __init__(self, cone: Cone, pattern: NumericalSemigroup):
+        if cone.p != 2:
             raise UnsupportedDimension("idemaxial semigroups are built over 2D cones")
+        self.__dict__.update(cone=cone, pattern=pattern)
 
     def level(self, x: Point) -> Fraction:
         """Ray-coordinate level alpha + beta of a lattice point."""
@@ -129,8 +129,7 @@ def frobenius_band(spec: IdemaxialSpec) -> tuple[Fraction, Fraction]:
     return (Fraction(c - pattern.multiplicity), Fraction(c))
 
 
-@dataclass(frozen=True)
-class LevelStatus:
+class LevelStatus(NamedTuple):
     """Containment of one gap-level line of the pattern in the PF set."""
 
     level: int
@@ -156,8 +155,7 @@ class LevelStatus:
         return obj
 
 
-@dataclass(frozen=True)
-class PfLinesReport:
+class PfLinesReport(NamedTuple):
     """Empirical status of 'pattern level lines sit inside PF' per level."""
 
     pattern_gaps: tuple[int, ...]

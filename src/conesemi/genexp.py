@@ -27,8 +27,8 @@ line otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     ConeMismatch,
@@ -40,6 +40,7 @@ from .errors import (
 from .geom import (
     Cone,
     Point,
+    Record,
     _ceil_div,
     canon_key,
     charge,
@@ -50,23 +51,21 @@ from .geom import (
 from .semigroup import CSemigroup, NumericalSemigroup, make_csemigroup
 
 
-@dataclass(frozen=True)
-class GeneratorInput:
+class GeneratorInput(Record):
     """A 2D cone plus a deduplicated set of nonzero generators inside it."""
 
-    cone: Cone
-    generators: tuple[Point, ...]
+    _fields = ("cone", "generators")
 
-    def __post_init__(self):
-        if self.cone.p != 2:
+    def __init__(self, cone: Cone, generators):
+        if cone.p != 2:
             raise UnsupportedDimension("generator expansion is implemented for 2D cones")
         gens = []
         seen = set()
-        for a in self.generators:
+        for a in generators:
             a = tuple(int(c) for c in a)
             if is_zero(a):
                 raise ZeroPoint("0 is not a useful generator")
-            if not self.cone.contains(a):
+            if not cone.contains(a):
                 raise PointOutsideCone(f"generator {a} is outside the cone", point=list(a))
             if a not in seen:
                 seen.add(a)
@@ -74,7 +73,7 @@ class GeneratorInput:
         if not gens:
             raise ConeMismatch("at least one generator is required")
         gens.sort(key=canon_key)
-        object.__setattr__(self, "generators", tuple(gens))
+        self.__dict__.update(cone=cone, generators=tuple(gens))
 
     @classmethod
     def from_obj(cls, obj) -> "GeneratorInput":
@@ -83,8 +82,7 @@ class GeneratorInput:
         return cls(cone, tuple(json_points(json_field(obj, "generators"), "generators")))
 
 
-@dataclass(frozen=True)
-class ExpandDecision:
+class ExpandDecision(NamedTuple):
     """Outcome of the membership-closure decision for a generating set."""
 
     ok: bool
@@ -102,7 +100,6 @@ class ExpandDecision:
         return obj
 
 
-@dataclass
 class _LineTable:
     """Membership summary of one lattice line x = base + t * ray.
 
@@ -111,10 +108,19 @@ class _LineTable:
     t >= t0 + k is a member.
     """
 
-    t_min: int
-    t0: int | None
-    k: int
-    window: tuple[bool, ...] = field(default=())
+    __slots__ = ("t_min", "t0", "k", "window")
+
+    def __init__(self, t_min: int, t0: int | None, k: int, window: tuple[bool, ...] = ()):
+        self.t_min, self.t0, self.k, self.window = t_min, t0, k, window
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"_LineTable({fields})"
 
     def member(self, t: int) -> bool:
         if self.t0 is None or t < self.t0:

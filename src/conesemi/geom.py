@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 from .errors import CapacityExceeded, DimensionMismatch, InvalidInput
 
@@ -103,28 +105,70 @@ def _primitive(r: Point) -> Point:
     return (r[0] // g, r[1] // g)
 
 
-@dataclass(frozen=True)
-class RayCoords:
+class Record:
+    """Base of the immutable values a NamedTuple does not serve: those with
+    a cached_property cache, a validating constructor or hot fields.
+
+    A subclass names its fields in `_fields` and sets them in `__init__`
+    through `__dict__`, where cached_property keeps its values too; they
+    read faster than NamedTuple fields. Instances compare and hash by their
+    fields, print like a NamedTuple, refuse attribute assignment, and
+    pickle their `__dict__`, caches included.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RayCoords(NamedTuple):
     """Exact coordinates of a 2D point in the ray basis: x = alpha*r1 + beta*r2."""
 
     alpha: Fraction
     beta: Fraction
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """A pointed integer cone: full orthant, or 2D sector between two rays.
 
     Invariants (established by the constructors, assumed everywhere else):
       * ``rays`` are primitive, nonzero, nonnegative integer vectors;
       * for sectors, rays are stored counterclockwise, so ``det > 0``;
       * the full orthant in dimension p has the standard basis as rays.
+
+    Its fields are read on every coordinate computation, so they are
+    slots, the fastest attributes to read; with no `__dict__` to restore,
+    a cone pickles as its constructor call.
     """
 
-    p: int
-    rays: tuple[Point, ...]
-    full: bool
-    det: int
+    _fields = __slots__ = ("p", "rays", "full", "det")
+
+    def __init__(self, p: int, rays: tuple[Point, ...], full: bool, det: int):
+        for name, value in zip(self._fields, (p, rays, full, det)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return (Cone, self._values())
 
     @staticmethod
     def full_cone(p: int) -> "Cone":
@@ -187,6 +231,8 @@ class Cone:
 
     def ray_coords(self, x: Point) -> RayCoords:
         """Solve x = alpha*r1 + beta*r2 exactly (2D only; signs unrestricted)."""
+        from fractions import Fraction
+
         if self.p != 2:
             raise DimensionMismatch("ray coordinates are defined for 2D cones")
         u, v = self.scaled_coords(x)

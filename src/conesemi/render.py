@@ -9,8 +9,8 @@ environment-dependent is embedded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInput, UnsupportedDimension
 from .geom import charge
@@ -31,8 +31,7 @@ _STYLE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(NamedTuple):
     """Viewport bounds (lattice units, origin-anchored) and the optional layers."""
 
     viewport: tuple[int, int] | None = None

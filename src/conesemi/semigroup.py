@@ -13,11 +13,10 @@ Orders in play:
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import and_
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     EmptyGapSet,
@@ -29,10 +28,10 @@ from .errors import (
     ZeroGap,
     ZeroShift,
 )
-from .fme import feasible_strict
 from .geom import (
     Cone,
     Point,
+    Record,
     add,
     canon_key,
     charge,
@@ -47,12 +46,17 @@ from .geom import (
     weight,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+
+class NumericalSemigroup(Record):
     """A cofinite additive submonoid of the naturals, stored by its gap set."""
 
-    gaps: tuple[int, ...]
+    _fields = ("gaps",)
+
+    def __init__(self, gaps: tuple[int, ...]):
+        self.__dict__["gaps"] = gaps
 
     @classmethod
     def from_gaps(cls, gaps) -> "NumericalSemigroup":
@@ -149,8 +153,7 @@ class NumericalSemigroup:
         }
 
 
-@dataclass(frozen=True)
-class CofiniteNat:
+class CofiniteNat(NamedTuple):
     """The naturals minus a finite excluded set."""
 
     excluded: tuple[int, ...]
@@ -162,8 +165,7 @@ class CofiniteNat:
         return {"excluded": list(self.excluded)}
 
 
-@dataclass(frozen=True)
-class CSemigroup:
+class CSemigroup(Record):
     """Cone plus canonically sorted gap tuple.
 
     Construct through :func:`make_csemigroup`, which validates that the
@@ -172,8 +174,10 @@ class CSemigroup:
     and safe to share between threads; derived data is cached.
     """
 
-    cone: Cone
-    gaps: tuple[Point, ...]
+    _fields = ("cone", "gaps")
+
+    def __init__(self, cone: Cone, gaps: tuple[Point, ...]):
+        self.__dict__.update(cone=cone, gaps=gaps)
 
     # -- basic structure -------------------------------------------------------
 
@@ -307,18 +311,34 @@ class CSemigroup:
 
     def frobenius_set(self, order: str = "cone") -> tuple[Point, ...]:
         """Maximal gaps under the cone order (default) or the induced order;
-        the induced-maximal gaps are the pseudo-Frobenius set."""
-        if order == "cone":
-            dominated = self.cone.leq
-        elif order == "induced":
-            dominated = self.induced_leq
-        else:
+        the induced-maximal gaps are the pseudo-Frobenius set.
+
+        A gap k lies above a gap h in the cone order when every scaled
+        coordinate of k - h is >= 0, and in the induced order when k - h is
+        moreover no gap. Both tests run on scaled coordinates packed once per
+        gap (see `_pack`), and only against heavier gaps: k - h is a nonzero
+        cone point, so its weight is positive.
+        """
+        if order not in ("cone", "induced"):
             raise InvalidInput(f"order must be 'cone' or 'induced', got {order!r}")
-        return tuple(
-            h
-            for h in self.gaps
-            if not any(k != h and dominated(h, k) for k in self.gaps)
-        )
+        cone = self.cone
+        scaled = [cone.scaled_coords(h) for h in self.gaps]
+        width = max(map(max, scaled), default=0).bit_length()
+        packed = [_pack(sc, width) for sc in scaled]
+        guards = _pack([1 << width] * cone.p, width)
+        high = [pk | guards for pk in packed]
+        # without borrows, (k | guards) - h is the packed k - h plus guards
+        holes = set(high) if order == "induced" else ()
+        weights = [weight(h) for h in self.gaps]
+        out = []
+        for h, ph, wh in zip(self.gaps, packed, weights):
+            for hk in high[bisect(weights, wh):]:
+                diff = hk - ph
+                if diff & guards == guards and diff not in holes:
+                    break
+            else:
+                out.append(h)
+        return tuple(out)
 
     def pseudo_frobenius(self) -> tuple[Point, ...]:
         """Gaps a with a + s in the semigroup for every nonzero member s.
@@ -349,6 +369,8 @@ class CSemigroup:
         Feasibility of the open system {a > 0, (f-h).a > 0 for all h} is
         decided exactly by Fourier-Motzkin elimination.
         """
+        from .fme import feasible_strict
+
         if not self.gaps:
             raise EmptyGapSet("the gap-free semigroup has no Frobenius elements")
         p = self.cone.p
@@ -375,6 +397,8 @@ class CSemigroup:
 
     def quasi_elasticity(self) -> Fraction:
         """max/min of the Frobenius-set weights."""
+        from fractions import Fraction
+
         if not self.gaps:
             raise EmptyGapSet("quasi-elasticity undefined for the gap-free semigroup")
         ws = [weight(f) for f in self.frobenius_set()]

@@ -20,8 +20,7 @@ standalone semigroups and in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from multiprocessing import get_context
+from typing import NamedTuple
 
 from .errors import InvalidInput
 # lower_set is unused here but stays importable: the benchmark tracer
@@ -30,8 +29,14 @@ from .geom import Cone, canon_key, charge, lattice_box, lower_set
 from .semigroup import CSemigroup, make_csemigroup
 
 
-@dataclass(frozen=True)
-class WilfReport:
+def get_context(method=None):
+    """multiprocessing.get_context, imported only when a sweep opens a pool."""
+    from multiprocessing import get_context
+
+    return get_context(method)
+
+
+class WilfReport(NamedTuple):
     """One evaluation of e * n >= p * c."""
 
     e: int
@@ -42,14 +47,7 @@ class WilfReport:
     holds: bool
 
     def to_obj(self) -> dict:
-        return {
-            "e": self.e,
-            "n": self.n,
-            "c": self.c,
-            "p": self.p,
-            "margin": self.margin,
-            "holds": self.holds,
-        }
+        return self._asdict()
 
 
 def wilf_report(s: CSemigroup) -> WilfReport:
@@ -72,8 +70,7 @@ def wilf_report(s: CSemigroup) -> WilfReport:
     return WilfReport(e=e, n=n, c=c, p=cone.p, margin=margin, holds=margin >= 0)
 
 
-@dataclass(frozen=True)
-class GenusLevel:
+class GenusLevel(NamedTuple):
     """All semigroups of one genus over a cone, canonically sorted."""
 
     genus: int
@@ -130,8 +127,7 @@ def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     return [GenusLevel(g, tuple(level)) for g, (level, _) in enumerate(walk)]
 
 
-@dataclass(frozen=True)
-class WilfSummary:
+class WilfSummary(NamedTuple):
     """Outcome of a sweep: per-genus counts, worst margin, violations."""
 
     cone: Cone

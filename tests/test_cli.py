@@ -320,6 +320,58 @@ def test_installed_entry_point():
     assert proc.stdout == '{"frobenius_set":[[2,2]]}\n'
 
 
+# Runs one command through cli.main in a fresh interpreter and prints its
+# exit code and the loaded module names as one JSON line.
+IMPORT_PROBE = """
+import io, json, sys
+from conesemi import cli
+sys.stdout = io.StringIO()
+code = cli.main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# Resolves every exported name after a bare package import.
+PACKAGE_PROBE = """
+import json, sys
+import conesemi
+bare = sorted(m for m in sys.modules if m.startswith("conesemi."))
+missing = [n for n in conesemi.__all__ if getattr(conesemi, n, None) is None]
+print(json.dumps([bare, missing, sorted(set(conesemi.__all__) - set(dir(conesemi)))]))
+"""
+
+NEVER_AT_START = {"dataclasses", "multiprocessing"}
+QUERY_ONLY = NEVER_AT_START | {
+    "inspect", "fractions", "conesemi.genexp", "conesemi.wilf",
+    "conesemi.construct", "conesemi.render", "conesemi.oracle",
+}
+
+
+def _probe(code, *argv):
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_import_only_what_they_run():
+    gens = '{"cone":{"type":"full","p":2},"generators":[[1,0],[0,1]]}'
+    cases = [
+        (["msg", "--in", S_A_JSON], QUERY_ONLY),
+        (["validate", "--in", S_A_JSON], QUERY_ONLY),
+        (["gaps", "--in", gens], NEVER_AT_START),
+        (["construct", "idemaxial", "--cone", FULL2, "--pattern-gaps", "1"], NEVER_AT_START),
+        (["plot", "--in", S_A_JSON], NEVER_AT_START),
+        (["wilf", "sweep", "--cone", FULL2, "--max-genus", "2", "--jobs", "1"], NEVER_AT_START),
+    ]
+    for argv, absent in cases:
+        code, modules = _probe(IMPORT_PROBE, *argv)
+        assert code == 0, argv
+        assert absent.isdisjoint(modules), (argv, sorted(absent.intersection(modules)))
+    bare, missing, undir = _probe(PACKAGE_PROBE)
+    assert bare == [] and missing == [] and undir == []
+
+
 def test_semigroup_json_roundtrip_via_cli(cli, s_b):
     payload = json.dumps(s_b.to_obj())
     code, out, _ = cli(["validate"], payload)

@@ -14,6 +14,7 @@ from conesemi import (
     NumericalSemigroup,
     enumerate_cone_points,
     expand,
+    lower_set_semigroup,
     make_csemigroup,
 )
 from conesemi.errors import (
@@ -332,6 +333,30 @@ def test_ray_restriction(s_a):
     assert s_a.ray_restriction(0).gaps == ()
     with pytest.raises(InvalidRay):
         s_a.ray_restriction(2)
+
+@pytest.mark.parametrize("name", ["full1", "full2", "cone_a", "cone_skew", "full3"])
+def test_frobenius_set_matches_the_pairwise_definition(name, request):
+    """Both orders' maximal gaps equal the pairwise scan through cone.leq
+    and induced_leq, on every node of genus 0-5 and on lower-set
+    semigroups of a few hundred gaps."""
+    cone = request.getfixturevalue(name)
+    semigroups = [s for level in enumerate_genus(cone, 5) for s in level.semigroups]
+    semigroups += [lower_set_semigroup(cone, pts) for pts in LARGE_LOWER_SETS[name]]
+    for s in semigroups:
+        for order, above in (("cone", cone.leq), ("induced", s.induced_leq)):
+            reference = tuple(
+                h for h in s.gaps if not any(k != h and above(h, k) for k in s.gaps)
+            )
+            assert s.frobenius_set(order) == reference
+
+
+LARGE_LOWER_SETS = {
+    "full1": [[(150,)]],
+    "full2": [[(12, 9)], [(20, 2), (3, 18), (10, 10)]],
+    "cone_a": [[(20, 3), (12, 11)]],
+    "cone_skew": [[(12, 9), (6, 14)]],
+    "full3": [[(5, 4, 3), (1, 1, 9)]],
+}
 
 
 # -- small-scale lemma suite (the acceptance module runs the full one) ------------------

@@ -42,3 +42,30 @@ def test_tracer_records_the_sweep_layers(tracing, jobs, capsys):
     assert names.count("wilf.report") == 1 + 2 + 7 + 23
     assert names.count("semigroup.msg") == 1  # the root; children inherit
     assert rec.pools == (jobs > 1)  # one pool for the whole sweep
+
+
+S_A = '{"cone":{"type":"rays2d","rays":[[1,0],[1,1]]},"gaps":[[1,1],[2,2]]}'
+GENS = '{"cone":{"type":"full","p":2},"generators":[[2,0],[3,0],[0,1],[1,1]]}'
+
+
+@pytest.mark.parametrize("argv,span", [
+    (["gaps", "--in", GENS], "genexp.expand"),
+    (["plot", "--in", S_A], "render.plot"),
+    (["wilf", "report", "--in", S_A], "wilf.report"),
+    (["enumerate", "--cone", '{"type":"full","p":2}', "--max-genus", "2"], "wilf.enumerate"),
+])
+def test_tracer_records_the_lazily_bound_cli_names(tracing, argv, span, capsys):
+    """cli imports these commands' modules when they run; the tracer's
+    patched `cli` names must still be the ones the rows call, also after an
+    untraced run has imported them."""
+    assert cli.main(argv) == 0
+    rec = tracing.Recorder()
+    restore = tracing.install(rec)
+    rec.active = True
+    try:
+        code = cli.main(argv)
+    finally:
+        rec.active = False
+        restore()
+    assert code == 0 and capsys.readouterr().out
+    assert [s[0] for s in rec.spans].count(span) == 1
