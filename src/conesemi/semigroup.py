@@ -253,59 +253,79 @@ class CSemigroup(Record):
         return tuple(out)
 
     def remove_generator(self, m) -> "CSemigroup":
-        """S \\ {m} for a minimal generator m, its minimal generators derived
-        from these instead of rescanning the certified region.
+        """S \\ {m} for a minimal generator m; see `remove_generators`."""
+        return self.remove_generators([m])[0]
+
+    def remove_generators(self, ms) -> list["CSemigroup"]:
+        """S \\ {m} for each minimal generator m in ms, in that order, their
+        minimal generators derived from these instead of rescanning the
+        certified region.
 
         Generators of S other than m stay minimal: a decomposition in S \\ {m}
         is one in S. A new generator x of S \\ {m} decomposes in S only
-        through m, so x = m + n with n in msg(S), or x = 3m. Every member
-        that decomposes is a generator plus a nonzero member, so a candidate
-        is kept unless x - c is a nonzero member for another candidate c.
+        through m, so x = m + n with n in msg(S), or x = 3m. Such a candidate
+        is kept unless x - c is a nonzero member of S \\ {m} for an old
+        generator c (one of msg(S) other than m). That test is complete: a
+        decomposition x = a + b in S \\ {m} writes a and b as sums of its
+        generators, and x - c is a nonzero member for each old c among them.
+        Were all of them new, each m plus a nonzero member of S, x would lie
+        in 2m + (S \\ {0}) + (S \\ {0}): that would decompose n in S if
+        x = m + n, or m if x = 3m, and 2m is too light.
 
         The decomposition test runs on packed scaled coordinates (see
-        `_pack`). Every candidate coordinate is at most 3 times the largest
-        generator coordinate of S, so fields of that width never carry into
-        a guard bit. The input check, the canonical order and the returned
-        generators stay tuples, and nothing packed is kept on the instance.
+        `_pack`), packed once for all the children. Every candidate
+        coordinate is at most 3 times the largest generator coordinate of S,
+        so fields of that width never carry into a guard bit. The input
+        check, the canonical order and the returned generators stay tuples,
+        and nothing packed is kept on the instance.
         """
-        m = tuple(m)
         msg = self.minimal_generators
-        if m not in msg:
-            raise InvalidInput(f"{m} is not a minimal generator", point=list(m))
+        index = {n: i for i, n in enumerate(msg)}
+        ms = [tuple(m) for m in ms]
+        for m in ms:
+            if m not in index:
+                raise InvalidInput(f"{m} is not a minimal generator", point=list(m))
         cone = self.cone
-        scaled = [cone.scaled_coords(n) for n in msg]
+        # a full cone's scaled coordinates are the points themselves
+        scaled = msg if cone.full else [cone.scaled_coords(n) for n in msg]
         width = (3 * max(map(max, scaled))).bit_length()
-        packed = {n: _pack(sc, width) for n, sc in zip(msg, scaled)}
-        wm, pm = weight(m), packed.pop(m)
-        old = [(weight(n), pn, n) for n, pn in packed.items()]
-        # m + n as (weight, packed, n), the point built only if it is kept;
-        # sums of fields that stay below 2^width are fieldwise sums
-        fresh = [(wm + wn, pm + pn, n) for wn, pn, n in old]
-        fresh += [(2 * wm, 2 * pm, m), (3 * wm, 3 * pm, scale(2, m))]
-        ranked = sorted(old + fresh)
-        weights = [wc for wc, _, _ in ranked]
-        lighter = [pc for _, pc, _ in ranked]
+        guards = _pack([1 << width] * cone.p, width)
+        # msg is canonically sorted, so by weight
+        weights = [weight(n) for n in msg]
+        packed = [_pack(sc, width) for sc in scaled]
         # a difference of candidates fits the fields, so a wider gap is none
-        holes = {pm}
+        holes = set()
         for h in self.gaps:
-            sc = cone.scaled_coords(h)
+            sc = h if cone.full else cone.scaled_coords(h)
             if max(sc) >> width == 0:
                 holes.add(_pack(sc, width))
-        guards = _pack([1 << width] * cone.p, width)
-        kept = [(wn, n) for wn, _, n in old]
-        for wx, px, n in fresh:
-            high = px | guards
-            for pc in lighter[: bisect_left(weights, wx)]:
-                # no field borrows, so x - c stays in the cone; it is
-                # nonzero since the weights differ
-                if (high - pc) & guards == guards and px - pc not in holes:
-                    break
-            else:
-                kept.append((wx, add(m, n)))
-        at = bisect(self.gaps, canon_key(m), key=canon_key)
-        child = CSemigroup(cone, self.gaps[:at] + (m,) + self.gaps[at:])
-        child.__dict__["minimal_generators"] = tuple(x for _, x in sorted(kept))
-        return child
+        children = []
+        for m in ms:
+            i = index[m]
+            wm, pm = weights[i], packed[i]
+            old = msg[:i] + msg[i + 1:]
+            old_w = weights[:i] + weights[i + 1:]
+            old_p = packed[:i] + packed[i + 1:]
+            # m + n as (weight, packed, n), the point built only if it is
+            # kept; sums of fields that stay below 2^width are fieldwise sums
+            fresh = [(wm + wn, pm + pn, n) for wn, pn, n in zip(old_w, old_p, old)]
+            fresh += [(2 * wm, 2 * pm, m), (3 * wm, 3 * pm, scale(2, m))]
+            kept = list(zip(old_w, old))
+            for wx, px, n in fresh:
+                high = px | guards
+                for pc in old_p[: bisect_left(old_w, wx)]:
+                    # no field borrows, so x - c stays in the cone; it is
+                    # nonzero since the weights differ, and no member if it
+                    # is m or a gap of S
+                    if (high - pc) & guards == guards and px - pc != pm and px - pc not in holes:
+                        break
+                else:
+                    kept.append((wx, add(m, n)))
+            at = bisect(self.gaps, canon_key(m), key=canon_key)
+            child = CSemigroup(cone, self.gaps[:at] + (m,) + self.gaps[at:])
+            child.__dict__["minimal_generators"] = tuple(x for _, x in sorted(kept))
+            children.append(child)
+        return children
 
     # -- gap-side invariants -----------------------------------------------------
 

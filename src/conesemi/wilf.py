@@ -9,13 +9,21 @@ and the children of S remove one minimal generator beyond the canonically
 largest gap. Adding the canonically largest gap back is the unique inverse
 step, so every gap set of each genus appears exactly once. One walker,
 `_walk`, serves both `enumerate_genus` and `wilf_sweep`. It walks the
-subtree under any root breadth-first, which is how `wilf_sweep` splits
-`jobs > 1` between pool workers: one subtree per task.
+subtree under any root depth-first on an explicit stack (Fromentin and
+Hivert), so memory holds one path and its pending siblings rather than a
+whole genus, and a deep tree cannot exhaust the interpreter's recursion
+limit. Subtrees are also how `wilf_sweep` splits `jobs > 1` between pool
+workers: one subtree per task.
 
-Only the root scans its certified region for minimal generators. Each
-child inherits its generators from its parent through
-`CSemigroup.remove_generator`; the region scan stays the reference for
-standalone semigroups and in the tests.
+The walk carries the region under the gaps, the cone points below some
+gap, in one set: a child adds its new gap's lattice box and hands the
+points back when its subtree is done, so each node costs one box, not one
+per gap, and c is the size of the set.
+
+Only the root scans its certified region for minimal generators. A node's
+children inherit their generators from it through
+`CSemigroup.remove_generators`, derived together in one pass; the region
+scan stays the reference for standalone semigroups and in the tests.
 """
 
 from __future__ import annotations
@@ -50,19 +58,22 @@ class WilfReport(NamedTuple):
         return self._asdict()
 
 
-def wilf_report(s: CSemigroup) -> WilfReport:
+def wilf_report(s: CSemigroup, c: int | None = None) -> WilfReport:
     """Count the region under the gaps and test the inequality.
 
     c counts cone points below some gap in the cone order (reflexively, so
     0 and the gaps themselves count) and n the members among them. The
     induced order would give n = 0 on every semigroup: a member a with
-    b - a in S for a gap b would make b = a + (b - a) a member.
+    b - a in S for a gap b would make b = a + (b - a) a member. A caller
+    that already knows c, as the sweep does, passes it; otherwise the
+    region is counted here.
     """
     cone = s.cone
-    region: set = set()
-    for b in s.gaps:
-        region.update(lattice_box(cone, b))
-    c = len(region)
+    if c is None:
+        region: set = set()
+        for b in s.gaps:
+            region.update(lattice_box(cone, b))
+        c = len(region)
     # every gap lies in the region, and every other region point is a member
     n = c - s.genus
     e = len(s.minimal_generators)
@@ -87,44 +98,60 @@ def _children(s: CSemigroup) -> list[CSemigroup]:
     Removing a minimal generator keeps the complement closed (it has no
     two-member decomposition), and the restriction to generators past the
     largest gap makes the parent map (put the largest gap back) unique.
+    Each child's largest gap is therefore the generator it removed.
     """
     biggest = canon_key(s.gaps[-1]) if s.gaps else None
-    return [
-        s.remove_generator(m)
-        for m in s.minimal_generators
-        if biggest is None or canon_key(m) > biggest
-    ]
+    return s.remove_generators(
+        m for m in s.minimal_generators if biggest is None or canon_key(m) > biggest
+    )
 
 
-def _walk(root: CSemigroup, g_max: int, walked: int, expand):
-    """Yield each genus level of the subtree under root, from the root's
-    genus up to g_max, canonically sorted, with what expand(level, grow)
-    gave for it: one (result, children) pair per node, children only while
-    grow is true. Each level is charged to the point budget before it is
-    expanded, on top of `walked` nodes visited elsewhere."""
-    level = [root]
+def _walk(root: CSemigroup, g_max: int, walked: int):
+    """Yield (s, c) for each node s of the subtree under root up to genus
+    g_max, depth first on an explicit stack, children in canonical order;
+    c counts the cone points under some gap of s.
+
+    Those points are carried in one set: a child adds the points of its new
+    gap's lattice box that are not yet in it, and takes them out again when
+    its subtree is done. Each node is charged to the point budget before it
+    is yielded, on top of `walked` nodes visited elsewhere.
+    """
+    cone = root.cone
+    region: set = set()
+    for b in root.gaps:
+        region.update(lattice_box(cone, b))
     total = walked
-    for g in range(root.genus, g_max + 1):
-        total += len(level)
+    # (node, ()) enters a node, (None, points) leaves one
+    stack = [(root, ())]
+    while stack:
+        s, added = stack.pop()
+        if s is None:
+            region.difference_update(added)
+            continue
+        total += 1
         charge(total, "the genus-tree walk")
-        results = expand(level, g < g_max)
-        yield level, results
-        level = _next_level(results)
-
-
-def _next_level(results) -> list[CSemigroup]:
-    return sorted((k for _, kids in results for k in kids), key=CSemigroup.sort_key)
+        if s is not root:
+            added = [a for a in lattice_box(cone, s.gaps[-1]) if a not in region]
+            region.update(added)
+        yield s, len(region)
+        if s.genus < g_max:
+            stack.append((None, added))
+            stack.extend((k, ()) for k in reversed(_children(s)))
+        else:
+            region.difference_update(added)
 
 
 def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     """GenusLevel for each genus up to g_max, exhaustive and duplicate-free."""
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
-    walk = _walk(
-        make_csemigroup(cone, []), g_max, 0,
-        lambda level, grow: [(None, _children(s) if grow else []) for s in level],
-    )
-    return [GenusLevel(g, tuple(level)) for g, (level, _) in enumerate(walk)]
+    levels = [[] for _ in range(g_max + 1)]
+    for s, _ in _walk(make_csemigroup(cone, []), g_max, 0):
+        levels[s.genus].append(s)
+    return [
+        GenusLevel(g, tuple(sorted(level, key=CSemigroup.sort_key)))
+        for g, level in enumerate(levels)
+    ]
 
 
 class WilfSummary(NamedTuple):
@@ -151,26 +178,14 @@ class WilfSummary(NamedTuple):
         }
 
 
-def _report_level(level, grow):
-    """The sweep's expand step for _walk: each node's report and children."""
-    return [(wilf_report(s), _children(s) if grow else []) for s in level]
-
-
-def _tally(level, results) -> tuple:
-    """(count, least margin or None, counterexamples) of one walked level."""
-    reports = [r for r, _ in results]
-    low = min((r.margin for r in reports), default=None)
-    return len(level), low, tuple((s, r) for s, r in zip(level, reports) if not r.holds)
-
-
 # Nodes this process has walked as a pool worker. A pool serves one sweep,
 # so the count covers the worker's earlier subtrees of the same sweep.
 _pool_walked = 0
 
 
 def _sweep_node(task) -> tuple:
-    """Sweep the subtree under one root: a _tally row for each genus from
-    the root's up to g_max.
+    """Sweep the subtree under one root: a (count, least margin or None,
+    counterexamples) row for each genus from the root's up to g_max.
 
     The budget counts the `walked` nodes the parent visited and, in a pool
     worker, every node the worker walked before this task.
@@ -179,13 +194,20 @@ def _sweep_node(task) -> tuple:
     root, g_max, walked, pooled = task
     if pooled:
         walked += _pool_walked
-    rows = tuple(
-        _tally(level, results)
-        for level, results in _walk(root, g_max, walked, _report_level)
-    )
+    counts = [0] * (g_max + 1 - root.genus)
+    lows = [None] * len(counts)
+    bad = [[] for _ in counts]
+    for s, c in _walk(root, g_max, walked):
+        rep = wilf_report(s, c)
+        i = s.genus - root.genus
+        counts[i] += 1
+        if lows[i] is None or rep.margin < lows[i]:
+            lows[i] = rep.margin
+        if not rep.holds:
+            bad[i].append((s, rep))
     if pooled:
-        _pool_walked += sum(count for count, _, _ in rows)
-    return rows
+        _pool_walked += sum(counts)
+    return tuple(zip(counts, lows, map(tuple, bad)))
 
 
 def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
@@ -206,15 +228,15 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
         raise InvalidInput("jobs must be at least 1")
     roots = [make_csemigroup(cone, [])]
     head = []
-    if jobs > 1:
-        for level, results in _walk(roots[0], g_max, 0, _report_level):
-            head.append(_tally(level, results))
-            if sum(len(kids) for _, kids in results) >= 8 * jobs:
-                roots = _next_level(results)
-                break
-        else:
-            roots = []
-    walked = sum(count for count, _, _ in head)
+    walked = 0
+    while jobs > 1 and 0 < len(roots) < 8 * jobs:
+        walked += len(roots)
+        charge(walked, "the genus-tree walk")
+        reports = [wilf_report(s) for s in roots]
+        bad = tuple((s, r) for s, r in zip(roots, reports) if not r.holds)
+        head.append((len(roots), min(r.margin for r in reports), bad))
+        kids = [k for s in roots for k in _children(s)] if roots[0].genus < g_max else []
+        roots = sorted(kids, key=CSemigroup.sort_key)
     tasks = [(s, g_max, walked, jobs > 1) for s in roots]
     if jobs == 1 or not tasks:
         subtrees = [_sweep_node(t) for t in tasks]

@@ -6,6 +6,8 @@ so a case cannot pass by tripping an earlier charge. The inputs are those of
 the older per-site guard tests where one exists.
 """
 
+import sys
+
 import pytest
 
 from conesemi import (
@@ -132,3 +134,26 @@ def test_split_sweeps_charge_every_subtree_and_the_total(fresh_workers, monkeypa
         assert pool.started == 23
     else:
         assert pool.started < 23
+
+
+@pytest.mark.parametrize("call", [wilf_sweep, enumerate_genus])
+def test_tree_walks_are_refused_exactly_past_their_node_total(call, monkeypatch):
+    """FULL2 to genus 4 holds 1 + 2 + 7 + 23 + 71 = 104 nodes."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "104")
+    call(FULL2, 4)
+    monkeypatch.setenv("CONESEMI_CAPACITY", "103")
+    with pytest.raises(CapacityExceeded, match="the genus-tree walk needs more than 103"):
+        call(FULL2, 4)
+
+
+def test_deep_sweeps_run_out_of_budget_not_of_stack(monkeypatch):
+    """The walk keeps its path on an explicit stack: a sweep far deeper than
+    the interpreter's recursion limit ends in CapacityExceeded."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "400")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        with pytest.raises(CapacityExceeded, match="the genus-tree walk"):
+            wilf_sweep(Cone.full_cone(1), 150)
+    finally:
+        sys.setrecursionlimit(limit)

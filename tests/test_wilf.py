@@ -1,10 +1,12 @@
 """Wilf-type counts, tree enumeration, and the sweep harness."""
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesemi import Cone, CSemigroup, enumerate_cone_points, make_csemigroup, oracle_all_gapsets
+from conesemi import Cone, CSemigroup, enumerate_cone_points, make_csemigroup, oracle_all_gapsets, wilf
 from conesemi.errors import CapacityExceeded, InvalidInput
 from conesemi.wilf import _children, enumerate_genus, wilf_report, wilf_sweep
 
@@ -153,10 +155,64 @@ def test_sweep_finds_s_a_margin(cone_a, s_a):
     assert wilf_report(s_a).margin == 0
 
 
+def test_sweep_lists_counterexamples_by_genus_then_canonically(full2, monkeypatch):
+    """The walk visits nodes depth first, out of canonical order, and a split
+    sweep merges the head's levels with its subtrees'. With every node of
+    odd c counted as a counterexample, both list them by genus, then
+    canonically."""
+
+    def odd_c_fails(s, c=None):
+        rep = wilf_report(s, c)
+        return rep._replace(holds=rep.c % 2 == 0)
+
+    class InProcessPool:
+        def Pool(self, jobs):
+            return nullcontext(self)
+
+        def map(self, fn, tasks, chunksize=None):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(wilf, "wilf_report", odd_c_fails)
+    monkeypatch.setattr(wilf, "get_context", InProcessPool)
+    expected = [
+        s for level in enumerate_genus(full2, 5) for s in level.semigroups
+        if wilf_report(s).c % 2
+    ]
+    assert len(expected) > 100
+    for jobs in (1, 2):
+        summary = wilf_sweep(full2, 5, jobs=jobs)
+        assert [s for s, _ in summary.counterexamples] == expected
+
+
 def test_sweep_parallel_matches_sequential(full2):
     seq = wilf_sweep(full2, 3, jobs=1)
     par = wilf_sweep(full2, 3, jobs=4)
     assert seq.to_obj() == par.to_obj()
+
+
+@pytest.mark.parametrize("name", TEST_CONES)
+def test_sweeps_report_the_counts_of_the_carried_region(name, request, monkeypatch):
+    """Every node to genus 5, from the gap-free root and from each genus-2
+    root a pool worker would receive: the report built from the region the
+    walk carries equals the one counted from the node's gaps alone. A
+    subtree whose points stayed in the carried set would inflate c for
+    every later sibling."""
+    cone = request.getfixturevalue(name)
+    seen = []
+
+    def recording(s, c=None):
+        seen.append((s, c))
+        return wilf_report(s, c)
+
+    monkeypatch.setattr(wilf, "wilf_report", recording)
+    sweep = wilf_sweep(cone, 5)
+    assert len(seen) == sum(sweep.counts)
+    for root in enumerate_genus(cone, 2)[2].semigroups:
+        wilf._sweep_node((root, 5, 0, False))
+    assert len(seen) == sum(sweep.counts) + sum(sweep.counts[2:])
+    for s, c in seen:
+        assert c is not None
+        assert wilf_report(s, c) == wilf_report(s)
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
