@@ -7,11 +7,18 @@ termination certificate instead of open-ended search:
      cofinite numerical semigroup (scaled gcd 1); its conductor k_i bounds
      behaviour along that ray.
   2. Lattice lines parallel to a ray are swept in order of distance from it.
-     On each line, the first member is computed (not searched for) from the
-     already-summarized lower lines, one window of k_i further points is
-     tested, and everything beyond is a member because adding k_i times the
-     primitive ray vector preserves membership. A line with no member at all
-     proves the complement infinite.
+     On each line, the first member t0 is computed (not searched for) from
+     the already-summarized lower lines, and the k_i points from t0 on form
+     the line's window, stored as the bits of one int (bit i for t0 + i).
+     Everything beyond is a member: t0 plus any element of the ray's
+     numerical semigroup is one, and that semigroup holds every n >= k_i.
+     A point of the line is a member when it is an off-line generator plus
+     a member of a lower line, so the window is the OR of one shifted and
+     masked copy of a lower line's window per off-line generator. The
+     generators on the ray need no pass of their own: adding one to a
+     member gives a member, so each copy, and the OR, is already closed
+     under them. A line with no member at all proves the complement
+     infinite.
   3. The region at ray-distance >= K_i from both rays is certified gap-free
      by checking the finite box [K_1, 2K_1) x [K_2, 2K_2) in ray coordinates:
      any deeper point is a box point plus multiples of K_i * r_i. Each box
@@ -104,13 +111,14 @@ class _LineTable:
     """Membership summary of one lattice line x = base + t * ray.
 
     t_min is the first parameter inside the cone; t0 the first member
-    (None for a memberless line); window covers [t0, t0 + k) and every
-    t >= t0 + k is a member.
+    (None for a memberless line). window is an int of k bits: bit i says
+    whether t0 + i is a member, and every t >= t0 + k is a member, so
+    `window | -1 << k` holds the membership of every t >= t0 at bit t - t0.
     """
 
     __slots__ = ("t_min", "t0", "k", "window")
 
-    def __init__(self, t_min: int, t0: int | None, k: int, window: tuple[bool, ...] = ()):
+    def __init__(self, t_min: int, t0: int | None, k: int, window: int = 0):
         self.t_min, self.t0, self.k, self.window = t_min, t0, k, window
 
     def __eq__(self, other):
@@ -125,25 +133,25 @@ class _LineTable:
     def member(self, t: int) -> bool:
         if self.t0 is None or t < self.t0:
             return False
-        if t < self.t0 + self.k:
-            return self.window[t - self.t0]
-        return True
+        return t >= self.t0 + self.k or self.window >> (t - self.t0) & 1 == 1
 
     def all_members(self, lo: int, hi: int) -> bool:
         """Whether every t in [lo, hi) is a member, for lo < hi."""
         if self.t0 is None or lo < self.t0:
             return False
-        return False not in self.window[lo - self.t0 : hi - self.t0]
+        span = min(hi - self.t0, self.k) - (lo - self.t0)
+        return span <= 0 or ~self.window >> (lo - self.t0) & ((1 << span) - 1) == 0
 
     def first_member_at_least(self, s: int) -> int | None:
         if self.t0 is None:
             return None
         s = max(s, self.t0)
-        while s < self.t0 + self.k:
-            if self.window[s - self.t0]:
-                return s
-            s += 1
-        return s
+        if s >= self.t0 + self.k:
+            return s
+        rest = self.window >> (s - self.t0)
+        if not rest:
+            return self.t0 + self.k
+        return s + (rest & -rest).bit_length() - 1
 
 
 class _Sweep:
@@ -158,24 +166,23 @@ class _Sweep:
         self.base1 = cone.unit_point(line)
         self.ob1 = cone.scaled_coords(self.base1)[axis]
         self.k = max(ray_ns.conductor, 1)
-        self.same_steps = []
+        # generators on the ray enter through ray_ns, the summary of line 0
         self.offline = []
         for a in gens:
             sa = cone.scaled_coords(a)
             ja, oa = sa[line], sa[axis]
-            if ja == 0:
-                self.same_steps.append(oa // self.d)
-            else:
+            if ja:
                 # a sits at parameter mu on its line; landing offset is -mu
                 delta, rem = divmod(ja * self.ob1 - oa, self.d)
                 assert rem == 0
                 self.offline.append((ja, delta))
-        self.same_steps.sort()
         self.offline.sort()
+        self.full = (1 << self.k) - 1
         # line 0 is the ray itself, summarized by its numerical semigroup
-        self.tables = [
-            _LineTable(0, 0, self.k, tuple(t in ray_ns for t in range(self.k)))
-        ]
+        window = self.full
+        for t in ray_ns.gaps:
+            window ^= 1 << t
+        self.tables = [_LineTable(0, 0, self.k, window)]
 
     def line_point(self, j: int, t: int) -> Point:
         return (
@@ -208,30 +215,31 @@ class _Sweep:
                 line_point=list(witness),
                 direction=list(self.ray),
             )
-        window = []
-        for t in range(t0, t0 + self.k):
-            hit = False
-            for m in self.same_steps:
-                tt = t - m
-                if tt >= t0 and window[tt - t0]:
-                    hit = True
-                    break
-            if not hit:
-                for ja, delta in self.offline:
-                    if ja <= j and self.tables[j - ja].member(t + delta):
-                        hit = True
-                        break
-            window.append(hit)
-        return _LineTable(t_min, t0, self.k, tuple(window))
+        # t is a member when t + delta is one on line j - ja for an off-line
+        # generator; same-ray steps add nothing, since every line's members
+        # are closed under them (see the module docstring)
+        window = 0
+        for ja, delta in self.offline:
+            if ja > j:
+                break
+            table = self.tables[j - ja]
+            # bit i of bits: whether table.t0 + i is a member; set past the window
+            bits = table.window | -1 << table.k
+            shift = t0 + delta - table.t0
+            if shift >= 0:
+                window |= bits >> shift & self.full
+            elif shift > -self.k:  # else its first member lies past this window
+                window |= bits << -shift & self.full
+        return _LineTable(t_min, t0, self.k, window)
 
     def gaps_of_line(self, j: int) -> list[Point]:
         table = self.tables[j]
         out = [self.line_point(j, t) for t in range(table.t_min, table.t0)]
-        out.extend(
-            self.line_point(j, table.t0 + i)
-            for i, ok in enumerate(table.window)
-            if not ok
-        )
+        holes = ~table.window & self.full
+        while holes:
+            low = holes & -holes
+            out.append(self.line_point(j, table.t0 + low.bit_length() - 1))
+            holes ^= low
         return out
 
 

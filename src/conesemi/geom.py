@@ -226,6 +226,16 @@ class Cone(Record):
         _, s, t = _ext_gcd(r1[0], r1[1])
         return (-t, s)  # cross(r1, x) == 1
 
+    def residue_step(self, i: int) -> int:
+        """The c with every lattice point's i-th scaled coordinate congruent
+        to c times its other one, mod det (2D only).
+
+        The lattice points whose other scaled coordinate is w are w times
+        `unit_point(1 - i)` plus multiples of ray i, whose i-th scaled
+        coordinate is det.
+        """
+        return self.scaled_coords(self.unit_point(1 - i))[i]
+
     def contains(self, x: Point) -> bool:
         return all(c >= 0 for c in self.scaled_coords(x))
 
@@ -369,6 +379,24 @@ def json_points(value, path: str) -> list[Point]:
     return points
 
 
+def charge_box(cone: Cone, x: Point) -> None:
+    """Charge the lattice box of x, as `lattice_box` scans it, to
+    CONESEMI_CAPACITY."""
+    if cone.full:
+        size = 1
+        for c in x:
+            size *= c + 1
+        charge(size, "the lower set")
+        return
+    d = cone.det
+    uh, vh = cone.scaled_coords(x)
+    # the lattice points with one scaled coordinate fixed have the other in
+    # one residue class mod d, so either coordinate bounds the count; the
+    # scan also steps through every u, listed or not
+    points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
+    charge(max(uh + 1, points), "the lower-set scan")
+
+
 def lattice_box(cone: Cone, x: Point) -> list[Point]:
     """Cone lattice points a with x - a also in the cone, for x in the cone.
 
@@ -377,24 +405,16 @@ def lattice_box(cone: Cone, x: Point) -> list[Point]:
     the point i places from the start. The box is charged to
     CONESEMI_CAPACITY before it is scanned.
     """
+    charge_box(cone, x)
     if cone.full:
-        size = 1
-        for c in x:
-            size *= c + 1
-        charge(size, "the lower set")
         return list(itertools.product(*(range(c + 1) for c in x)))
     d = cone.det
-    r1, r2 = cone.rays
+    r2 = cone.rays[1]
     uh, vh = cone.scaled_coords(x)
-    # the lattice points with one scaled coordinate fixed have the other in
-    # one residue class mod d, so either coordinate bounds the count; the
-    # scan below also steps through every u, listed or not
-    points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
-    charge(max(uh + 1, points), "the lower-set scan")
     # the lattice points with scaled ray-1 coordinate u are u * base + k * r2,
     # with scaled ray-2 coordinate u * c + k * d: one residue class of v
     base = cone.unit_point(0)
-    c = _cross(r1, base)
+    c = cone.residue_step(1)
     pts = []
     for u in range(uh + 1):
         bx, by = u * base[0], u * base[1]

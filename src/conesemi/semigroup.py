@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect, bisect_left
 from functools import cached_property
 from math import gcd
-from operator import and_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -35,11 +34,11 @@ from .geom import (
     add,
     canon_key,
     charge,
+    charge_box,
     enumerate_cone_points,
     is_zero,
     json_field,
     json_points,
-    lattice_box,
     lower_set,
     scale,
     sub,
@@ -468,10 +467,26 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
 
     Checks: every gap is a nonzero lattice point of the cone, and for every
     gap h each decomposition h = a + b into nonzero cone points has a or b
-    among the gaps (the complement is closed under addition). Each gap's
-    lower set is scanned unsorted; only the canonically first gap with an
-    offending decomposition is scanned again in canonical order, so the
-    witness in a NotClosed error is still the canonically first offending
+    among the gaps (the complement is closed under addition). The points a
+    with h - a in the cone form h's lattice box: a coordinate box in scaled
+    ray coordinates.
+
+    The gaps are taken in canonical order, and each is stored as one bit in
+    p rows: for each scaled coordinate, the row of the lattice points that
+    share its other coordinates, at the point's index along that
+    coordinate. On a sector a row's lattice points form one residue class
+    mod det (see `Cone.residue_step`), and a point's index is its
+    coordinate divided by det. The rows are complete for h when h is
+    tested: a gap g != h in h's box has h - g a nonzero cone point, whose
+    weight is positive, so g is lighter than h and was stored before it.
+
+    h is tested along its longest axis: for each prefix q (the other
+    coordinates) the free points of row q, read forward, meet the free
+    points of row h - q, read backward, exactly where a and h - a are both
+    members. Each box is charged to CONESEMI_CAPACITY, as `lattice_box`
+    charges it, before any of its bits is stored. Only the canonically
+    first failing gap has its lower set scanned in canonical order, so the
+    witness in a NotClosed error is the canonically first offending
     decomposition (first h, then first a).
     """
     seen = set()
@@ -487,17 +502,59 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
             seen.add(g)
             normalized.append(g)
     normalized.sort(key=canon_key)
-    gap_set = frozenset(normalized)
+    d = cone.det
+    # along axis i, the lattice points of the row at other coordinate w have
+    # coordinate i in the class of w * steps[i] mod d (d is 1 on full cones)
+    steps = (0,) * cone.p if cone.full else (cone.residue_step(0), cone.residue_step(1))
+    rows = [{} for _ in steps]
     for h in normalized:
-        free = [a not in gap_set for a in lattice_box(cone, h)]
-        # the box lists h - a as far from its end as a is from its start
-        if any(map(and_, free, reversed(free))):
+        charge_box(cone, h)
+        sc = cone.scaled_coords(h)
+        for i, row in enumerate(rows):
+            key = sc[:i] + sc[i + 1:]
+            row[key] = row.get(key, 0) | 1 << sc[i] // d
+        i = sc.index(max(sc))
+        if _splits_into_members(rows[i], sc[i], sc[:i] + sc[i + 1:], d, steps[i]):
             # a = 0 and a = h pair with the gap h, so a witness is nonzero
             for a in lower_set(cone, h):
                 b = sub(h, a)
-                if a not in gap_set and b not in gap_set:
+                if a not in seen and b not in seen:
                     raise NotClosed(h, a, b)
     return CSemigroup(cone=cone, gaps=tuple(normalized))
+
+
+def _splits_into_members(row: dict, top: int, rest: tuple[int, ...], d: int, step: int) -> bool:
+    """Whether the point h with scaled coordinate `top` along the rows of
+    `row`, and `rest` for the others, is a + (h - a) with both free in the
+    rows; see `make_csemigroup`.
+
+    Each pair of prefixes (q, rest - q) is tried once, so the first
+    coordinate of q runs to half its value. On a sector the two rows hold
+    residues r and r', and index k of row q pairs with index
+    (top - r - r') / d - k of row rest - q.
+    """
+    pairs = [((), ())]
+    for i, c in enumerate(rest):
+        pairs = [
+            (q + (u,), q2 + (c - u,))
+            for q, q2 in pairs
+            for u in range(c // 2 + 1 if i == 0 else c + 1)
+        ]
+    for q, q2 in pairs:
+        n = top
+        if d > 1:
+            n -= q[0] * step % d + q2[0] * step % d
+            if n < 0:
+                continue
+            n //= d
+        width = n + 1
+        full = (1 << width) - 1
+        free = ~row.get(q, 0) & full
+        if free:
+            free2 = ~row.get(q2, 0) & full
+            if free2 and free & int(format(free2, f"0{width}b")[::-1], 2):
+                return True
+    return False
 
 
 def msg_weight_bound(s: CSemigroup) -> int:

@@ -1,11 +1,22 @@
 """Shared fixtures: the test cones and the two worked-example semigroups."""
 
+import os
+
 import pytest
 
 from conesemi import Cone, make_csemigroup
 
 S_A_GAPS = ((1, 1), (2, 2))
 S_B_GAPS = ((1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (3, 1), (4, 0))
+
+
+def pytest_configure(config):
+    """Fresh interpreters that the CLI tests start import conesemi from the
+    src/ that the `pythonpath` setting puts on this process's path."""
+    src = str(config.rootpath / "src")
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ the older per-site guard tests where one exists.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,11 @@ SITES = {
     # det 20: the box spans 400 > 200 >= the strips' 80
     "expand-box": ("the certificate box", 200,
                    lambda: expand(GeneratorInput(DET20, tuple((1, k) for k in range(21))))),
+    # the second gap's box is charged before the closure check stores its bit
+    "make_csemigroup-full": ("the lower set", 1000,
+                             lambda: make_csemigroup(FULL2, [(1, 0), (10**6, 0)])),
+    "make_csemigroup-sector": ("the lower-set scan", 1000,
+                               lambda: make_csemigroup(CONE_A, [(1, 0), (10**6, 0)])),
     "plot": ("the plot viewport", 1000,
              lambda: plot(make_csemigroup(FULL2, [(1, 0)]), RenderSpec(margin=150))),
     # 27 candidate gaps to weight 6, C(27, 3) = 2925 subsets
@@ -157,3 +163,19 @@ def test_deep_sweeps_run_out_of_budget_not_of_stack(monkeypatch):
             wilf_sweep(Cone.full_cone(1), 150)
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("site", ["make_csemigroup-full", "make_csemigroup-sector"])
+def test_closure_check_charges_a_box_before_storing_its_row(site, monkeypatch):
+    """The gap (10^6, 0) sits at bit 10^6 of its row, about 125 KB; under a
+    cap of 1,000 its box is refused before that row exists."""
+    what, cap, call = SITES[site]
+    monkeypatch.setenv("CONESEMI_CAPACITY", str(cap))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded, match=f"^{what} needs more than {cap} points"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000

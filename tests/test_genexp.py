@@ -242,7 +242,7 @@ def test_box_certificate_finds_a_single_non_member(name):
         table = sweep1.tables[j]
         lo = -((j * sweep1.ob1 - k1 * d) // d)
         for t in range(lo, lo + k1):
-            sweep1.tables[j] = _LineTable(table.t_min, lo, t - lo + 1, (True,) * (t - lo) + (False,))
+            sweep1.tables[j] = _LineTable(table.t_min, lo, t - lo + 1, (1 << t - lo) - 1)
             assert not _box_is_clear(sweep1, k1, k2)
             assert not _box_is_clear_per_point(cone, sweep1, k1, k2)
         sweep1.tables[j] = table
@@ -278,3 +278,106 @@ def test_box_certificate_matches_the_per_point_scan(data):
         return  # a memberless line: the box is never reached
     for k1, k2, line, point in steps:
         assert line == point, (name, gens, k1, k2)
+
+
+# -- the line tables against the per-entry summary -----------------------------------
+
+LINE_CONES = {
+    "N2": Cone.full_cone(2),
+    "S11": Cone.from_rays((1, 0), (1, 1)),
+    "D5": Cone.from_rays((2, 1), (1, 3)),
+    "D20": Cone.from_rays((1, 0), (1, 20)),
+}
+
+
+def _summaries_per_entry(sweep, ray_ns, steps, n_lines):
+    """Reference: the sweep's first n_lines lines summarized one window entry
+    at a time, as (t_min, t0, window) with a tuple of k flags; steps are the
+    same-ray generators, as multiples of the ray. A memberless line raises
+    NotCofinite."""
+    k, d = sweep.k, sweep.d
+    rows = [(0, 0, tuple(t in ray_ns for t in range(k)))]
+
+    def member(row, t):
+        _, t0, window = row
+        return t >= t0 and (t >= t0 + k or window[t - t0])
+
+    def first_member_at_least(row, s):
+        _, t0, window = row
+        s = max(s, t0)
+        while s < t0 + k and not window[s - t0]:
+            s += 1
+        return s
+
+    for j in range(1, n_lines):
+        t_min = -(j * sweep.ob1 // d)
+        starts = [
+            first_member_at_least(rows[j - ja], t_min + delta) - delta
+            for ja, delta in sweep.offline
+            if ja <= j
+        ]
+        if not starts:
+            witness = sweep.line_point(j, max(t_min, 0))
+            raise NotCofinite(
+                f"no member on the lattice line through {witness} with "
+                f"direction {sweep.ray}; the complement is infinite"
+            )
+        t0 = min(starts)
+        window = []
+        for t in range(t0, t0 + k):
+            window.append(
+                any(t - m >= t0 and window[t - m - t0] for m in steps)
+                or any(member(rows[j - ja], t + delta) for ja, delta in sweep.offline if ja <= j)
+            )
+        rows.append((t_min, t0, tuple(window)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_line_tables_match_the_per_entry_summary(data):
+    """Every line's (t_min, t0, window) and every NotCofinite message of both
+    sweeps agree with the per-entry reference. Extra ray multiples run past
+    the conductor (same-ray steps >= k); an interior point may come with its
+    neighbour one line further from either ray, which has the same off-line
+    delta; a point far out along a ray lands past every window."""
+    name = data.draw(st.sampled_from(sorted(LINE_CONES)))
+    cone = LINE_CONES[name]
+    gens = []
+    for r in cone.rays:
+        a = data.draw(st.integers(1, 6))
+        b = data.draw(st.integers(a + 1, 9).filter(lambda b: gcd(a, b) == 1))
+        extra = data.draw(st.lists(st.integers(1, 40), max_size=2))
+        gens += [(m * r[0], m * r[1]) for m in [a, b, *extra]]
+    inside = [p for p in enumerate_cone_points(cone, 6) if all(cone.scaled_coords(p))]
+    for p in data.draw(st.lists(st.sampled_from(inside), max_size=5)):
+        gens.append(p)
+        for i in data.draw(st.sets(st.sampled_from((0, 1)))):
+            u = cone.unit_point(i)
+            if cone.contains((p[0] + u[0], p[1] + u[1])):
+                gens.append((p[0] + u[0], p[1] + u[1]))
+        if data.draw(st.booleans()):
+            r = cone.rays[data.draw(st.sampled_from((0, 1)))]
+            gens.append((p[0] + 10**6 * r[0], p[1] + 10**6 * r[1]))
+    g = GeneratorInput(cone, gens)
+    ray_ns = [
+        NumericalSemigroup.from_generators(cone.ray_multiples(g.generators, i)) for i in (0, 1)
+    ]
+    for axis in (0, 1):
+        sweep = _Sweep(cone, g.generators, axis, ray_ns[axis])
+        steps = cone.ray_multiples(g.generators, axis)
+        n_lines = min(2 * max(ray_ns[1 - axis].conductor, 1) * cone.det, 160)
+        try:
+            expected = _summaries_per_entry(sweep, ray_ns[axis], steps, n_lines)
+        except NotCofinite as e:
+            with pytest.raises(NotCofinite) as err:
+                sweep.extend(n_lines)
+            assert str(err.value) == str(e)
+            continue
+        sweep.extend(n_lines)
+        got = [
+            (t.t_min, t.t0, tuple(t.window >> i & 1 == 1 for i in range(t.k)))
+            for t in sweep.tables
+        ]
+        assert got == expected, (name, gens, axis)
+        assert all(t.window >> t.k == 0 for t in sweep.tables)

@@ -95,9 +95,9 @@ def test_validating_constructors():
 
 
 def test_line_table_stays_a_mutable_value():
-    table = _LineTable(t_min=0, t0=2, k=3, window=(True, False, True))
-    assert table == _LineTable(0, 2, 3, (True, False, True)) != _LineTable(0, 2, 3)
-    assert repr(table) == "_LineTable(t_min=0, t0=2, k=3, window=(True, False, True))"
+    table = _LineTable(t_min=0, t0=2, k=3, window=0b101)
+    assert table == _LineTable(0, 2, 3, 0b101) != _LineTable(0, 2, 3)
+    assert repr(table) == "_LineTable(t_min=0, t0=2, k=3, window=5)"
     assert pickle.loads(pickle.dumps(table)) == table
     with pytest.raises(TypeError):
         hash(table)

@@ -1,5 +1,6 @@
 """CSemigroup construction, membership, and the order-theoretic invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from conesemi import (
     NumericalSemigroup,
     enumerate_cone_points,
     expand,
+    lower_set,
     lower_set_semigroup,
     make_csemigroup,
 )
@@ -29,7 +31,7 @@ from conesemi.errors import (
     ZeroGap,
     ZeroShift,
 )
-from conesemi.geom import add, canon_key, weight
+from conesemi.geom import add, canon_key, sub, weight
 from conesemi.semigroup import _pack
 from conesemi.wilf import _children, enumerate_genus
 
@@ -391,22 +393,35 @@ CLOSURE_CONES = {
     "S11": Cone.from_rays((1, 0), (1, 1)),
     "D5": Cone.from_rays((2, 1), (1, 3)),
     "N3": Cone.full_cone(3),
+    "D11": Cone.from_rays((2, 3), (1, 7)),
+    "D20": Cone.from_rays((1, 0), (1, 20)),
 }
 
 
 def _first_decomposition(cone, gaps):
     """The canonically first (h, a, b) with h = a + b a gap and a, b nonzero
-    members, by trying every pair of members; None when the set is closed."""
+    members, by trying every cone point a with h - a in the cone for each gap
+    h in turn; None when the set is closed.
+
+    Such an a has each scaled coordinate between 0 and h's, so every integer
+    vector of that box is tried and kept when it is the scaled coordinates
+    of a lattice point: (u * r1 + v * r2) / det on a sector."""
     gap_set = set(gaps)
-    top = max((weight(h) for h in gaps), default=0)
-    members = [p for p in enumerate_cone_points(cone, top) if any(p) and p not in gap_set]
-    found = []
-    for a in members:
-        for b in members:
-            h = tuple(x + y for x, y in zip(a, b))
-            if h in gap_set:
-                found.append((canon_key(h), canon_key(a), (h, a, b)))
-    return min(found)[2] if found else None
+    for h in sorted(gap_set, key=canon_key):
+        box = itertools.product(*(range(c + 1) for c in cone.scaled_coords(h)))
+        if cone.full:
+            points = box
+        else:
+            (x1, y1), (x2, y2) = cone.rays
+            scaled = ((u * x1 + v * x2, u * y1 + v * y2) for u, v in box)
+            points = ((x // cone.det, y // cone.det) for x, y in scaled
+                      if x % cone.det == 0 and y % cone.det == 0)
+        found = [a for a in points
+                 if any(a) and a not in gap_set and sub(h, a) not in gap_set]
+        if found:
+            a = min(found, key=canon_key)
+            return h, a, sub(h, a)
+    return None
 
 
 def _closed_gap_set(cone, data):
@@ -485,6 +500,50 @@ def test_closure_check_sorts_only_the_first_offending_lower_set(name, monkeypatc
                 make_csemigroup(cone, gaps)
             assert sorted_for == [_first_decomposition(cone, gaps)[0]]
             sorted_for.clear()
+
+
+# points near each ray: the gaps under them are strips whose longest scaled axis
+# differs from strip to strip
+STRIP_TOPS = {
+    "N2": [(6, 1), (1, 6)],
+    "S11": [(6, 1), (7, 6)],
+    "D5": [(13, 7), (4, 11)],
+    "N3": [(5, 1, 1), (1, 5, 1), (1, 1, 5)],
+    "D11": [(7, 11), (2, 13)],
+    "D20": [(5, 1), (1, 19)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CONES))
+def test_closure_check_on_thin_strips_along_each_ray(name):
+    """The union of the strips is closed; with the sum of its two lightest
+    members added it is not, and the witness is the canonically first."""
+    cone = CLOSURE_CONES[name]
+    tops = STRIP_TOPS[name]
+    longest = {max(range(cone.p), key=cone.scaled_coords(f).__getitem__) for f in tops}
+    assert longest == set(range(cone.p))
+    gaps = sorted({a for f in tops for a in lower_set(cone, f) if any(a)}, key=canon_key)
+    assert _first_decomposition(cone, gaps) is None
+    assert make_csemigroup(cone, gaps[::-1]).gaps == tuple(gaps)
+    top = max(map(weight, gaps)) + 1
+    m, n = [p for p in enumerate_cone_points(cone, top) if any(p) and p not in gaps][:2]
+    gaps.append(add(m, n))
+    expected = _first_decomposition(cone, gaps)
+    assert expected is not None
+    with pytest.raises(NotClosed) as err:
+        make_csemigroup(cone, gaps[::-1])
+    assert (err.value.gap, err.value.a, err.value.b) == expected
+
+
+def test_closure_check_on_a_lower_set_of_genus_10200(full2):
+    """N2 minus the lower set of (100, 100) is closed. With (101, 101) added it
+    is not: its only splits into members are (0, 101) + (101, 0) and the
+    reverse, and the witness takes the canonically first."""
+    gaps = [(x, y) for x in range(101) for y in range(101) if x or y]
+    assert make_csemigroup(full2, gaps).genus == 10_200
+    with pytest.raises(NotClosed) as err:
+        make_csemigroup(full2, gaps + [(101, 101)])
+    assert (err.value.gap, err.value.a, err.value.b) == ((101, 101), (0, 101), (101, 0))
 
 
 # -- packed scaled coordinates -----------------------------------------------------
