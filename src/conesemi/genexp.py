@@ -55,6 +55,8 @@ from .geom import (
     json_field,
     json_points,
 )
+# make_csemigroup is unused here but stays importable: the benchmark tracer
+# replaces genexp.make_csemigroup along with the other modules' copies
 from .semigroup import CSemigroup, NumericalSemigroup, make_csemigroup
 
 
@@ -268,6 +270,12 @@ def expand(g: GeneratorInput) -> CSemigroup:
     the complement is provably infinite, CapacityExceeded when the strip
     sweeps or the certificate box would outgrow CONESEMI_CAPACITY before
     the certified region stabilizes.
+
+    The result is built without a second validation. Its gaps are the swept
+    cone points that are no sum of generators, and the cleared box proves
+    every other cone point a sum, so the complement is exactly the monoid
+    the generators span: closed under addition, and 0 (the empty sum) is
+    no gap.
     """
     cone = g.cone
     d = cone.det
@@ -307,7 +315,7 @@ def expand(g: GeneratorInput) -> CSemigroup:
         gaps.update(sweep1.gaps_of_line(j))
     for i in range(cap1 * d):
         gaps.update(sweep2.gaps_of_line(i))
-    return make_csemigroup(cone, sorted(gaps, key=canon_key))
+    return CSemigroup(cone, tuple(sorted(gaps, key=canon_key)))
 
 
 def is_csemigroup(g: GeneratorInput) -> ExpandDecision:

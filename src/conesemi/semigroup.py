@@ -59,14 +59,12 @@ class NumericalSemigroup(Record):
 
     @classmethod
     def from_gaps(cls, gaps) -> "NumericalSemigroup":
+        """Validate positive gaps with the closure check of `make_csemigroup`
+        on the cone N, which charges each gap's box to CONESEMI_CAPACITY."""
         normalized = sorted({int(g) for g in gaps})
         if normalized and normalized[0] < 1:
             raise ZeroGap("numerical semigroup gaps must be positive")
-        gap_set = set(normalized)
-        for h in normalized:
-            for a in range(1, h // 2 + 1):
-                if a not in gap_set and h - a not in gap_set:
-                    raise NotClosed((h,), (a,), (h - a,))
+        make_csemigroup(Cone.full_cone(1), [(g,) for g in normalized])
         return cls(tuple(normalized))
 
     @classmethod
@@ -132,16 +130,8 @@ class NumericalSemigroup(Record):
         """Gaps a with a + n in the semigroup for every nonzero element n."""
         if not self.gaps:
             raise EmptyGapSet("the full semigroup has no pseudo-Frobenius numbers")
-        out = []
-        for a in self.gaps:
-            # elements beyond frobenius - a push a + n past every gap
-            if all(
-                a + n not in self._gap_set
-                for n in range(1, self.frobenius - a + 1)
-                if n in self
-            ):
-                out.append(a)
-        return tuple(out)
+        pf = CSemigroup(Cone.full_cone(1), tuple((g,) for g in self.gaps)).pseudo_frobenius()
+        return tuple(a for (a,) in pf)
 
     def to_obj(self) -> dict:
         return {

@@ -15,10 +15,14 @@ whole genus, and a deep tree cannot exhaust the interpreter's recursion
 limit. Subtrees are also how `wilf_sweep` splits `jobs > 1` between pool
 workers: one subtree per task.
 
-The walk carries the region under the gaps, the cone points below some
-gap, in one set: a child adds its new gap's lattice box and hands the
-points back when its subtree is done, so each node costs one box, not one
-per gap, and c is the size of the set.
+The walk yields bare nodes in canonical order: a node's canonical gap tuple
+is its path from the root, since each child's largest gap is the generator
+it removed, so depth first with children in canonical order lists each
+genus by `CSemigroup.sort_key`, and a level's subtrees, in level order,
+continue it. Only the sweep (`_sweep_node`) carries the region under the
+gaps, the cone points below some gap, in one set: a node adds its new gap's
+lattice box and hands the points back when the walk leaves its subtree, so
+each node costs one box and c is the size of the set.
 
 Only the root scans its certified region for minimal generators. A node's
 children inherit their generators from it through
@@ -28,6 +32,7 @@ scan stays the reference for standalone semigroups and in the tests.
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 from .errors import InvalidInput
@@ -58,6 +63,14 @@ class WilfReport(NamedTuple):
         return self._asdict()
 
 
+def _region(s: CSemigroup) -> set:
+    """The cone points below some gap of s in the cone order, in one set."""
+    region: set = set()
+    for b in s.gaps:
+        region.update(lattice_box(s.cone, b))
+    return region
+
+
 def wilf_report(s: CSemigroup, c: int | None = None) -> WilfReport:
     """Count the region under the gaps and test the inequality.
 
@@ -70,10 +83,7 @@ def wilf_report(s: CSemigroup, c: int | None = None) -> WilfReport:
     """
     cone = s.cone
     if c is None:
-        region: set = set()
-        for b in s.gaps:
-            region.update(lattice_box(cone, b))
-        c = len(region)
+        c = len(_region(s))
     # every gap lies in the region, and every other region point is a member
     n = c - s.genus
     e = len(s.minimal_generators)
@@ -107,38 +117,21 @@ def _children(s: CSemigroup) -> list[CSemigroup]:
 
 
 def _walk(root: CSemigroup, g_max: int, walked: int):
-    """Yield (s, c) for each node s of the subtree under root up to genus
-    g_max, depth first on an explicit stack, children in canonical order;
-    c counts the cone points under some gap of s.
+    """Yield each node of the subtree under root up to genus g_max, depth
+    first on an explicit stack, children in canonical order: each genus in
+    `CSemigroup.sort_key` order (see the module docstring).
 
-    Those points are carried in one set: a child adds the points of its new
-    gap's lattice box that are not yet in it, and takes them out again when
-    its subtree is done. Each node is charged to the point budget before it
-    is yielded, on top of `walked` nodes visited elsewhere.
+    Each node is charged to the point budget before it is yielded, on top
+    of `walked` nodes visited elsewhere.
     """
-    cone = root.cone
-    region: set = set()
-    for b in root.gaps:
-        region.update(lattice_box(cone, b))
-    total = walked
-    # (node, ()) enters a node, (None, points) leaves one
-    stack = [(root, ())]
+    stack = [root]
     while stack:
-        s, added = stack.pop()
-        if s is None:
-            region.difference_update(added)
-            continue
-        total += 1
-        charge(total, "the genus-tree walk")
-        if s is not root:
-            added = [a for a in lattice_box(cone, s.gaps[-1]) if a not in region]
-            region.update(added)
-        yield s, len(region)
+        s = stack.pop()
+        walked += 1
+        charge(walked, "the genus-tree walk")
+        yield s
         if s.genus < g_max:
-            stack.append((None, added))
-            stack.extend((k, ()) for k in reversed(_children(s)))
-        else:
-            region.difference_update(added)
+            stack.extend(reversed(_children(s)))
 
 
 def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
@@ -146,12 +139,9 @@ def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     levels = [[] for _ in range(g_max + 1)]
-    for s, _ in _walk(make_csemigroup(cone, []), g_max, 0):
+    for s in _walk(make_csemigroup(cone, []), g_max, 0):
         levels[s.genus].append(s)
-    return [
-        GenusLevel(g, tuple(sorted(level, key=CSemigroup.sort_key)))
-        for g, level in enumerate(levels)
-    ]
+    return [GenusLevel(g, tuple(level)) for g, level in enumerate(levels)]
 
 
 class WilfSummary(NamedTuple):
@@ -187,19 +177,29 @@ def _sweep_node(task) -> tuple:
     """Sweep the subtree under one root: a (count, least margin or None,
     counterexamples) row for each genus from the root's up to g_max.
 
-    The budget counts the `walked` nodes the parent visited and, in a pool
-    worker, every node the worker walked before this task.
+    added[i] holds the region points the node at depth i below the root
+    added. Entering a node at depth i hands back those of depth >= i first:
+    the walk is done with their subtrees. The budget counts the `walked`
+    nodes the parent visited and, in a pool worker, every node the worker
+    walked before this task.
     """
     global _pool_walked
     root, g_max, walked, pooled = task
     if pooled:
         walked += _pool_walked
+    region = _region(root)
+    added = []
     counts = [0] * (g_max + 1 - root.genus)
     lows = [None] * len(counts)
     bad = [[] for _ in counts]
-    for s, c in _walk(root, g_max, walked):
-        rep = wilf_report(s, c)
+    for s in _walk(root, g_max, walked):
         i = s.genus - root.genus
+        while len(added) > i:
+            region.difference_update(added.pop())
+        new = [a for a in lattice_box(root.cone, s.gaps[-1]) if a not in region] if i else []
+        region.update(new)
+        added.append(new)
+        rep = wilf_report(s, len(region))
         counts[i] += 1
         if lows[i] is None or rep.margin < lows[i]:
             lows[i] = rep.margin
@@ -213,54 +213,51 @@ def _sweep_node(task) -> tuple:
 def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
-    With jobs == 1 one task sweeps the whole tree from the gap-free root.
-    With jobs > 1 the tree is split by subtree (Fromentin and Hivert): this
-    process walks the first levels until one holds at least 8 * jobs
-    nodes, and a pool of jobs workers sweeps the subtrees under them, one
-    root per task. The rows are summed in root order and the
-    counterexamples sorted by (genus, sort_key), so the summary does not
-    depend on jobs. The walk is charged to the point budget as it goes,
-    and a split walk's merged total before this returns.
+    jobs is capped at the CPU count. The tree is split by subtree (Fromentin
+    and Hivert) at the first level of at least 8 * jobs nodes: this process
+    sweeps the levels above it, and a pool of jobs workers the subtrees
+    under it, one root per task. With jobs == 1, or no such level, this
+    process sweeps the whole tree and opens no pool. The rows merge in part
+    order, which keeps each genus canonical, so the summary does not depend
+    on jobs. The walk is charged to the point budget as it goes, and a split
+    walk's merged total before this returns.
     """
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
-    roots = [make_csemigroup(cone, [])]
-    head = []
-    walked = 0
-    while jobs > 1 and 0 < len(roots) < 8 * jobs:
-        walked += len(roots)
+    jobs = min(jobs, os.cpu_count() or 1)
+    root = make_csemigroup(cone, [])
+    level, cut, walked = [root], 0, 0
+    while jobs > 1 and cut < g_max and len(level) < 8 * jobs:
+        walked += len(level)
         charge(walked, "the genus-tree walk")
-        reports = [wilf_report(s) for s in roots]
-        bad = tuple((s, r) for s, r in zip(roots, reports) if not r.holds)
-        head.append((len(roots), min(r.margin for r in reports), bad))
-        kids = [k for s in roots for k in _children(s)] if roots[0].genus < g_max else []
-        roots = sorted(kids, key=CSemigroup.sort_key)
-    tasks = [(s, g_max, walked, jobs > 1) for s in roots]
-    if jobs == 1 or not tasks:
-        subtrees = [_sweep_node(t) for t in tasks]
-    else:
+        level = [k for s in level for k in _children(s)]
+        cut += 1
+    if len(level) < 8 * jobs:
+        level, cut = [], g_max + 1
+    parts = [(0, _sweep_node((root, cut - 1, 0, False)))]
+    if level:
         with get_context().Pool(jobs) as pool:
-            subtrees = pool.map(_sweep_node, tasks, chunksize=1)
+            rows = pool.map(_sweep_node, [(s, g_max, walked, True) for s in level], chunksize=1)
+        parts += [(cut, r) for r in rows]
     counts = [0] * (g_max + 1)
     margins = []
-    counterexamples = []
-    for start, rows in [(0, head)] + [(s.genus, r) for s, r in zip(roots, subtrees)]:
-        for g, (count, low, bad) in enumerate(rows, start):
+    bad = [[] for _ in counts]
+    for start, rows in parts:
+        for g, (count, low, b) in enumerate(rows, start):
             counts[g] += count
             if low is not None:
                 margins.append(low)
-            counterexamples.extend(bad)
-    if jobs > 1:
-        # the workers charged their own shares; with one job, _walk has
-        # already charged the exact total
+            bad[g] += b
+    if level:
+        # the workers charged their own shares; unsplit, _walk has already
+        # charged the exact total
         charge(sum(counts), "the genus-tree walk")
-    counterexamples.sort(key=lambda sr: (sr[0].genus, sr[0].sort_key()))
     return WilfSummary(
         cone=cone,
         max_genus=g_max,
         counts=tuple(counts),
         min_margin=min(margins),
-        counterexamples=tuple(counterexamples),
+        counterexamples=tuple(x for b in bad for x in b),
     )

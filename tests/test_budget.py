@@ -52,6 +52,9 @@ SITES = {
         lambda: make_csemigroup(SKINNY_6, []).minimal_generators),
     "from_generators": (
         "the reachability table", 1000, lambda: NumericalSemigroup.from_generators([150, 151])),
+    # the closure check charges the box of the gap 1000, its 1,001 points
+    "from_gaps": (
+        "the lower set", 1000, lambda: NumericalSemigroup.from_gaps(range(1, 2001))),
     "enumerate_genus": ("the genus-tree walk", 10, lambda: enumerate_genus(FULL2, 4)),
     "wilf_sweep": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4)),
     # the parent walks 10 nodes to genus 2; a worker's first subtree is the 11th

@@ -14,6 +14,7 @@ from conesemi import (
     enumerate_cone_points,
     expand,
     is_csemigroup,
+    lower_set_semigroup,
     make_csemigroup,
     oracle_member,
 )
@@ -278,6 +279,27 @@ def test_box_certificate_matches_the_per_point_scan(data):
         return  # a memberless line: the box is never reached
     for k1, k2, line, point in steps:
         assert line == point, (name, gens, k1, k2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_expand_returns_a_gap_set_the_closure_check_accepts(data):
+    """expand builds its result without make_csemigroup; validating its gaps
+    must give the same semigroup back. The generators are those of a
+    semigroup that removes up to two lower sets, less up to two of them,
+    plus up to three cone points that may be its gaps."""
+    cone = BOX_CONES[data.draw(st.sampled_from(sorted(BOX_CONES)))]
+    inside = [p for p in enumerate_cone_points(cone, 10) if any(p)]
+    tops = data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=2))
+    gens = list(lower_set_semigroup(cone, tops).minimal_generators)
+    for _ in range(data.draw(st.integers(0, 2))):
+        gens.pop(data.draw(st.integers(0, len(gens) - 1)))
+    gens += data.draw(st.lists(st.sampled_from(inside), max_size=3))
+    try:
+        s = expand(GeneratorInput(cone, gens))
+    except (NotCofinite, ConeMismatch):
+        return
+    assert make_csemigroup(cone, s.gaps) == s
 
 
 # -- the line tables against the per-entry summary -----------------------------------

@@ -161,6 +161,56 @@ def test_numerical_pseudo_frobenius():
         NumericalSemigroup.from_gaps([]).pseudo_frobenius()
 
 
+def _pairwise_witness(gap_set):
+    """Reference: the first h = a + (h - a) with both summands members,
+    scanning each gap against every smaller split, or None if closed."""
+    for h in sorted(gap_set):
+        for a in range(1, h // 2 + 1):
+            if a not in gap_set and h - a not in gap_set:
+                return (h,), (a,), (h - a,)
+    return None
+
+
+def _pf_by_definition(gap_set):
+    """Reference: gaps a with a + n a member for every nonzero member n."""
+    frob = max(gap_set)
+    return tuple(
+        a for a in sorted(gap_set)
+        if all(a + n not in gap_set for n in range(1, frob - a + 1) if n not in gap_set)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_numerical_closure_check_and_pf_match_the_pairwise_scan(data):
+    """from_gaps validates on the cone N and pseudo_frobenius reads the
+    induced Frobenius set there: the same ZeroGap, NotClosed witness and
+    pseudo-Frobenius numbers as the pairwise references, on random gap sets
+    and on the gaps of <a, b, c, 13>, closed or less one gap."""
+    if data.draw(st.booleans()):
+        gaps = data.draw(st.sets(st.integers(-1, 39), max_size=14))
+    else:
+        gens = data.draw(st.sets(st.integers(2, 12), min_size=1, max_size=3))
+        gaps = list(NumericalSemigroup.from_generators([*gens, 13]).gaps)
+        if gaps and data.draw(st.booleans()):
+            gaps.pop(data.draw(st.integers(0, len(gaps) - 1)))
+    gap_set = set(gaps)
+    if gap_set and min(gap_set) < 1:
+        with pytest.raises(ZeroGap):
+            NumericalSemigroup.from_gaps(gaps)
+        return
+    witness = _pairwise_witness(gap_set)
+    if witness is not None:
+        with pytest.raises(NotClosed) as err:
+            NumericalSemigroup.from_gaps(gaps)
+        assert (err.value.gap, err.value.a, err.value.b) == witness
+        return
+    ns = NumericalSemigroup.from_gaps(gaps)
+    assert ns.gaps == tuple(sorted(gap_set))
+    if gap_set:
+        assert ns.pseudo_frobenius() == _pf_by_definition(gap_set)
+
+
 # -- minimal generators -------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Wilf-type counts, tree enumeration, and the sweep harness."""
 
+import os
 from contextlib import nullcontext
 
 import pytest
@@ -108,11 +109,22 @@ def test_enumerate_counts_match_oracle_1d(full1):
         assert counts[g] == len(oracle_all_gapsets(full1, g))
 
 
-def test_enumerate_no_duplicates_and_sorted(cone_a):
-    for level in enumerate_genus(cone_a, 4):
-        keys = [s.sort_key() for s in level.semigroups]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+def test_enumerate_no_duplicates_and_sorted(full1, full2, full3, cone_a, cone_skew):
+    for cone, g_max in [(c, 5) for c in (full1, full2, full3, cone_a, cone_skew)] + [(DET20, 3)]:
+        for level in enumerate_genus(cone, g_max):
+            keys = [s.sort_key() for s in level.semigroups]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
+
+
+def test_enumerate_builds_no_boxes(full2, monkeypatch):
+    """Only the sweep carries the region under the gaps."""
+
+    def no_box(cone, x):
+        raise AssertionError("enumerate_genus built a lattice box")
+
+    monkeypatch.setattr(wilf, "lattice_box", no_box)
+    assert [lv.count for lv in enumerate_genus(full2, 4)] == [1, 2, 7, 23, 71]
 
 
 def test_enumerate_children_validate(cone_skew):
@@ -182,6 +194,37 @@ def test_sweep_lists_counterexamples_by_genus_then_canonically(full2, monkeypatc
     for jobs in (1, 2):
         summary = wilf_sweep(full2, 5, jobs=jobs)
         assert [s for s, _ in summary.counterexamples] == expected
+
+
+class _RecordingPool:
+    """Stands in for the sweep's pool context: records the pool sizes asked
+    for and runs the tasks here, in order."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, jobs):
+        self.sizes.append(jobs)
+        return nullcontext(self)
+
+    def map(self, fn, tasks, chunksize=None):
+        return [fn(t) for t in tasks]
+
+
+def test_sweep_jobs_are_capped_at_the_cpu_count(full2, monkeypatch):
+    pool = _RecordingPool()
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
+    assert wilf_sweep(full2, 7, jobs=100) == wilf_sweep(full2, 7, jobs=1)
+    assert all(size <= os.cpu_count() for size in pool.sizes)
+
+
+def test_sweep_without_a_level_of_8_jobs_nodes_opens_no_pool(full2, monkeypatch):
+    """FULL2 to genus 2 holds 1 + 2 + 7 nodes, fewer than 16 per level."""
+    pool = _RecordingPool()
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    assert wilf_sweep(full2, 2, jobs=2) == wilf_sweep(full2, 2, jobs=1)
+    assert pool.sizes == []
 
 
 def test_sweep_parallel_matches_sequential(full2):
