@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
+from .geom import charge
+
 
 def _normalized(row: Sequence[int]) -> tuple[int, ...]:
     g = 0
@@ -40,6 +42,7 @@ def feasible_strict(rows: Iterable[Sequence[int]]) -> bool:
         pos = [r for r in system if r[var] > 0]
         neg = [r for r in system if r[var] < 0]
         kept = {r for r in system if r[var] == 0}
+        charge(len(kept) + len(pos) * len(neg), "the Fourier-Motzkin rows")
         for p in pos:
             for q in neg:
                 combined = tuple(

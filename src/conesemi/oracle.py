@@ -57,6 +57,7 @@ def oracle_minimals(s: CSemigroup, weight_cap: int) -> tuple[Point, ...]:
         for p in enumerate_cone_points(s.cone, weight_cap)
         if not is_zero(p) and s.member(p)
     ]
+    charge(len(pts) ** 2, "the pairwise scan")
     return tuple(
         x for x in pts if not any(y != x and s.induced_leq(y, x) for y in pts)
     )

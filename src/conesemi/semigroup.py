@@ -215,31 +215,42 @@ class CSemigroup(Record):
     @cached_property
     def minimal_generators(self) -> tuple[Point, ...]:
         """The unique minimal generating set: minimal nonzero elements under
-        the induced order, i.e. the members with no two-member decomposition."""
+        the induced order, i.e. the members with no two-member decomposition.
+
+        The certified region is scanned in canonical order, so by weight, and
+        a member x is kept unless x - c is a nonzero member for a generator c
+        found so far (see `_splits`). That test is complete: if x = a + b for
+        nonzero members a and b, then a = c + r for a generator c and a
+        member r, c is lighter than x, and x - c = r + b is a nonzero member.
+        Every region coordinate is at most its bound, so fields as wide as
+        the largest bound hold every region point and every gap.
+        """
         bounds, cap = self._generator_region
         cone = self.cone
-        members: list[tuple[Point, tuple[int, ...]]] = []
+        width = max(bounds).bit_length()
+        guards = _pack([1 << width] * cone.p, width)
+        holes = self._holes(width)
+        out, weights, packed = [], [], []
         for x in enumerate_cone_points(cone, cap):
             if is_zero(x) or x in self.gap_set:
                 continue
             sc = cone.scaled_coords(x)
-            if all(u <= b for u, b in zip(sc, bounds)):
-                members.append((x, sc))
-        out = []
-        for x, sx in members:
-            wx = weight(x)
-            decomposable = False
-            for a, sa in members:
-                if weight(a) >= wx:
-                    break
-                if all(c <= t for c, t in zip(sa, sx)):
-                    # x - a stays in the cone; nonzero since weights differ
-                    if sub(x, a) not in self.gap_set:
-                        decomposable = True
-                        break
-            if not decomposable:
+            if any(u > b for u, b in zip(sc, bounds)):
+                continue
+            px, wx = _pack(sc, width), weight(x)
+            if not _splits(px, wx, weights, packed, guards, holes):
                 out.append(x)
+                weights.append(wx)
+                packed.append(px)
         return tuple(out)
+
+    def _holes(self, width: int) -> set[int]:
+        """The gaps whose scaled coordinates fit fields of `width` bits, packed
+        (see `_pack`); a difference of points that fit fits too, so it is
+        never one of the other gaps."""
+        cone = self.cone
+        scaled = self.gaps if cone.full else map(cone.scaled_coords, self.gaps)
+        return {_pack(sc, width) for sc in scaled if max(sc) >> width == 0}
 
     def remove_generator(self, m) -> "CSemigroup":
         """S \\ {m} for a minimal generator m; see `remove_generators`."""
@@ -254,19 +265,19 @@ class CSemigroup(Record):
         is one in S. A new generator x of S \\ {m} decomposes in S only
         through m, so x = m + n with n in msg(S), or x = 3m. Such a candidate
         is kept unless x - c is a nonzero member of S \\ {m} for an old
-        generator c (one of msg(S) other than m). That test is complete: a
-        decomposition x = a + b in S \\ {m} writes a and b as sums of its
-        generators, and x - c is a nonzero member for each old c among them.
-        Were all of them new, each m plus a nonzero member of S, x would lie
-        in 2m + (S \\ {0}) + (S \\ {0}): that would decompose n in S if
+        generator c (one of msg(S) other than m): `_splits`, with m among
+        the gaps. That test is complete: a decomposition x = a + b in
+        S \\ {m} writes a and b as sums of its generators, and x - c is a
+        nonzero member for each old c among them. Were all of them new, each
+        m plus a nonzero member of S, x would lie in
+        2m + (S \\ {0}) + (S \\ {0}): that would decompose n in S if
         x = m + n, or m if x = 3m, and 2m is too light.
 
-        The decomposition test runs on packed scaled coordinates (see
-        `_pack`), packed once for all the children. Every candidate
-        coordinate is at most 3 times the largest generator coordinate of S,
-        so fields of that width never carry into a guard bit. The input
-        check, the canonical order and the returned generators stay tuples,
-        and nothing packed is kept on the instance.
+        The test runs on scaled coordinates packed once for all the
+        children. Every candidate coordinate is at most 3 times the largest
+        generator coordinate of S, so fields of that width never carry into
+        a guard bit. The input check, the canonical order and the returned
+        generators stay tuples, and nothing packed is kept on the instance.
         """
         msg = self.minimal_generators
         index = {n: i for i, n in enumerate(msg)}
@@ -282,12 +293,7 @@ class CSemigroup(Record):
         # msg is canonically sorted, so by weight
         weights = [weight(n) for n in msg]
         packed = [_pack(sc, width) for sc in scaled]
-        # a difference of candidates fits the fields, so a wider gap is none
-        holes = set()
-        for h in self.gaps:
-            sc = h if cone.full else cone.scaled_coords(h)
-            if max(sc) >> width == 0:
-                holes.add(_pack(sc, width))
+        holes = self._holes(width)
         children = []
         for m in ms:
             i = index[m]
@@ -300,15 +306,9 @@ class CSemigroup(Record):
             fresh = [(wm + wn, pm + pn, n) for wn, pn, n in zip(old_w, old_p, old)]
             fresh += [(2 * wm, 2 * pm, m), (3 * wm, 3 * pm, scale(2, m))]
             kept = list(zip(old_w, old))
+            child_holes = holes | {pm}
             for wx, px, n in fresh:
-                high = px | guards
-                for pc in old_p[: bisect_left(old_w, wx)]:
-                    # no field borrows, so x - c stays in the cone; it is
-                    # nonzero since the weights differ, and no member if it
-                    # is m or a gap of S
-                    if (high - pc) & guards == guards and px - pc != pm and px - pc not in holes:
-                        break
-                else:
+                if not _splits(px, wx, old_w, old_p, guards, child_holes):
                     kept.append((wx, add(m, n)))
             at = bisect(self.gaps, canon_key(m), key=canon_key)
             child = CSemigroup(cone, self.gaps[:at] + (m,) + self.gaps[at:])
@@ -376,7 +376,10 @@ class CSemigroup(Record):
         gaps; equivalently the possible gap maxima over all term orders.
 
         Feasibility of the open system {a > 0, (f-h).a > 0 for all h} is
-        decided exactly by Fourier-Motzkin elimination.
+        decided exactly by Fourier-Motzkin elimination. Only the Frobenius set
+        (the cone-maximal gaps) gives candidates and rows: a gap f below a
+        gap h fails, since a.(h-f) > 0 for every a > 0, and the row f - h for
+        h below a maximal h' follows from f - h' and a.(h' - h) >= 0.
         """
         from .fme import feasible_strict
 
@@ -384,9 +387,10 @@ class CSemigroup(Record):
             raise EmptyGapSet("the gap-free semigroup has no Frobenius elements")
         p = self.cone.p
         units = [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
+        maximal = self.frobenius_set()
         out = []
-        for f in self.gaps:
-            rows = [sub(f, h) for h in self.gaps if h != f]
+        for f in maximal:
+            rows = [sub(f, h) for h in maximal if h != f]
             if feasible_strict(rows + units):
                 out.append(f)
         return tuple(out)
@@ -450,6 +454,21 @@ def _pack(coords, width: int) -> int:
     for u in reversed(coords):
         out = out << (width + 1) | u
     return out
+
+
+def _splits(px: int, wx: int, weights, packed, guards: int, holes) -> bool:
+    """Whether x - c is a cone point outside `holes` for some c in `packed`
+    lighter than x, all packed by `_pack` with guard mask `guards`.
+
+    x is packed as px, of weight wx; `weights` lists the weights of `packed`
+    in ascending order. When no field borrows, x - c is a cone point, and it
+    is nonzero since the weights differ.
+    """
+    high = px | guards
+    for pc in packed[: bisect_left(weights, wx)]:
+        if (high - pc) & guards == guards and px - pc not in holes:
+            return True
+    return False
 
 
 def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
@@ -542,9 +561,23 @@ def _splits_into_members(row: dict, top: int, rest: tuple[int, ...], d: int, ste
         free = ~row.get(q, 0) & full
         if free:
             free2 = ~row.get(q2, 0) & full
-            if free2 and free & int(format(free2, f"0{width}b")[::-1], 2):
+            if free2 and free & _reversed(free2, width):
                 return True
     return False
+
+
+# bit j of byte b is bit 7 - j of _REVERSED_BYTES[b]
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed(x: int, width: int) -> int:
+    """The low `width` bits of x in reverse order: bit j of x becomes bit
+    width - 1 - j. Reversing each byte of the little-endian bytes and reading
+    them big-endian reverses all 8n bits; the shift drops the low 8n - width
+    bits, which held the zero bits of x above `width`."""
+    n = (width + 7) // 8
+    rev = x.to_bytes(n, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(rev, "big") >> (8 * n - width)
 
 
 def msg_weight_bound(s: CSemigroup) -> int:

@@ -26,8 +26,9 @@ each node costs one box and c is the size of the set.
 
 Only the root scans its certified region for minimal generators. A node's
 children inherit their generators from it through
-`CSemigroup.remove_generators`, derived together in one pass; the region
-scan stays the reference for standalone semigroups and in the tests.
+`CSemigroup.remove_generators`, derived together in one pass with the same
+packed decomposition test as the region scan; the pairwise scan of
+`oracle.oracle_minimals` stays the reference in the tests.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class WilfReport(NamedTuple):
 def _region(s: CSemigroup) -> set:
     """The cone points below some gap of s in the cone order, in one set."""
     region: set = set()
-    for b in s.gaps:
+    # every gap's box lies in the box of a cone-maximal gap above it
+    for b in s.frobenius_set():
         region.update(lattice_box(s.cone, b))
     return region
 

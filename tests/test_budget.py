@@ -22,11 +22,13 @@ from conesemi import (
     lower_set,
     make_csemigroup,
     oracle_all_gapsets,
+    oracle_minimals,
     plot,
     wilf,
     wilf_sweep,
 )
 from conesemi.errors import CapacityExceeded, InvalidInput
+from conesemi.fme import feasible_strict
 
 FULL2 = Cone.full_cone(2)
 CONE_A = Cone.from_rays((1, 0), (1, 1))
@@ -74,6 +76,13 @@ SITES = {
              lambda: plot(make_csemigroup(FULL2, [(1, 0)]), RenderSpec(margin=150))),
     # 27 candidate gaps to weight 6, C(27, 3) = 2925 subsets
     "oracle_all_gapsets": ("the gap-set filter", 100, lambda: oracle_all_gapsets(FULL2, 3)),
+    # 40 rows positive and 40 negative in the first variable: 1,600 combined rows
+    "feasible_strict": ("the Fourier-Motzkin rows", 1000,
+                        lambda: feasible_strict([(1, k) for k in range(40)]
+                                                + [(-1, k) for k in range(1, 41)])),
+    # 5,151 points to weight 100 pass the enumeration; 5,148 members squared do not
+    "oracle_minimals": ("the pairwise scan", 10_000,
+                        lambda: oracle_minimals(make_csemigroup(FULL2, [(1, 0), (0, 1)]), 100)),
     # the empty-level bound of this sector is about 4 * 10^6
     "weight_set": ("the weight-set level scan", 1000,
                    lambda: make_csemigroup(SKINNY, []).weight_set()),

@@ -509,6 +509,28 @@ def test_golden_bytes(cli, tmp_path, case, argv, stdin_text):
     assert (code, _pin(out), _pin(err)) == GOLDEN[case]
 
 
+# N2 minus the lower set of (20, 20), genus 440: the generator region scan
+# meets 882 generators, and the Wilf count unions the boxes of the maximal gaps
+LOWER_SET_20 = json.dumps(
+    {"cone": {"type": "full", "p": 2},
+     "gaps": [[x, y] for x in range(21) for y in range(21) if x or y]}
+)
+LARGE_GENUS = {
+    "msg": (["msg"], 'sha256:d168bdcfdf935c3303854776c173b992'),
+    "wilf-report": (
+        ["wilf", "report"], '{"c":441,"e":882,"holds":true,"margin":0,"n":1,"p":2}\n'),
+    "plot-pf-generators": (
+        ["plot", "--pf", "--generators"], 'sha256:74f584274b16d70a1c870e5ce17f7634'),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_GENUS))
+def test_large_genus_query_bytes(cli, case):
+    argv, pinned = LARGE_GENUS[case]
+    code, out, err = cli(argv, LOWER_SET_20)
+    assert (code, _pin(out), err) == (0, pinned, "")
+
+
 # -- malformed input ---------------------------------------------------------------------
 #
 # Each input ends in exit 1 and one InvalidInput line on stderr naming the

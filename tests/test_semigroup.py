@@ -1,6 +1,8 @@
 """CSemigroup construction, membership, and the order-theoretic invariants."""
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from conesemi.errors import (
     ZeroGap,
     ZeroShift,
 )
+from conesemi.fme import feasible_strict
 from conesemi.geom import add, canon_key, sub, weight
 from conesemi.semigroup import _pack
 from conesemi.wilf import _children, enumerate_genus
@@ -253,6 +256,82 @@ def test_msg_members_are_indecomposable(s_b):
             assert (x not in msg) == decomposable
 
 
+# tree cones with the genus their nodes go to; the det-20 sector's tree is wide
+MSG_CONES = {
+    "N1": (Cone.full_cone(1), 5),
+    "N2": (Cone.full_cone(2), 5),
+    "N3": (Cone.full_cone(3), 5),
+    "S11": (Cone.from_rays((1, 0), (1, 1)), 5),
+    "D5": (Cone.from_rays((2, 1), (1, 3)), 5),
+    "D20": (Cone.from_rays((1, 0), (1, 20)), 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_nodes(name):
+    cone, g_max = MSG_CONES[name]
+    return [s for level in enumerate_genus(cone, g_max) for s in level.semigroups]
+
+
+def _lower_set_of_random_points(cone, data, weights):
+    """The semigroup missing the lower sets of 1-2 points whose weights lie
+    in the given range."""
+    candidates = [x for x in enumerate_cone_points(cone, weights[-1]) if weight(x) in weights]
+    return lower_set_semigroup(
+        cone, data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=2)))
+
+
+def _pairwise_region_scan(s):
+    """The certified region scanned on tuples, each member against every
+    lighter member: x is kept unless x - a is a cone point and no gap."""
+    bounds, cap = s._generator_region
+    cone = s.cone
+    members = []
+    for x in enumerate_cone_points(cone, cap):
+        sc = cone.scaled_coords(x)
+        if any(x) and x not in s.gap_set and all(map(operator.le, sc, bounds)):
+            members.append((weight(x), x, sc))
+    out = []
+    for wx, x, sx in members:
+        for wa, a, sa in members:
+            if wa >= wx:
+                out.append(x)
+                break
+            if all(map(operator.le, sa, sx)) and sub(x, a) not in s.gap_set:
+                break
+    return tuple(out)
+
+
+# weights of the points whose lower sets hold a few hundred gaps
+REGION_SCAN_WEIGHTS = {
+    "N1": range(100, 400),
+    "N2": range(20, 31),
+    "N3": range(10, 14),
+    "S11": range(25, 36),
+    "D5": range(25, 36),
+    "D20": range(30, 36),
+}
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_minimal_generators_match_the_pairwise_region_scan(data):
+    """Tree nodes (their inherited generators and a rescan) and lower-set
+    semigroups of a few hundred gaps: the scan against the generators found
+    so far keeps what the pairwise scan over the whole region keeps."""
+    name = data.draw(st.sampled_from(sorted(MSG_CONES)))
+    cone = MSG_CONES[name][0]
+    if data.draw(st.integers(0, 2)):
+        s = data.draw(st.sampled_from(_tree_nodes(name)))
+        expected = _pairwise_region_scan(s)
+        assert s.minimal_generators == expected
+        s = CSemigroup(cone, s.gaps)
+    else:
+        s = _lower_set_of_random_points(cone, data, REGION_SCAN_WEIGHTS[name])
+        expected = _pairwise_region_scan(s)
+    assert s.minimal_generators == expected
+
+
 # -- Frobenius-type sets -----------------------------------------------------------
 
 
@@ -339,6 +418,28 @@ def test_frobenius_elements_examples(s_a, s_b, full2):
     assert set(axes.frobenius_elements()) == {(1, 0), (0, 1)}
     with pytest.raises(EmptyGapSet):
         make_csemigroup(full2, []).frobenius_elements()
+
+
+def _frobenius_elements_over_all_gaps(s):
+    """Every gap as a candidate, against every other gap."""
+    units = [tuple(int(i == j) for j in range(s.cone.p)) for i in range(s.cone.p)]
+    return tuple(
+        f for f in s.gaps if feasible_strict([sub(f, h) for h in s.gaps if h != f] + units)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_frobenius_elements_match_the_all_gaps_routine(data):
+    """Candidates and rows from the Frobenius set only, on tree nodes and on
+    lower-set semigroups, keep what every gap against every gap keeps."""
+    name = data.draw(st.sampled_from(sorted(MSG_CONES)))
+    cone = MSG_CONES[name][0]
+    if data.draw(st.booleans()):
+        s = data.draw(st.sampled_from(_tree_nodes(name)[1:]))
+    else:
+        s = _lower_set_of_random_points(cone, data, range(1, 5 if cone.p == 3 else 9))
+    assert s.frobenius_elements() == _frobenius_elements_over_all_gaps(s)
 
 
 # -- weights ---------------------------------------------------------------------

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesemi import Cone, CSemigroup, enumerate_cone_points, make_csemigroup, oracle_all_gapsets, wilf
+from conesemi import (
+    Cone,
+    CSemigroup,
+    enumerate_cone_points,
+    lower_set_semigroup,
+    make_csemigroup,
+    oracle_all_gapsets,
+    wilf,
+)
 from conesemi.errors import CapacityExceeded, InvalidInput
+from conesemi.geom import lattice_box
 from conesemi.wilf import _children, enumerate_genus, wilf_report, wilf_sweep
 
 TEST_CONES = ("full1", "full2", "full3", "cone_a", "cone_skew")
@@ -231,6 +240,30 @@ def test_sweep_parallel_matches_sequential(full2):
     seq = wilf_sweep(full2, 3, jobs=1)
     par = wilf_sweep(full2, 3, jobs=4)
     assert seq.to_obj() == par.to_obj()
+
+
+# antichains whose lower sets leave several cone-maximal gaps
+REGION_LOWER_SETS = {
+    "full1": [[(40,)]],
+    "full2": [[(12, 1), (7, 4), (2, 9)], [(20, 0), (0, 20), (5, 5)]],
+    "full3": [[(4, 1, 0), (0, 3, 2), (1, 1, 3)]],
+    "cone_a": [[(20, 3), (12, 11)], [(9, 0), (6, 5), (8, 8)]],
+    "cone_skew": [[(12, 9), (6, 14)], [(5, 3), (3, 7), (4, 4)]],
+}
+
+
+@pytest.mark.parametrize("name", TEST_CONES)
+def test_region_is_the_union_of_every_gap_box(name, request):
+    """The boxes of the cone-maximal gaps cover those of all the gaps, on
+    every tree node to genus 5 and on lower-set semigroups."""
+    cone = request.getfixturevalue(name)
+    semigroups = [s for level in enumerate_genus(cone, 5) for s in level.semigroups]
+    semigroups += [lower_set_semigroup(cone, pts) for pts in REGION_LOWER_SETS[name]]
+    for s in semigroups:
+        union = set()
+        for h in s.gaps:
+            union.update(lattice_box(cone, h))
+        assert wilf._region(s) == union
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
