@@ -202,10 +202,13 @@ class _Sweep:
         t0 = None
         for ja, delta in self.offline:
             if ja > j:
+                break
+            table = self.tables[j - ja]
+            if table.t0 is None:
                 continue
-            s = self.tables[j - ja].first_member_at_least(t_min + delta)
-            if s is None:
-                continue
+            # bit 0 of a window is t0 itself, so a start at or below it lands there
+            s = t_min + delta
+            s = table.t0 if s <= table.t0 else table.first_member_at_least(s)
             cand = s - delta
             if t0 is None or cand < t0:
                 t0 = cand

@@ -27,22 +27,31 @@ Point = tuple[int, ...]
 DEFAULT_POINT_BUDGET = 10_000_000
 
 
-def charge(points: int, what: str) -> None:
+def capacity() -> int:
+    """CONESEMI_CAPACITY as a positive int (default 10^7): the one reader of
+    the point budget's cap."""
+    raw = os.environ.get("CONESEMI_CAPACITY")
+    if raw is None:
+        return DEFAULT_POINT_BUDGET
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InvalidInput(f"CONESEMI_CAPACITY must be an integer, got {raw!r}")
+    if cap <= 0:
+        raise InvalidInput("CONESEMI_CAPACITY must be positive")
+    return cap
+
+
+def charge(points: int, what: str, cap: int | None = None) -> None:
     """Refuse work that needs more than CONESEMI_CAPACITY points, before it runs.
 
-    The one reader of CONESEMI_CAPACITY (default 10^7) and the one source of
-    CapacityExceeded for the point budget. The message names the cap, never
-    the charge, which can be too large to print.
+    The one source of CapacityExceeded for the point budget. A caller that
+    charges many times, as a tree walk does, reads `capacity()` once and
+    passes it as cap; otherwise each charge reads it. The message names the
+    cap, never the charge, which can be too large to print.
     """
-    raw = os.environ.get("CONESEMI_CAPACITY")
-    cap = DEFAULT_POINT_BUDGET
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InvalidInput(f"CONESEMI_CAPACITY must be an integer, got {raw!r}")
-        if cap <= 0:
-            raise InvalidInput("CONESEMI_CAPACITY must be positive")
+    if cap is None:
+        cap = capacity()
     if points > cap:
         raise CapacityExceeded(
             f"{what} needs more than {cap} points; raise CONESEMI_CAPACITY to override"
@@ -379,14 +388,14 @@ def json_points(value, path: str) -> list[Point]:
     return points
 
 
-def charge_box(cone: Cone, x: Point) -> None:
+def charge_box(cone: Cone, x: Point, cap: int | None = None) -> None:
     """Charge the lattice box of x, as `lattice_box` scans it, to
-    CONESEMI_CAPACITY."""
+    CONESEMI_CAPACITY (see `charge` for cap)."""
     if cone.full:
         size = 1
         for c in x:
             size *= c + 1
-        charge(size, "the lower set")
+        charge(size, "the lower set", cap)
         return
     d = cone.det
     uh, vh = cone.scaled_coords(x)
@@ -394,18 +403,18 @@ def charge_box(cone: Cone, x: Point) -> None:
     # one residue class mod d, so either coordinate bounds the count; the
     # scan also steps through every u, listed or not
     points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
-    charge(max(uh + 1, points), "the lower-set scan")
+    charge(max(uh + 1, points), "the lower-set scan", cap)
 
 
-def lattice_box(cone: Cone, x: Point) -> list[Point]:
+def lattice_box(cone: Cone, x: Point, cap: int | None = None) -> list[Point]:
     """Cone lattice points a with x - a also in the cone, for x in the cone.
 
     In scaled ray coordinates this is a coordinate box, listed in
     lexicographic box order, so the point i places from the end is x minus
     the point i places from the start. The box is charged to
-    CONESEMI_CAPACITY before it is scanned.
+    CONESEMI_CAPACITY before it is scanned (see `charge` for cap).
     """
-    charge_box(cone, x)
+    charge_box(cone, x, cap)
     if cone.full:
         return list(itertools.product(*(range(c + 1) for c in x)))
     d = cone.det

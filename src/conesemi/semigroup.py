@@ -252,14 +252,40 @@ class CSemigroup(Record):
         scaled = self.gaps if cone.full else map(cone.scaled_coords, self.gaps)
         return {_pack(sc, width) for sc in scaled if max(sc) >> width == 0}
 
+    @cached_property
+    def embedding_dimension(self) -> int:
+        """e, the number of minimal generators."""
+        return len(self.minimal_generators)
+
     def remove_generator(self, m) -> "CSemigroup":
         """S \\ {m} for a minimal generator m; see `remove_generators`."""
         return self.remove_generators([m])[0]
 
     def remove_generators(self, ms) -> list["CSemigroup"]:
         """S \\ {m} for each minimal generator m in ms, in that order, their
-        minimal generators derived from these instead of rescanning the
-        certified region.
+        minimal generators derived from these (see `_new_generators`)
+        instead of rescanning the certified region."""
+        msg = self.minimal_generators
+        gens = [(weight(n), n) for n in msg]
+        children = []
+        for m, i, new in self._new_generators(ms):
+            at = bisect(self.gaps, canon_key(m), key=canon_key)
+            child = CSemigroup(self.cone, self.gaps[:at] + (m,) + self.gaps[at:])
+            kept = gens[:i] + gens[i + 1:] + [(w, add(m, n)) for w, n in new]
+            child.__dict__["minimal_generators"] = tuple(x for _, x in sorted(kept))
+            children.append(child)
+        return children
+
+    def embedding_dimensions_without(self, ms) -> list[int]:
+        """e(S \\ {m}) for each minimal generator m in ms, in that order:
+        the new generators `_new_generators` keeps are counted, not built."""
+        e = len(self.minimal_generators) - 1
+        return [e + len(new) for _, _, new in self._new_generators(ms)]
+
+    def _new_generators(self, ms):
+        """Yield (m, i, new) for each minimal generator m in ms, in that
+        order: i is m's index in msg(S), and new lists the new minimal
+        generators of S \\ {m} as (weight, n) for x = m + n.
 
         Generators of S other than m stay minimal: a decomposition in S \\ {m}
         is one in S. A new generator x of S \\ {m} decomposes in S only
@@ -273,11 +299,11 @@ class CSemigroup(Record):
         2m + (S \\ {0}) + (S \\ {0}): that would decompose n in S if
         x = m + n, or m if x = 3m, and 2m is too light.
 
-        The test runs on scaled coordinates packed once for all the
-        children. Every candidate coordinate is at most 3 times the largest
-        generator coordinate of S, so fields of that width never carry into
-        a guard bit. The input check, the canonical order and the returned
-        generators stay tuples, and nothing packed is kept on the instance.
+        The test runs on scaled coordinates packed once for all of ms. Every
+        candidate coordinate is at most 3 times the largest generator
+        coordinate of S, so fields of that width never carry into a guard
+        bit. The input check and the partners n stay tuples, and nothing
+        packed is kept on the instance.
         """
         msg = self.minimal_generators
         index = {n: i for i, n in enumerate(msg)}
@@ -294,27 +320,21 @@ class CSemigroup(Record):
         weights = [weight(n) for n in msg]
         packed = [_pack(sc, width) for sc in scaled]
         holes = self._holes(width)
-        children = []
         for m in ms:
             i = index[m]
             wm, pm = weights[i], packed[i]
-            old = msg[:i] + msg[i + 1:]
             old_w = weights[:i] + weights[i + 1:]
             old_p = packed[:i] + packed[i + 1:]
-            # m + n as (weight, packed, n), the point built only if it is
-            # kept; sums of fields that stay below 2^width are fieldwise sums
-            fresh = [(wm + wn, pm + pn, n) for wn, pn, n in zip(old_w, old_p, old)]
-            fresh += [(2 * wm, 2 * pm, m), (3 * wm, 3 * pm, scale(2, m))]
-            kept = list(zip(old_w, old))
-            child_holes = holes | {pm}
-            for wx, px, n in fresh:
-                if not _splits(px, wx, old_w, old_p, guards, child_holes):
-                    kept.append((wx, add(m, n)))
-            at = bisect(self.gaps, canon_key(m), key=canon_key)
-            child = CSemigroup(cone, self.gaps[:at] + (m,) + self.gaps[at:])
-            child.__dict__["minimal_generators"] = tuple(x for _, x in sorted(kept))
-            children.append(child)
-        return children
+            # the partners n of m: each generator (n = m gives 2m), then 2m;
+            # sums of fields that stay below 2^width are fieldwise sums
+            partners = zip(weights + [2 * wm], packed + [2 * pm], msg + (scale(2, m),))
+            holes.add(pm)
+            new = [
+                (wm + wn, n) for wn, pn, n in partners
+                if not _splits(pm + pn, wm + wn, old_w, old_p, guards, holes)
+            ]
+            holes.discard(pm)
+            yield m, i, new
 
     # -- gap-side invariants -----------------------------------------------------
 

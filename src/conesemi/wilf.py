@@ -29,18 +29,32 @@ children inherit their generators from it through
 `CSemigroup.remove_generators`, derived together in one pass with the same
 packed decomposition test as the region scan; the pairwise scan of
 `oracle.oracle_minimals` stays the reference in the tests.
+
+Most nodes are leaves, so the last genus costs the least (Fromentin and
+Hivert again). A node at genus g_max - 1 gets its children as bare leaves,
+its gaps plus the removed generator, with nothing derived. `enumerate_genus`
+keeps them so. The sweep gives each leaf only its embedding dimension e,
+which `CSemigroup.embedding_dimensions_without` counts with the candidate
+loop of `remove_generators`, building no generator, and counts a leaf's new
+box points into c without carrying them. A parent's leaves are charged to
+the walk as one batch, and a walk (an `enumerate_genus` call or one
+`_sweep_node` task) reads CONESEMI_CAPACITY once and checks every charge of
+the walk and of its boxes against that value.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect
 from typing import NamedTuple
 
 from .errors import InvalidInput
 # lower_set is unused here but stays importable: the benchmark tracer
 # replaces wilf.lower_set along with the other modules' copies
-from .geom import Cone, canon_key, charge, lattice_box, lower_set
+from .geom import Cone, canon_key, capacity, charge, lattice_box, lower_set
 from .semigroup import CSemigroup, make_csemigroup
+
+WALK = "the genus-tree walk"
 
 
 def get_context(method=None):
@@ -64,12 +78,13 @@ class WilfReport(NamedTuple):
         return self._asdict()
 
 
-def _region(s: CSemigroup) -> set:
-    """The cone points below some gap of s in the cone order, in one set."""
+def _region(s: CSemigroup, cap: int | None = None) -> set:
+    """The cone points below some gap of s in the cone order, in one set;
+    see `geom.charge` for cap."""
     region: set = set()
     # every gap's box lies in the box of a cone-maximal gap above it
     for b in s.frobenius_set():
-        region.update(lattice_box(s.cone, b))
+        region.update(lattice_box(s.cone, b, cap))
     return region
 
 
@@ -88,7 +103,7 @@ def wilf_report(s: CSemigroup, c: int | None = None) -> WilfReport:
         c = len(_region(s))
     # every gap lies in the region, and every other region point is a member
     n = c - s.genus
-    e = len(s.minimal_generators)
+    e = s.embedding_dimension
     margin = e * n - cone.p * c
     return WilfReport(e=e, n=n, c=c, p=cone.p, margin=margin, holds=margin >= 0)
 
@@ -104,44 +119,73 @@ class GenusLevel(NamedTuple):
         return len(self.semigroups)
 
 
-def _children(s: CSemigroup) -> list[CSemigroup]:
-    """Remove each minimal generator beyond the canonically largest gap.
+def _removable(s: CSemigroup) -> tuple:
+    """The minimal generators of s past its canonically largest gap.
 
     Removing a minimal generator keeps the complement closed (it has no
     two-member decomposition), and the restriction to generators past the
     largest gap makes the parent map (put the largest gap back) unique.
     Each child's largest gap is therefore the generator it removed.
     """
-    biggest = canon_key(s.gaps[-1]) if s.gaps else None
-    return s.remove_generators(
-        m for m in s.minimal_generators if biggest is None or canon_key(m) > biggest
-    )
+    msg = s.minimal_generators
+    if not s.gaps:
+        return msg
+    # msg is canonically sorted
+    return msg[bisect(msg, canon_key(s.gaps[-1]), key=canon_key):]
 
 
-def _walk(root: CSemigroup, g_max: int, walked: int):
+def _children(s: CSemigroup) -> list[CSemigroup]:
+    """The children of s, each with its minimal generators."""
+    return s.remove_generators(_removable(s))
+
+
+def _leaves(s: CSemigroup, counted: bool) -> list[CSemigroup]:
+    """The children of s as bare leaves: each removed generator lies past
+    the largest gap, so it goes last in the canonical gap tuple. Nothing is
+    derived for them, except, with counted, their embedding dimensions,
+    which `CSemigroup.embedding_dimensions_without` counts without building
+    a generator."""
+    ms = _removable(s)
+    leaves = [CSemigroup(s.cone, s.gaps + (m,)) for m in ms]
+    if counted:
+        for leaf, e in zip(leaves, s.embedding_dimensions_without(ms)):
+            leaf.__dict__["embedding_dimension"] = e
+    return leaves
+
+
+def _walk(root: CSemigroup, g_max: int, walked: int, cap: int, counted: bool = False):
     """Yield each node of the subtree under root up to genus g_max, depth
     first on an explicit stack, children in canonical order: each genus in
     `CSemigroup.sort_key` order (see the module docstring).
 
-    Each node is charged to the point budget before it is yielded, on top
-    of `walked` nodes visited elsewhere.
+    Nodes below genus g_max - 1 get their children with their generators
+    (`_children`); those at g_max - 1 get bare leaves (`_leaves`, counted
+    or not), yielded right after their parent. Each node is charged to the
+    point budget cap before it is yielded, on top of `walked` nodes visited
+    elsewhere, and a parent's leaves as one batch.
     """
     stack = [root]
     while stack:
         s = stack.pop()
         walked += 1
-        charge(walked, "the genus-tree walk")
+        charge(walked, WALK, cap)
         yield s
-        if s.genus < g_max:
+        if s.genus + 1 < g_max:
             stack.extend(reversed(_children(s)))
+        elif s.genus < g_max:
+            leaves = _leaves(s, counted)
+            walked += len(leaves)
+            charge(walked, WALK, cap)
+            yield from leaves
 
 
 def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     """GenusLevel for each genus up to g_max, exhaustive and duplicate-free."""
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
+    cap = capacity()
     levels = [[] for _ in range(g_max + 1)]
-    for s in _walk(make_csemigroup(cone, []), g_max, 0):
+    for s in _walk(make_csemigroup(cone, []), g_max, 0, cap):
         levels[s.genus].append(s)
     return [GenusLevel(g, tuple(level)) for g, level in enumerate(levels)]
 
@@ -181,27 +225,33 @@ def _sweep_node(task) -> tuple:
 
     added[i] holds the region points the node at depth i below the root
     added. Entering a node at depth i hands back those of depth >= i first:
-    the walk is done with their subtrees. The budget counts the `walked`
-    nodes the parent visited and, in a pool worker, every node the worker
-    walked before this task.
+    the walk is done with their subtrees. A leaf's points are counted and
+    never added. The budget counts the `walked` nodes the parent visited
+    and, in a pool worker, every node the worker walked before this task;
+    CONESEMI_CAPACITY is read once, and the walk's charges and its boxes'
+    are all checked against that value.
     """
     global _pool_walked
     root, g_max, walked, pooled = task
     if pooled:
         walked += _pool_walked
-    region = _region(root)
+    cap = capacity()
+    region = _region(root, cap)
     added = []
     counts = [0] * (g_max + 1 - root.genus)
     lows = [None] * len(counts)
     bad = [[] for _ in counts]
-    for s in _walk(root, g_max, walked):
+    for s in _walk(root, g_max, walked, cap, counted=True):
         i = s.genus - root.genus
         while len(added) > i:
             region.difference_update(added.pop())
-        new = [a for a in lattice_box(root.cone, s.gaps[-1]) if a not in region] if i else []
-        region.update(new)
-        added.append(new)
-        rep = wilf_report(s, len(region))
+        new = [a for a in lattice_box(root.cone, s.gaps[-1], cap) if a not in region] if i else []
+        c = len(region) + len(new)
+        if s.genus < g_max:
+            # a leaf has no subtree to carry its points to
+            region.update(new)
+            added.append(new)
+        rep = wilf_report(s, c)
         counts[i] += 1
         if lows[i] is None or rep.margin < lows[i]:
             lows[i] = rep.margin
@@ -233,7 +283,7 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     level, cut, walked = [root], 0, 0
     while jobs > 1 and cut < g_max and len(level) < 8 * jobs:
         walked += len(level)
-        charge(walked, "the genus-tree walk")
+        charge(walked, WALK)
         level = [k for s in level for k in _children(s)]
         cut += 1
     if len(level) < 8 * jobs:
@@ -255,7 +305,7 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     if level:
         # the workers charged their own shares; unsplit, _walk has already
         # charged the exact total
-        charge(sum(counts), "the genus-tree walk")
+        charge(sum(counts), WALK)
     return WilfSummary(
         cone=cone,
         max_genus=g_max,

@@ -6,6 +6,8 @@ so a case cannot pass by tripping an earlier charge. The inputs are those of
 the older per-site guard tests where one exists.
 """
 
+import json
+import os
 import sys
 import tracemalloc
 
@@ -27,6 +29,7 @@ from conesemi import (
     wilf,
     wilf_sweep,
 )
+from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
 from conesemi.fme import feasible_strict
 
@@ -162,6 +165,54 @@ def test_tree_walks_are_refused_exactly_past_their_node_total(call, monkeypatch)
     monkeypatch.setenv("CONESEMI_CAPACITY", "103")
     with pytest.raises(CapacityExceeded, match="the genus-tree walk needs more than 103"):
         call(FULL2, 4)
+
+
+class _CountingEnviron(dict):
+    """Stands in for os.environ: counts the reads of CONESEMI_CAPACITY."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "CONESEMI_CAPACITY"
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("call", [wilf_sweep, enumerate_genus])
+def test_a_tree_walk_reads_the_capacity_once(call, monkeypatch):
+    """FULL2 to genus 5 is 314 nodes and, in a sweep, a box for each but the
+    root. The root's region scan charges its own enumeration first."""
+    env = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    make_csemigroup(FULL2, []).minimal_generators
+    root_scan, env.reads = env.reads, 0
+    call(FULL2, 5)
+    assert env.reads == root_scan + 1
+
+
+def test_a_sweep_task_reads_the_capacity_once(monkeypatch):
+    """The task roots have gaps, so their regions are boxed too. Genus 2 is
+    an inner level to genus 3: its nodes carry their generators."""
+    roots = enumerate_genus(FULL2, 3)[2].semigroups
+    env = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    for root in roots:
+        env.reads = 0
+        wilf._sweep_node((root, 5, 0, False))
+        assert env.reads == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+@pytest.mark.parametrize("argv", [
+    ["wilf", "sweep", "--cone", '{"type":"full","p":2}', "--max-genus", "4"],
+    ["enumerate", "--cone", '{"type":"full","p":2}', "--max-genus", "4"],
+])
+def test_tree_walks_refuse_a_bad_capacity(argv, raw, monkeypatch, capsys):
+    monkeypatch.setenv("CONESEMI_CAPACITY", raw)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    diag = json.loads(err)
+    assert (out, diag["error"]) == ("", "InvalidInput")
+    assert diag["detail"].startswith("CONESEMI_CAPACITY must be")
 
 
 def test_deep_sweeps_run_out_of_budget_not_of_stack(monkeypatch):

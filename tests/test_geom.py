@@ -182,7 +182,7 @@ def test_sector_lower_set_is_charged_near_its_point_count(monkeypatch):
 
 def test_sector_lower_set_charge_covers_its_points(monkeypatch):
     charged = []
-    monkeypatch.setattr(geom, "charge", lambda points, what: charged.append(points))
+    monkeypatch.setattr(geom, "charge", lambda points, what, cap=None: charged.append(points))
     rng = random.Random(6)
     for cone in SECTORS:
         pts = enumerate_cone_points(cone, 40)

@@ -14,10 +14,13 @@ from conesemi import (
     lower_set_semigroup,
     make_csemigroup,
     oracle_all_gapsets,
+    oracle_minimals,
     wilf,
 )
+from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
 from conesemi.geom import lattice_box
+from conesemi.semigroup import msg_weight_bound
 from conesemi.wilf import _children, enumerate_genus, wilf_report, wilf_sweep
 
 TEST_CONES = ("full1", "full2", "full3", "cone_a", "cone_skew")
@@ -211,12 +214,14 @@ class _RecordingPool:
 
     def __init__(self):
         self.sizes = []
+        self.tasks = []
 
     def Pool(self, jobs):
         self.sizes.append(jobs)
         return nullcontext(self)
 
     def map(self, fn, tasks, chunksize=None):
+        self.tasks += tasks
         return [fn(t) for t in tasks]
 
 
@@ -234,6 +239,41 @@ def test_sweep_without_a_level_of_8_jobs_nodes_opens_no_pool(full2, monkeypatch)
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
     assert wilf_sweep(full2, 2, jobs=2) == wilf_sweep(full2, 2, jobs=1)
     assert pool.sizes == []
+
+
+def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, capsys):
+    """FULL2 to genus 3 has levels of 1, 2, 7 and 23 nodes, so with 2 jobs
+    the split level, the first of at least 16 nodes, is the last genus: the
+    head builds those leaves with their generators, one pool task each."""
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    argv = ["wilf", "sweep", "--cone", '{"type":"full","p":2}', "--max-genus", "3", "--jobs"]
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(argv + [jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    pool = _RecordingPool()
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
+    wilf_sweep(Cone.full_cone(2), 3, jobs=2)
+    assert [task[0].genus for task in pool.tasks] == [3] * 23
+
+
+@pytest.mark.parametrize("name", TEST_CONES)
+def test_sweeps_derive_no_generators_for_the_last_genus(name, request, monkeypatch):
+    """A node of genus 4 in a sweep to genus 5 counts its leaves' generators
+    instead of calling remove_generators."""
+    cone = request.getfixturevalue(name)
+    parents = []
+    remove = CSemigroup.remove_generators
+
+    def recording(s, ms):
+        parents.append(s.genus)
+        return remove(s, ms)
+
+    monkeypatch.setattr(CSemigroup, "remove_generators", recording)
+    wilf_sweep(cone, 5)
+    assert sorted(set(parents)) == [0, 1, 2, 3]
 
 
 def test_sweep_parallel_matches_sequential(full2):
@@ -270,15 +310,17 @@ def test_region_is_the_union_of_every_gap_box(name, request):
 def test_sweeps_report_the_counts_of_the_carried_region(name, request, monkeypatch):
     """Every node to genus 5, from the gap-free root and from each genus-2
     root a pool worker would receive: the report built from the region the
-    walk carries equals the one counted from the node's gaps alone. A
-    subtree whose points stayed in the carried set would inflate c for
-    every later sibling."""
+    walk carries, and from the generators it derives or (on the last genus)
+    counts, equals the one counted from the node's gaps alone with a
+    rescan of its generators. A subtree whose points stayed in the carried
+    set would inflate c for every later sibling."""
     cone = request.getfixturevalue(name)
     seen = []
 
     def recording(s, c=None):
-        seen.append((s, c))
-        return wilf_report(s, c)
+        rep = wilf_report(s, c)
+        seen.append((s, c, rep))
+        return rep
 
     monkeypatch.setattr(wilf, "wilf_report", recording)
     sweep = wilf_sweep(cone, 5)
@@ -286,18 +328,28 @@ def test_sweeps_report_the_counts_of_the_carried_region(name, request, monkeypat
     for root in enumerate_genus(cone, 2)[2].semigroups:
         wilf._sweep_node((root, 5, 0, False))
     assert len(seen) == sum(sweep.counts) + sum(sweep.counts[2:])
-    for s, c in seen:
-        assert c is not None
-        assert wilf_report(s, c) == wilf_report(s)
+    assert all(c is not None for _, c, _ in seen)
+    # a pool root's subtree repeats its nodes: check each distinct report once
+    for gaps, rep in {(s.gaps, rep) for s, _, rep in seen}:
+        assert rep == wilf_report(CSemigroup(cone, gaps))
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_children_inherit_the_rescanned_generators(name, request):
+    """Below the last genus, children inherit their generators. The last
+    genus is bare; the generators it scans on demand are the pairwise
+    reference's (on a last genus small enough for that reference)."""
     cone = request.getfixturevalue(name)
-    for level in enumerate_genus(cone, 5)[1:]:
+    *inner, last = enumerate_genus(cone, 5)[1:]
+    for level in inner:
         for s in level.semigroups:
             assert "minimal_generators" in vars(s)  # inherited, not scanned
             assert s.minimal_generators == CSemigroup(cone, s.gaps).minimal_generators
+    small = enumerate_genus(cone, 3)[3].semigroups
+    for s in last.semigroups + small:
+        assert set(vars(s)) == {"cone", "gaps"}  # nothing derived
+    for s in small:
+        assert s.minimal_generators == oracle_minimals(s, msg_weight_bound(s))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
