@@ -209,7 +209,8 @@ COMMANDS = [
      lambda c, a: wilf_sweep(c, a.max_genus, jobs=a.jobs).to_obj(),
      [MAX_GENUS,
       _arg("--jobs", type=int, default=1,
-           help="parallel workers (default 1, at most the CPU count)"),
+           help="parallel workers (default 1, at most the CPU count; "
+                "1 without os.fork)"),
       _arg("--out", metavar="FILE", help="write report JSON here")]),
     ("enumerate", "count (and list) semigroups by genus", "cone", _enumerate,
      [MAX_GENUS, _arg("--full", action="store_true", help="include the gap sets per genus")]),

@@ -12,8 +12,12 @@ step, so every gap set of each genus appears exactly once. One walker,
 subtree under any root depth-first on an explicit stack (Fromentin and
 Hivert), so memory holds one path and its pending siblings rather than a
 whole genus, and a deep tree cannot exhaust the interpreter's recursion
-limit. Subtrees are also how `wilf_sweep` splits `jobs > 1` between pool
-workers: one subtree per task.
+limit. Subtrees are also how `wilf_sweep` splits `jobs > 1` between
+workers: one subtree per task. The workers are forked by the sweep itself
+(`_ForkPool`, stdlib `os` and `pickle` only): they inherit the tasks, take
+task indices from one pipe as each is free, and send their rows back as one
+pickle each, so a split sweep imports no `multiprocessing` and starts no
+pool threads.
 
 The walk yields bare nodes in canonical order: a node's canonical gap tuple
 is its path from the root, since each child's largest gap is the generator
@@ -55,13 +59,6 @@ from .geom import Cone, canon_key, capacity, charge, lattice_box, lower_set
 from .semigroup import CSemigroup, make_csemigroup
 
 WALK = "the genus-tree walk"
-
-
-def get_context(method=None):
-    """multiprocessing.get_context, imported only when a sweep opens a pool."""
-    from multiprocessing import get_context
-
-    return get_context(method)
 
 
 class WilfReport(NamedTuple):
@@ -214,6 +211,132 @@ class WilfSummary(NamedTuple):
         }
 
 
+class _ForkPool:
+    """jobs forked workers that run one `map`: tasks go out as indices over
+    one pipe, rows come back as one pickle per worker over its own pipe.
+
+    The workers are forked after the tasks exist, so they inherit the tasks
+    and the function and unpickle nothing. The sweep's process runs no
+    threads, which is what makes fork safe here.
+    """
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.pids: list[int] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        # only an error leaves workers unreaped
+        if self.pids:
+            import signal
+
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            self.pids = []
+        return False
+
+    def map(self, fn, tasks, chunksize=None) -> list:
+        """[fn(t) for t in tasks], run by the workers; chunksize is ignored.
+        Each task index is its own 4-byte write, and a pipe write of at most
+        PIPE_BUF bytes is atomic, so each 4-byte read takes exactly one
+        index: a worker takes its next task when it is done with the last.
+        Once every worker is reaped, raises the exception of the lowest
+        failed task index, or ChildProcessError if a worker exited without
+        sending its rows."""
+        import pickle
+
+        r_task, w_task = os.pipe()
+        fds = [r_task, w_task]  # the ends this process holds open
+        reads = []
+        try:
+            for _ in range(self.jobs):
+                r, w = os.pipe()
+                fds += (r, w)
+                pid = os.fork()
+                if pid == 0:  # the worker
+                    code = 1
+                    try:
+                        for fd in fds:
+                            if fd not in (r_task, w):
+                                os.close(fd)
+                        _work(fn, tasks, r_task, w)
+                        code = 0
+                    finally:
+                        # never the parent's atexit handlers, stdio or caller
+                        os._exit(code)
+                self.pids.append(pid)
+                reads.append(r)
+                _close(fds, w)
+            # with no reader left, a write fails instead of blocking
+            _close(fds, r_task)
+            try:
+                for i in range(len(tasks)):
+                    os.write(w_task, i.to_bytes(4, "little"))
+            except BrokenPipeError:
+                pass  # every worker has exited; their result pipes say why
+            _close(fds, w_task)
+            rows, failed, dead = {}, [], False
+            for pid, r in zip(list(self.pids), reads):
+                with open(r, "rb", closefd=False) as f:
+                    data = f.read()
+                _, status = os.waitpid(pid, 0)
+                self.pids.remove(pid)
+                if status or not data:
+                    dead = True
+                elif isinstance(out := pickle.loads(data), dict):
+                    rows.update(out)
+                else:
+                    failed.append(out)
+        finally:
+            for fd in fds:
+                os.close(fd)
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        if dead or len(rows) < len(tasks):
+            raise ChildProcessError("a sweep worker exited without sending its rows")
+        return [rows[i] for i in range(len(tasks))]
+
+
+def _close(fds: list, fd: int) -> None:
+    fds.remove(fd)
+    os.close(fd)
+
+
+def _work(fn, tasks, r_task: int, w: int) -> None:
+    """A worker's loop: read task indices until EOF, then write one pickle
+    to w, of {index: fn(task)} or of (index, exception) for the first task
+    that raised."""
+    import pickle
+
+    out: object = {}
+    while index := os.read(r_task, 4):
+        i = int.from_bytes(index, "little")
+        try:
+            out[i] = fn(tasks[i])
+        except Exception as exc:
+            out = (i, exc)
+            break
+    with open(w, "wb") as f:
+        f.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+
+
+class _ForkContext:
+    """What `get_context` returns: the pool class under the name the
+    sweep, its stand-ins in the tests and the benchmark tracer share."""
+
+    Pool = _ForkPool
+
+
+def get_context():
+    """The pool factory of split sweeps: `.Pool(jobs)` is a context manager
+    whose `.map(fn, tasks, chunksize=None)` returns the rows in task order.
+    Tests and the benchmark tracer replace it."""
+    return _ForkContext
+
+
 # Nodes this process has walked as a pool worker. A pool serves one sweep,
 # so the count covers the worker's earlier subtrees of the same sweep.
 _pool_walked = 0
@@ -265,20 +388,21 @@ def _sweep_node(task) -> tuple:
 def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
-    jobs is capped at the CPU count. The tree is split by subtree (Fromentin
-    and Hivert) at the first level of at least 8 * jobs nodes: this process
-    sweeps the levels above it, and a pool of jobs workers the subtrees
-    under it, one root per task. With jobs == 1, or no such level, this
-    process sweeps the whole tree and opens no pool. The rows merge in part
-    order, which keeps each genus canonical, so the summary does not depend
-    on jobs. The walk is charged to the point budget as it goes, and a split
-    walk's merged total before this returns.
+    jobs is capped at the CPU count, and at 1 where the platform has no
+    `os.fork`. The tree is split by subtree (Fromentin and Hivert) at the
+    first level of at least 8 * jobs nodes: this process sweeps the levels
+    above it, and jobs forked workers (`get_context`) the subtrees under it,
+    one root per task, handed out as each worker is free. With jobs == 1, or
+    no such level, this process sweeps the whole tree and forks nothing.
+    The rows merge in part order, which keeps each genus canonical, so the
+    summary does not depend on jobs. The walk is charged to the point budget
+    as it goes, and a split walk's merged total before this returns.
     """
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     root = make_csemigroup(cone, [])
     level, cut, walked = [root], 0, 0
     while jobs > 1 and cut < g_max and len(level) < 8 * jobs:

@@ -363,6 +363,9 @@ def test_commands_import_only_what_they_run():
         (["construct", "idemaxial", "--cone", FULL2, "--pattern-gaps", "1"], NEVER_AT_START),
         (["plot", "--in", S_A_JSON], NEVER_AT_START),
         (["wilf", "sweep", "--cone", FULL2, "--max-genus", "2", "--jobs", "1"], NEVER_AT_START),
+        # 23 tasks for 2 forked workers; on a 1-CPU host jobs is capped at 1
+        # and this sweep does not split
+        (["wilf", "sweep", "--cone", FULL2, "--max-genus", "3", "--jobs", "2"], NEVER_AT_START),
     ]
     for argv, absent in cases:
         code, modules = _probe(IMPORT_PROBE, *argv)

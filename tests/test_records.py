@@ -106,8 +106,9 @@ def test_line_table_stays_a_mutable_value():
 
 
 def test_semigroup_caches_ride_along_in_pickles():
-    """Pool workers receive tree nodes by pickle: a child keeps the minimal
-    generators it inherited from its parent, and caches stay off equality."""
+    """Sweep workers send their counterexample nodes back by pickle: a child
+    keeps the minimal generators it inherited from its parent, and caches
+    stay off equality."""
     parent = make_csemigroup(FULL2, [])
     child = parent.remove_generator((1, 0))
     inherited = child.__dict__["minimal_generators"]

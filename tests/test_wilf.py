@@ -1,6 +1,7 @@
 """Wilf-type counts, tree enumeration, and the sweep harness."""
 
 import os
+import signal
 from contextlib import nullcontext
 
 import pytest
@@ -179,33 +180,74 @@ def test_sweep_finds_s_a_margin(cone_a, s_a):
     assert wilf_report(s_a).margin == 0
 
 
-def test_sweep_lists_counterexamples_by_genus_then_canonically(full2, monkeypatch):
+@pytest.fixture
+def deadline():
+    """Fails a test whose forked sweep runs past 60 s instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not end within 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_sweep_lists_counterexamples_by_genus_then_canonically(full2, monkeypatch, deadline):
     """The walk visits nodes depth first, out of canonical order, and a split
     sweep merges the head's levels with its subtrees'. With every node of
     odd c counted as a counterexample, both list them by genus, then
-    canonically."""
+    canonically, with the subtrees swept here or by forked workers. These
+    inherit the patched wilf_report, so their CSemigroup and WilfReport
+    rows come back through the result pipes."""
 
     def odd_c_fails(s, c=None):
         rep = wilf_report(s, c)
         return rep._replace(holds=rep.c % 2 == 0)
 
-    class InProcessPool:
-        def Pool(self, jobs):
-            return nullcontext(self)
-
-        def map(self, fn, tasks, chunksize=None):
-            return [fn(t) for t in tasks]
-
+    forked, in_process = wilf.get_context, _RecordingPool()
     monkeypatch.setattr(wilf, "wilf_report", odd_c_fails)
-    monkeypatch.setattr(wilf, "get_context", InProcessPool)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
     expected = [
         s for level in enumerate_genus(full2, 5) for s in level.semigroups
         if wilf_report(s).c % 2
     ]
     assert len(expected) > 100
-    for jobs in (1, 2):
+    for jobs, context in ((1, forked), (2, lambda: in_process), (2, forked)):
+        monkeypatch.setattr(wilf, "get_context", context)
         summary = wilf_sweep(full2, 5, jobs=jobs)
         assert [s for s, _ in summary.counterexamples] == expected
+    assert in_process.sizes == [2]
+
+
+@pytest.mark.parametrize("how", ["raises", "dies"])
+def test_a_failed_worker_ends_the_sweep_and_leaves_no_child(how, full2, monkeypatch, deadline):
+    """FULL2 to genus 4 under --jobs 2 hands out the 23 roots of genus 3.
+    A worker's exception reaches this process, that of the lowest failed
+    task; a worker that exits mid-task sends no rows, and the sweep raises
+    ChildProcessError instead of waiting for them. Either way every worker
+    is reaped. The workers inherit the patched _sweep_node through fork."""
+    roots = enumerate_genus(full2, 3)[3].semigroups
+    sweep_node = wilf._sweep_node
+
+    def fails(task):
+        if task[0] in (roots[4], roots[9]):
+            if how == "dies":
+                os._exit(3)
+            raise InvalidInput(f"root {roots.index(task[0])}")
+        return sweep_node(task)
+
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(wilf, "_sweep_node", fails)
+    expected = ChildProcessError if how == "dies" else InvalidInput
+    with pytest.raises(expected) as info:
+        wilf_sweep(full2, 4, jobs=2)
+    if how == "raises":
+        assert str(info.value) == "root 4"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _RecordingPool:
@@ -231,6 +273,16 @@ def test_sweep_jobs_are_capped_at_the_cpu_count(full2, monkeypatch):
     monkeypatch.setattr(wilf, "_pool_walked", 0)
     assert wilf_sweep(full2, 7, jobs=100) == wilf_sweep(full2, 7, jobs=1)
     assert all(size <= os.cpu_count() for size in pool.sizes)
+
+
+def test_sweep_without_os_fork_runs_in_one_process(full2, monkeypatch):
+    """Where the platform has no os.fork, jobs is capped at 1."""
+    pool = _RecordingPool()
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(wilf.os, "fork")
+    assert wilf_sweep(full2, 4, jobs=2) == wilf_sweep(full2, 4, jobs=1)
+    assert pool.sizes == []
 
 
 def test_sweep_without_a_level_of_8_jobs_nodes_opens_no_pool(full2, monkeypatch):
