@@ -40,7 +40,6 @@ from .geom import (
     json_field,
     json_points,
     lower_set,
-    scale,
     sub,
     weight,
 )
@@ -256,85 +255,6 @@ class CSemigroup(Record):
     def embedding_dimension(self) -> int:
         """e, the number of minimal generators."""
         return len(self.minimal_generators)
-
-    def remove_generator(self, m) -> "CSemigroup":
-        """S \\ {m} for a minimal generator m; see `remove_generators`."""
-        return self.remove_generators([m])[0]
-
-    def remove_generators(self, ms) -> list["CSemigroup"]:
-        """S \\ {m} for each minimal generator m in ms, in that order, their
-        minimal generators derived from these (see `_new_generators`)
-        instead of rescanning the certified region."""
-        msg = self.minimal_generators
-        gens = [(weight(n), n) for n in msg]
-        children = []
-        for m, i, new in self._new_generators(ms):
-            at = bisect(self.gaps, canon_key(m), key=canon_key)
-            child = CSemigroup(self.cone, self.gaps[:at] + (m,) + self.gaps[at:])
-            kept = gens[:i] + gens[i + 1:] + [(w, add(m, n)) for w, n in new]
-            child.__dict__["minimal_generators"] = tuple(x for _, x in sorted(kept))
-            children.append(child)
-        return children
-
-    def embedding_dimensions_without(self, ms) -> list[int]:
-        """e(S \\ {m}) for each minimal generator m in ms, in that order:
-        the new generators `_new_generators` keeps are counted, not built."""
-        e = len(self.minimal_generators) - 1
-        return [e + len(new) for _, _, new in self._new_generators(ms)]
-
-    def _new_generators(self, ms):
-        """Yield (m, i, new) for each minimal generator m in ms, in that
-        order: i is m's index in msg(S), and new lists the new minimal
-        generators of S \\ {m} as (weight, n) for x = m + n.
-
-        Generators of S other than m stay minimal: a decomposition in S \\ {m}
-        is one in S. A new generator x of S \\ {m} decomposes in S only
-        through m, so x = m + n with n in msg(S), or x = 3m. Such a candidate
-        is kept unless x - c is a nonzero member of S \\ {m} for an old
-        generator c (one of msg(S) other than m): `_splits`, with m among
-        the gaps. That test is complete: a decomposition x = a + b in
-        S \\ {m} writes a and b as sums of its generators, and x - c is a
-        nonzero member for each old c among them. Were all of them new, each
-        m plus a nonzero member of S, x would lie in
-        2m + (S \\ {0}) + (S \\ {0}): that would decompose n in S if
-        x = m + n, or m if x = 3m, and 2m is too light.
-
-        The test runs on scaled coordinates packed once for all of ms. Every
-        candidate coordinate is at most 3 times the largest generator
-        coordinate of S, so fields of that width never carry into a guard
-        bit. The input check and the partners n stay tuples, and nothing
-        packed is kept on the instance.
-        """
-        msg = self.minimal_generators
-        index = {n: i for i, n in enumerate(msg)}
-        ms = [tuple(m) for m in ms]
-        for m in ms:
-            if m not in index:
-                raise InvalidInput(f"{m} is not a minimal generator", point=list(m))
-        cone = self.cone
-        # a full cone's scaled coordinates are the points themselves
-        scaled = msg if cone.full else [cone.scaled_coords(n) for n in msg]
-        width = (3 * max(map(max, scaled))).bit_length()
-        guards = _pack([1 << width] * cone.p, width)
-        # msg is canonically sorted, so by weight
-        weights = [weight(n) for n in msg]
-        packed = [_pack(sc, width) for sc in scaled]
-        holes = self._holes(width)
-        for m in ms:
-            i = index[m]
-            wm, pm = weights[i], packed[i]
-            old_w = weights[:i] + weights[i + 1:]
-            old_p = packed[:i] + packed[i + 1:]
-            # the partners n of m: each generator (n = m gives 2m), then 2m;
-            # sums of fields that stay below 2^width are fieldwise sums
-            partners = zip(weights + [2 * wm], packed + [2 * pm], msg + (scale(2, m),))
-            holes.add(pm)
-            new = [
-                (wm + wn, n) for wn, pn, n in partners
-                if not _splits(pm + pn, wm + wn, old_w, old_p, guards, holes)
-            ]
-            holes.discard(pm)
-            yield m, i, new
 
     # -- gap-side invariants -----------------------------------------------------
 

@@ -19,43 +19,65 @@ task indices from one pipe as each is free, and send their rows back as one
 pickle each, so a split sweep imports no `multiprocessing` and starts no
 pool threads.
 
-The walk yields bare nodes in canonical order: a node's canonical gap tuple
-is its path from the root, since each child's largest gap is the generator
-it removed, so depth first with children in canonical order lists each
-genus by `CSemigroup.sort_key`, and a level's subtrees, in level order,
-continue it. Only the sweep (`_sweep_node`) carries the region under the
-gaps, the cone points below some gap, in one set: a node adds its new gap's
-lattice box and hands the points back when the walk leaves its subtree, so
-each node costs one box and c is the size of the set.
+The walk is bit-parallel (Fromentin and Hivert, "Exploring the tree of
+numerical semigroups", Math. Comp. 2016), with Python's `int` as the
+vector register. A node is a few masks over one packed `geom.Layout` of
+the cone points the walk can read, built once per (cone, g_max):
+  * F, the nonzero members, one bit per point;
+  * dec, the ordered two-member decompositions of each point, one field
+    per point;
+  * R, the region under the gaps (the cone points below some gap), one
+    bit per point;
+  * gens, the minimal generators: the members whose dec field is 0.
+So e is gens.bit_count() and c is R.bit_count(). The child S \\ {m} costs
+a few big-int operations (`_child`): F loses m, dec loses the pairs that
+held m, and R gains m's lattice box. No node scans a region or builds a
+generator tuple; the pairwise scan of `oracle.oracle_minimals` stays the
+reference in the tests.
 
-Only the root scans its certified region for minimal generators. A node's
-children inherit their generators from it through
-`CSemigroup.remove_generators`, derived together in one pass with the same
-packed decomposition test as the region scan; the pairwise scan of
-`oracle.oracle_minimals` stays the reference in the tests.
+The generators of S other than m stay minimal in S \\ {m}, since a
+decomposition there is one in S. A new generator decomposed in S only
+through m, so it is m plus a nonzero member, heavier than m. The children
+of S \\ {m} therefore remove the generators of S past m, or the new ones:
+the walk carries each node's list and reads only the bits that its child's
+generator mask gains.
+
+The walk yields nodes in canonical order: a node's canonical gap tuple is
+its path from the root, since each child's largest gap is the generator it
+removed, so depth first with children in canonical order lists each genus
+by `CSemigroup.sort_key`, and a level's subtrees, in level order, continue
+it. Only the sweep (`_sweep`) carries R; `enumerate_genus` leaves it 0.
 
 Most nodes are leaves, so the last genus costs the least (Fromentin and
-Hivert again). A node at genus g_max - 1 gets its children as bare leaves,
-its gaps plus the removed generator, with nothing derived. `enumerate_genus`
-keeps them so. The sweep gives each leaf only its embedding dimension e,
-which `CSemigroup.embedding_dimensions_without` counts with the candidate
-loop of `remove_generators`, building no generator, and counts a leaf's new
-box points into c without carrying them. A parent's leaves are charged to
-the walk as one batch, and a walk (an `enumerate_genus` call or one
-`_sweep_node` task) reads CONESEMI_CAPACITY once and checks every charge of
-the walk and of its boxes against that value.
+Hivert again). A node at genus g_max - 1 yields its children right away:
+the sweep reads each leaf's e and c from one update, and `enumerate_genus`
+builds nothing for a leaf but its gap tuple. A parent's leaves are charged
+to the walk as one batch. A walk (an `enumerate_genus` call or a sweep)
+reads CONESEMI_CAPACITY once and checks every charge against that value:
+its nodes, its layout, and each mask of the layout when it is built. A
+split sweep builds the layout before it forks, so its workers inherit it,
+and each task rebuilds its root's state from the root's gaps.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect
 from typing import NamedTuple
 
 from .errors import InvalidInput
 # lower_set is unused here but stays importable: the benchmark tracer
 # replaces wilf.lower_set along with the other modules' copies
-from .geom import Cone, canon_key, capacity, charge, lattice_box, lower_set
+from .geom import (
+    Cone,
+    Layout,
+    box_scan,
+    canon_key,
+    capacity,
+    charge,
+    lattice_box,
+    lattice_layout,
+    lower_set,
+)
 from .semigroup import CSemigroup, make_csemigroup
 
 WALK = "the genus-tree walk"
@@ -76,11 +98,18 @@ class WilfReport(NamedTuple):
 
 
 def _region(s: CSemigroup, cap: int | None = None) -> set:
-    """The cone points below some gap of s in the cone order, in one set;
-    see `geom.charge` for cap."""
+    """The cone points below some gap of s in the cone order, in one set.
+    Before each box is scanned, the boxes so far are charged as one running
+    total (see `geom.charge` for cap)."""
+    if cap is None:
+        cap = capacity()
     region: set = set()
+    total = 0
     # every gap's box lies in the box of a cone-maximal gap above it
     for b in s.frobenius_set():
+        size, what = box_scan(s.cone, b)
+        total += size
+        charge(total, what, cap)
         region.update(lattice_box(s.cone, b, cap))
     return region
 
@@ -116,64 +145,103 @@ class GenusLevel(NamedTuple):
         return len(self.semigroups)
 
 
-def _removable(s: CSemigroup) -> tuple:
-    """The minimal generators of s past its canonically largest gap.
+def _node(layout: Layout, gaps: tuple, cap: int) -> tuple:
+    """The walk's state of the node with these canonical gaps: the gap-free
+    semigroup's, with each gap removed in turn, since a node's canonical
+    gap tuple is its path from the root.
 
-    Removing a minimal generator keeps the complement closed (it has no
-    two-member decomposition), and the restriction to generators past the
-    largest gap makes the parent map (put the largest gap back) unique.
-    Each child's largest gap is therefore the generator it removed.
+    A state is (gaps, F, dec, R, gens), each mask in `layout`'s fields: F
+    the nonzero members, dec the ordered two-member decompositions of each
+    point, R the region under the gaps and gens the minimal generators,
+    the members whose dec field is 0.
     """
-    msg = s.minimal_generators
-    if not s.gaps:
-        return msg
-    # msg is canonically sorted
-    return msg[bisect(msg, canon_key(s.gaps[-1]), key=canon_key):]
+    node = ((), layout.members, layout.counts, 0, layout.members & layout.zeros(layout.counts))
+    for g in gaps:
+        node = _child(layout, node, layout.slot(g), cap, True)
+    return node
 
 
-def _children(s: CSemigroup) -> list[CSemigroup]:
-    """The children of s, each with its minimal generators."""
-    return s.remove_generators(_removable(s))
-
-
-def _leaves(s: CSemigroup, counted: bool) -> list[CSemigroup]:
-    """The children of s as bare leaves: each removed generator lies past
-    the largest gap, so it goes last in the canonical gap tuple. Nothing is
-    derived for them, except, with counted, their embedding dimensions,
-    which `CSemigroup.embedding_dimensions_without` counts without building
-    a generator."""
-    ms = _removable(s)
-    leaves = [CSemigroup(s.cone, s.gaps + (m,)) for m in ms]
+def _child(layout: Layout, node: tuple, j: int, cap: int, counted: bool) -> tuple:
+    """The state of S \\ {m}, for the minimal generator m at slot j of the
+    node S. The pairs that lose m are (m, y) and (y, m) for each nonzero
+    member y, with one pair at y = m: dec' = dec - 2 * ((F & mask) << slot
+    of m) + 1 at 2m (see `Layout.move`). With counted, R gains m's box;
+    otherwise R stays 0."""
+    gaps, members, dec, region, _ = node
+    bit, shift, mask, plus = layout.moves.get(j) or layout.move(j, cap)
+    dec = dec - ((members & mask) << shift) + plus
+    members ^= bit
     if counted:
-        for leaf, e in zip(leaves, s.embedding_dimensions_without(ms)):
-            leaf.__dict__["embedding_dimension"] = e
-    return leaves
+        region |= layout.boxes.get(j) or layout.box(j, cap)
+    point = (layout.names.get(j) or layout.name(j))[1]
+    return gaps + (point,), members, dec, region, members & layout.zeros(dec)
 
 
-def _walk(root: CSemigroup, g_max: int, walked: int, cap: int, counted: bool = False):
-    """Yield each node of the subtree under root up to genus g_max, depth
-    first on an explicit stack, children in canonical order: each genus in
-    `CSemigroup.sort_key` order (see the module docstring).
+def _named(layout: Layout, mask: int, last: tuple = ()) -> list[tuple]:
+    """(canonical key, slot) of each point of the mask past the key last,
+    in canonical order."""
+    names, width = layout.names, layout.width
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        j = low.bit_length() // width
+        key = (names.get(j) or layout.name(j))[0]
+        if key > last:
+            out.append((key, j))
+    out.sort()
+    return out
 
-    Nodes below genus g_max - 1 get their children with their generators
-    (`_children`); those at g_max - 1 get bare leaves (`_leaves`, counted
-    or not), yielded right after their parent. Each node is charged to the
-    point budget cap before it is yielded, on top of `walked` nodes visited
-    elsewhere, and a parent's leaves as one batch.
+
+def _past(layout: Layout, node: tuple) -> list[tuple]:
+    """(canonical key, slot) of each of the node's minimal generators past
+    its canonically largest gap, in canonical order: the generators whose
+    removal gives its children (see the module docstring)."""
+    gaps = node[0]
+    return _named(layout, node[4], canon_key(gaps[-1]) if gaps else ())
+
+
+def _walk(layout: Layout, root: tuple, g_max: int, walked: int, cap: int, counted: bool = False):
+    """Yield (gaps, e, c) for each node of the subtree under the state root
+    up to genus g_max, depth first on an explicit stack, children in
+    canonical order: each genus in `CSemigroup.sort_key` order (see the
+    module docstring). c is 0 unless counted.
+
+    Each node on the stack carries its generators past its largest gap,
+    its children's gaps. The child that removes m has those of its parent
+    past m, and its new generators, which are all heavier than m (see the
+    module docstring): the bits its generator mask gains. Nodes below
+    genus g_max - 1 push their children. Those at g_max - 1 yield their
+    children, the leaves, right away: with counted, each with its e and c,
+    and otherwise as bare gap tuples with e and c None. Each node is
+    charged to the point budget cap before it is yielded, on top of
+    `walked` nodes visited elsewhere, and a parent's leaves as one batch.
     """
-    stack = [root]
+    stack = [(root, _past(layout, root))]
     while stack:
-        s = stack.pop()
+        node, ms = stack.pop()
         walked += 1
         charge(walked, WALK, cap)
-        yield s
-        if s.genus + 1 < g_max:
-            stack.extend(reversed(_children(s)))
-        elif s.genus < g_max:
-            leaves = _leaves(s, counted)
-            walked += len(leaves)
+        gaps, gens = node[0], node[4]
+        yield gaps, gens.bit_count(), node[3].bit_count()
+        if len(gaps) + 1 < g_max:
+            kids = []
+            for i, (key, j) in enumerate(ms):
+                child = _child(layout, node, j, cap, counted)
+                # m itself is among the changed bits, and is not past m
+                past = ms[i + 1:] + _named(layout, child[4] ^ gens, key)
+                past.sort()
+                kids.append((child, past))
+            stack.extend(reversed(kids))
+        elif len(gaps) < g_max:
+            walked += len(ms)
             charge(walked, WALK, cap)
-            yield from leaves
+            for _, j in ms:
+                if counted:
+                    leaf = _child(layout, node, j, cap, True)
+                    yield leaf[0], leaf[4].bit_count(), leaf[3].bit_count()
+                else:
+                    yield gaps + ((layout.names.get(j) or layout.name(j))[1],), None, None
 
 
 def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
@@ -181,9 +249,10 @@ def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     cap = capacity()
+    layout = lattice_layout(cone, g_max, cap)
     levels = [[] for _ in range(g_max + 1)]
-    for s in _walk(make_csemigroup(cone, []), g_max, 0, cap):
-        levels[s.genus].append(s)
+    for gaps, _, _ in _walk(layout, _node(layout, (), cap), g_max, 0, cap):
+        levels[len(gaps)].append(CSemigroup(cone, gaps))
     return [GenusLevel(g, tuple(level)) for g, level in enumerate(levels)]
 
 
@@ -346,35 +415,33 @@ def _sweep_node(task) -> tuple:
     """Sweep the subtree under one root: a (count, least margin or None,
     counterexamples) row for each genus from the root's up to g_max.
 
-    added[i] holds the region points the node at depth i below the root
-    added. Entering a node at depth i hands back those of depth >= i first:
-    the walk is done with their subtrees. A leaf's points are counted and
-    never added. The budget counts the `walked` nodes the parent visited
-    and, in a pool worker, every node the worker walked before this task;
-    CONESEMI_CAPACITY is read once, and the walk's charges and its boxes'
-    are all checked against that value.
+    The task is (root, g_max, walked, pooled). CONESEMI_CAPACITY is read
+    once, here, and the layout is the one kept for (cone, g_max): a split
+    sweep builds it before it forks, so its workers inherit it.
     """
-    global _pool_walked
     root, g_max, walked, pooled = task
+    cap = capacity()
+    return _sweep(lattice_layout(root.cone, g_max, cap), root, g_max, walked, pooled, cap)
+
+
+def _sweep(layout: Layout, root: CSemigroup, g_max: int, walked: int, pooled: bool, cap: int):
+    """`_sweep_node` on a layout for g_max or beyond. The root's state is
+    rebuilt from its gaps (`_node`). Each node goes to `wilf_report` as a
+    bare `CSemigroup` with its e preset, with its c. The budget counts the
+    `walked` nodes the parent visited and, in a pool worker, every node the
+    worker walked before this task, against cap."""
+    global _pool_walked
     if pooled:
         walked += _pool_walked
-    cap = capacity()
-    region = _region(root, cap)
-    added = []
-    counts = [0] * (g_max + 1 - root.genus)
+    cone, low = root.cone, root.genus
+    counts = [0] * (g_max + 1 - low)
     lows = [None] * len(counts)
     bad = [[] for _ in counts]
-    for s in _walk(root, g_max, walked, cap, counted=True):
-        i = s.genus - root.genus
-        while len(added) > i:
-            region.difference_update(added.pop())
-        new = [a for a in lattice_box(root.cone, s.gaps[-1], cap) if a not in region] if i else []
-        c = len(region) + len(new)
-        if s.genus < g_max:
-            # a leaf has no subtree to carry its points to
-            region.update(new)
-            added.append(new)
+    for gaps, e, c in _walk(layout, _node(layout, root.gaps, cap), g_max, walked, cap, True):
+        s = CSemigroup(cone, gaps)
+        s.__dict__["embedding_dimension"] = e
         rep = wilf_report(s, c)
+        i = len(gaps) - low
         counts[i] += 1
         if lows[i] is None or rep.margin < lows[i]:
             lows[i] = rep.margin
@@ -396,26 +463,29 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     no such level, this process sweeps the whole tree and forks nothing.
     The rows merge in part order, which keeps each genus canonical, so the
     summary does not depend on jobs. The walk is charged to the point budget
-    as it goes, and a split walk's merged total before this returns.
+    as it goes, and a split walk's merged total before this returns; this
+    process reads CONESEMI_CAPACITY once, and each task once more.
     """
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    root = make_csemigroup(cone, [])
-    level, cut, walked = [root], 0, 0
+    cap = capacity()
+    layout = lattice_layout(cone, g_max, cap)
+    level, cut, walked = [_node(layout, (), cap)], 0, 0
     while jobs > 1 and cut < g_max and len(level) < 8 * jobs:
         walked += len(level)
-        charge(walked, WALK)
-        level = [k for s in level for k in _children(s)]
+        charge(walked, WALK, cap)
+        level = [_child(layout, s, j, cap, False) for s in level for _, j in _past(layout, s)]
         cut += 1
     if len(level) < 8 * jobs:
         level, cut = [], g_max + 1
-    parts = [(0, _sweep_node((root, cut - 1, 0, False)))]
+    parts = [(0, _sweep(layout, make_csemigroup(cone, []), cut - 1, 0, False, cap))]
     if level:
+        tasks = [(CSemigroup(cone, s[0]), g_max, walked, True) for s in level]
         with get_context().Pool(jobs) as pool:
-            rows = pool.map(_sweep_node, [(s, g_max, walked, True) for s in level], chunksize=1)
+            rows = pool.map(_sweep_node, tasks, chunksize=1)
         parts += [(cut, r) for r in rows]
     counts = [0] * (g_max + 1)
     margins = []
@@ -429,7 +499,7 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     if level:
         # the workers charged their own shares; unsplit, _walk has already
         # charged the exact total
-        charge(sum(counts), WALK)
+        charge(sum(counts), WALK, cap)
     return WilfSummary(
         cone=cone,
         max_genus=g_max,

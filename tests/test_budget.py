@@ -27,6 +27,7 @@ from conesemi import (
     oracle_minimals,
     plot,
     wilf,
+    wilf_report,
     wilf_sweep,
 )
 from conesemi.cli import main
@@ -39,6 +40,8 @@ DET20 = Cone.from_rays((1, 0), (1, 20))
 WIDE = Cone.from_rays((1, 0), (1, 1000))
 SKINNY = Cone.from_rays((1000, 999), (999, 998))
 SKINNY_6 = Cone.from_rays((10**6, 10**6 - 1), (10**6 - 1, 10**6 - 2))
+# the cone-maximal gaps (9, 0) and (0, 9): boxes of 10 points each, 20 together
+AXES_9 = make_csemigroup(FULL2, [(i, 0) for i in range(1, 10)] + [(0, i) for i in range(1, 10)])
 
 SITES = {
     "lower_set-full": ("the lower set", 100, lambda: lower_set(FULL2, (50, 50))),
@@ -62,6 +65,8 @@ SITES = {
         "the lower set", 1000, lambda: NumericalSemigroup.from_gaps(range(1, 2001))),
     "enumerate_genus": ("the genus-tree walk", 10, lambda: enumerate_genus(FULL2, 4)),
     "wilf_sweep": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4)),
+    # the region union charges its boxes' running total, not each box alone
+    "wilf_report-region": ("the lower set", 15, lambda: wilf_report(AXES_9)),
     # the parent walks 10 nodes to genus 2; a worker's first subtree is the 11th
     "wilf_sweep-jobs2": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4, jobs=2)),
     # strips 4 * 48 * 1 = 192 > 100 >= the box 48 and the <7, 9> table 65
@@ -180,13 +185,26 @@ class _CountingEnviron(dict):
 @pytest.mark.parametrize("call", [wilf_sweep, enumerate_genus])
 def test_a_tree_walk_reads_the_capacity_once(call, monkeypatch):
     """FULL2 to genus 5 is 314 nodes and, in a sweep, a box for each but the
-    root. The root's region scan charges its own enumeration first."""
+    root; the walk reads no generator region, not even the root's."""
     env = _CountingEnviron(os.environ)
     monkeypatch.setattr(os, "environ", env)
-    make_csemigroup(FULL2, []).minimal_generators
-    root_scan, env.reads = env.reads, 0
     call(FULL2, 5)
-    assert env.reads == root_scan + 1
+    assert env.reads == 1
+
+
+def test_a_split_sweep_reads_the_capacity_once_in_the_parent(monkeypatch):
+    """Under --jobs 2 the parent reads it once for its head levels, its own
+    subtree and the merged total; each task, here run in this process,
+    reads it once more."""
+    env = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    pool = _InProcessPool(fresh_workers=True)
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    wilf_sweep(FULL2, 5, jobs=2)
+    assert pool.started == 23
+    assert env.reads == 1 + pool.started
 
 
 def test_a_sweep_task_reads_the_capacity_once(monkeypatch):

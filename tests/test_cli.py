@@ -512,6 +512,40 @@ def test_golden_bytes(cli, tmp_path, case, argv, stdin_text):
     assert (code, _pin(out), _pin(err)) == GOLDEN[case]
 
 
+# Genus-tree walks on every cone kind: each cone with the genus it is walked
+# to, and the pins of `wilf sweep` (under every --jobs) and `enumerate --full`
+TREE_WALKS = {
+    "n1": ('{"type":"full","p":1}', 12, 'sha256:2f191ec842f074b8fc561ef422330c9e',
+           'sha256:7c3c6b771769f1477620f29ea94357f5'),
+    "n2": (FULL2, 6, 'sha256:fed92aca99f67db516727d0f2fdd0c25',
+           'sha256:e7fe2702cb8f664c52eee459536a9061'),
+    "n3": ('{"type":"full","p":3}', 4, 'sha256:c08af87b8c344b9bdfc429f04192fef1',
+           'sha256:caa908fcf5b129a61a8b0e5c4856f905'),
+    "cone-a": (CONE_A, 6, 'sha256:786bbb38bbb5031efe178a21ee423d5f',
+               'sha256:ef20cb5dabf5ed8a8480aef2a2f71f66'),
+    "skew": ('{"type":"rays2d","rays":[[2,1],[1,3]]}', 5,
+             'sha256:0d9d5e62dc529f7646dc884622534877', 'sha256:c0dfd3348a4dab55996d721cadcde7aa'),
+    "det20": ('{"type":"rays2d","rays":[[1,0],[1,20]]}', 4,
+              'sha256:0ae67e5ee40abfd744c25af9ec1e9b2c', 'sha256:744ac4621fe69772f07c4c5cf80409cd'),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "4"])
+@pytest.mark.parametrize("name", list(TREE_WALKS))
+def test_tree_walk_sweep_bytes(cli, name, jobs):
+    cone, g_max, pinned, _ = TREE_WALKS[name]
+    code, out, err = cli(["wilf", "sweep", "--cone", cone, "--max-genus", str(g_max),
+                          "--jobs", jobs])
+    assert (code, _pin(out), err) == (0, pinned, "")
+
+
+@pytest.mark.parametrize("name", list(TREE_WALKS))
+def test_tree_walk_enumerate_bytes(cli, name):
+    cone, g_max, _, pinned = TREE_WALKS[name]
+    code, out, err = cli(["enumerate", "--cone", cone, "--max-genus", str(g_max), "--full"])
+    assert (code, _pin(out), err) == (0, pinned, "")
+
+
 # N2 minus the lower set of (20, 20), genus 440: the generator region scan
 # meets 882 generators, and the Wilf count unions the boxes of the maximal gaps
 LOWER_SET_20 = json.dumps(

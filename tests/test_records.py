@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from conesemi import wilf
 from conesemi.construct import IdemaxialSpec, LevelStatus, PfLinesReport
 from conesemi.errors import UnsupportedDimension
 from conesemi.genexp import ExpandDecision, GeneratorInput, _LineTable
@@ -105,18 +106,26 @@ def test_line_table_stays_a_mutable_value():
     assert not table.member(2)
 
 
-def test_semigroup_caches_ride_along_in_pickles():
-    """Sweep workers send their counterexample nodes back by pickle: a child
-    keeps the minimal generators it inherited from its parent, and caches
-    stay off equality."""
-    parent = make_csemigroup(FULL2, [])
-    child = parent.remove_generator((1, 0))
-    inherited = child.__dict__["minimal_generators"]
+def test_semigroup_caches_ride_along_in_pickles(monkeypatch):
+    """Sweep workers send their counterexample nodes back by pickle: a node
+    keeps the embedding dimension the walk preset on it, and caches stay
+    off equality."""
+    nodes = {}
+    report = wilf.wilf_report
+
+    def recording(s, c=None):
+        nodes[s.gaps] = s
+        return report(s, c)
+
+    monkeypatch.setattr(wilf, "wilf_report", recording)
+    wilf.wilf_sweep(FULL2, 2)
+    child = nodes[((1, 0),)]
+    preset = child.__dict__["embedding_dimension"]
     copy = pickle.loads(pickle.dumps(child))
-    assert copy == child and copy.__dict__["minimal_generators"] == inherited
+    assert copy == child and copy.__dict__["embedding_dimension"] == preset
     fresh = make_csemigroup(FULL2, [(1, 0)])
-    assert fresh == child and "minimal_generators" not in fresh.__dict__
-    assert fresh.minimal_generators == inherited
+    assert fresh == child and "embedding_dimension" not in fresh.__dict__
+    assert fresh.embedding_dimension == preset
     assert pickle.loads(pickle.dumps(Cone.from_rays((2, 1), (1, 3)))).det == 5
     with pytest.raises(AttributeError):
         del child.gaps

@@ -12,6 +12,7 @@ from conesemi import (
     Cone,
     CSemigroup,
     enumerate_cone_points,
+    geom,
     lower_set_semigroup,
     make_csemigroup,
     oracle_all_gapsets,
@@ -20,9 +21,9 @@ from conesemi import (
 )
 from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
-from conesemi.geom import lattice_box
+from conesemi.geom import Layout, canon_key, capacity, lattice_box, lattice_layout
 from conesemi.semigroup import msg_weight_bound
-from conesemi.wilf import _children, enumerate_genus, wilf_report, wilf_sweep
+from conesemi.wilf import enumerate_genus, wilf_report, wilf_sweep
 
 TEST_CONES = ("full1", "full2", "full3", "cone_a", "cone_skew")
 DET20 = Cone.from_rays((1, 0), (1, 20))
@@ -133,11 +134,14 @@ def test_enumerate_no_duplicates_and_sorted(full1, full2, full3, cone_a, cone_sk
 def test_enumerate_builds_no_boxes(full2, monkeypatch):
     """Only the sweep carries the region under the gaps."""
 
-    def no_box(cone, x):
+    def no_box(layout, j, cap=None):
         raise AssertionError("enumerate_genus built a lattice box")
 
     monkeypatch.setattr(wilf, "lattice_box", no_box)
+    monkeypatch.setattr(Layout, "box", no_box)
+    monkeypatch.setattr(geom, "_LAYOUTS", {})
     assert [lv.count for lv in enumerate_genus(full2, 4)] == [1, 2, 7, 23, 71]
+    assert geom._LAYOUTS[full2, 4].boxes == {}
 
 
 def test_enumerate_children_validate(cone_skew):
@@ -296,7 +300,7 @@ def test_sweep_without_a_level_of_8_jobs_nodes_opens_no_pool(full2, monkeypatch)
 def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, capsys):
     """FULL2 to genus 3 has levels of 1, 2, 7 and 23 nodes, so with 2 jobs
     the split level, the first of at least 16 nodes, is the last genus: the
-    head builds those leaves with their generators, one pool task each."""
+    head walks to those leaves, one pool task each."""
     monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
     argv = ["wilf", "sweep", "--cone", '{"type":"full","p":2}', "--max-genus", "3", "--jobs"]
     outs = []
@@ -313,19 +317,16 @@ def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, 
 
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_sweeps_derive_no_generators_for_the_last_genus(name, request, monkeypatch):
-    """A node of genus 4 in a sweep to genus 5 counts its leaves' generators
-    instead of calling remove_generators."""
+    """No node of a sweep, the last genus included, builds a generator
+    tuple: each node's e is the bit count of its generator mask."""
     cone = request.getfixturevalue(name)
-    parents = []
-    remove = CSemigroup.remove_generators
+    expected = [lv.count for lv in enumerate_genus(cone, 5)]
 
-    def recording(s, ms):
-        parents.append(s.genus)
-        return remove(s, ms)
+    def refuse(s):
+        raise AssertionError(f"the sweep scanned the generators of {s.gaps}")
 
-    monkeypatch.setattr(CSemigroup, "remove_generators", recording)
-    wilf_sweep(cone, 5)
-    assert sorted(set(parents)) == [0, 1, 2, 3]
+    monkeypatch.setattr(CSemigroup, "minimal_generators", property(refuse))
+    assert list(wilf_sweep(cone, 5).counts) == expected
 
 
 def test_sweep_parallel_matches_sequential(full2):
@@ -386,53 +387,131 @@ def test_sweeps_report_the_counts_of_the_carried_region(name, request, monkeypat
         assert rep == wilf_report(CSemigroup(cone, gaps))
 
 
+def _walk(cone, g_max, gaps=()):
+    """The layout for g_max and the (gaps, e, c) of each node of the
+    counted walk under the node with these gaps, in walk order."""
+    cap = capacity()
+    layout = lattice_layout(cone, g_max, cap)
+    root = wilf._node(layout, tuple(gaps), cap)
+    return layout, list(wilf._walk(layout, root, g_max, 0, cap, True))
+
+
+def _children(nodes):
+    """Each walked node's children, as the points they remove, in walk
+    order; depth first, a node comes before its children."""
+    kids = {}
+    for gaps, _, _ in nodes:
+        if gaps[:-1] in kids:
+            kids[gaps[:-1]].append(gaps[-1])
+        kids[gaps] = []
+    return kids
+
+
+def _past(gaps, generators):
+    """The generators past the canonically largest gap, canonically sorted."""
+    last = canon_key(gaps[-1]) if gaps else ()
+    return sorted((m for m in generators if canon_key(m) > last), key=canon_key)
+
+
+def _points(layout, mask):
+    """The points of a mask of layout fields, canonically sorted."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(layout.name(low.bit_length() // layout.width))
+    return tuple(x for _, x in sorted(out))
+
+
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_children_inherit_the_rescanned_generators(name, request):
-    """Below the last genus, children inherit their generators. The last
-    genus is bare; the generators it scans on demand are the pairwise
-    reference's (on a last genus small enough for that reference)."""
+    """Every node of the walk to genus 4: its e is the number of generators
+    a region scan finds, and its children remove those past its largest
+    gap, in canonical order. The nodes `enumerate_genus` returns carry
+    nothing derived; the pairwise reference agrees on genus 3."""
     cone = request.getfixturevalue(name)
-    *inner, last = enumerate_genus(cone, 5)[1:]
-    for level in inner:
+    _, nodes = _walk(cone, 4)
+    kids = _children(nodes)
+    for gaps, e, c in nodes:
+        msg = CSemigroup(cone, gaps).minimal_generators
+        assert e == len(msg)
+        if len(gaps) < 4:
+            assert kids[gaps] == _past(gaps, msg)
+    for level in enumerate_genus(cone, 5):
         for s in level.semigroups:
-            assert "minimal_generators" in vars(s)  # inherited, not scanned
-            assert s.minimal_generators == CSemigroup(cone, s.gaps).minimal_generators
-    small = enumerate_genus(cone, 3)[3].semigroups
-    for s in last.semigroups + small:
-        assert set(vars(s)) == {"cone", "gaps"}  # nothing derived
-    for s in small:
+            assert set(vars(s)) == {"cone", "gaps"}
+    for s in enumerate_genus(cone, 3)[3].semigroups:
         assert s.minimal_generators == oracle_minimals(s, msg_weight_bound(s))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone_a, cone_skew, data):
-    """Down a random tree path to genus 9; at each node also remove a random
+    """Down a random tree path to genus 9, each state's generator mask and
+    region are those a rescan finds. At each node, also remove a random
     minimal generator, which need not lie past the largest gap."""
     cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20]))
-    s = make_csemigroup(cone, [])
-    while s.genus < 9:
+    cap = capacity()
+    layout = lattice_layout(cone, 9, cap)
+    node = wilf._node(layout, (), cap)
+    while True:
+        s = CSemigroup(cone, node[0])
+        assert _points(layout, node[4]) == s.minimal_generators
+        assert node[3].bit_count() == len(wilf._region(s))
+        if s.genus == 9:
+            break
         m = data.draw(st.sampled_from(s.minimal_generators))
-        child = s.remove_generator(m)
-        assert child == make_csemigroup(cone, s.gaps + (m,))
-        assert child.minimal_generators == CSemigroup(cone, child.gaps).minimal_generators
-        kids = _children(s)
+        child = wilf._child(layout, node, layout.slot(m), cap, True)
+        t = make_csemigroup(cone, s.gaps + (m,))
+        assert _points(layout, child[4]) == t.minimal_generators
+        assert child[3].bit_count() == len(wilf._region(t))
+        kids = wilf._past(layout, node)
         if not kids:
             break
-        s = data.draw(st.sampled_from(kids))
-        assert s.minimal_generators == CSemigroup(cone, s.gaps).minimal_generators
+        node = wilf._child(layout, node, data.draw(st.sampled_from(kids))[1], cap, True)
 
 
-def test_remove_generator_refuses_a_non_generator(s_a, full2):
-    # a gap, a decomposable member, zero, and a point outside the cone
-    for x in ((1, 1), (2, 0), (0, 0), (0, 1)):
-        with pytest.raises(InvalidInput):
-            s_a.remove_generator(x)
-    # members too wide for the 4-bit fields (plus guard bits) that the
-    # generators (2,0), (3,0), (0,1), (1,1) pack into: without the check on
-    # the tuple, (32,0) and (33,0) pack as (0,1) and (1,1) do, and the
-    # others alias generators when the fields are laid out the other way
-    s = make_csemigroup(full2, [(1, 0)])
-    for x in ((32, 0), (33, 0), (0, 128), (0, 192), (0, 65)):
-        with pytest.raises(InvalidInput):
-            s.remove_generator(x)
+# the genus each cone's oracle test walks to at most: the pairwise scan of
+# a det-20 node at genus 2 already takes about 50 ms
+ORACLE_GENUS = {"full1": 12, "full2": 6, "full3": 4, "cone_a": 6, "cone_skew": 5, "det20": 2}
+
+
+def _oracle_check(layout, cone, gaps, e, c):
+    """The oracle's generators of the node with these gaps, once its e and
+    c are checked and its generators found in the layout."""
+    s = CSemigroup(cone, gaps)
+    generators = oracle_minimals(s, msg_weight_bound(s))
+    assert e == len(generators)
+    assert c == len(wilf._region(s))
+    assert None not in map(layout.slot, generators)
+    return generators
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_walk_node_matches_the_oracle(request, data):
+    """Down a random tree path to g_max, each node against the pairwise
+    oracle: its e is the number of generators the oracle finds, its c the
+    size of the region under its gaps, its children remove the oracle's
+    generators past its largest gap, in canonical order, and every oracle
+    generator lies in the layout, as its bound says. At g_max, up to three
+    of the last node's leaves are checked the same way."""
+    name = data.draw(st.sampled_from(sorted(ORACLE_GENUS)))
+    cone = DET20 if name == "det20" else request.getfixturevalue(name)
+    g_max = data.draw(st.integers(1, ORACLE_GENUS[name]))
+    cap = capacity()
+    layout = lattice_layout(cone, g_max, cap)
+    node = wilf._node(layout, (), cap)
+    while True:
+        genus = len(node[0])
+        (gaps, e, c), *leaves = wilf._walk(layout, node, genus + 1, 0, cap, True)
+        generators = _oracle_check(layout, cone, gaps, e, c)
+        assert [leaf[0][-1] for leaf in leaves] == _past(gaps, generators)
+        if not leaves:
+            break
+        if genus + 1 == g_max:
+            for leaf in data.draw(st.lists(st.sampled_from(leaves), max_size=3, unique=True)):
+                _oracle_check(layout, cone, *leaf)
+            break
+        m = data.draw(st.sampled_from(leaves))[0][-1]
+        node = wilf._child(layout, node, layout.slot(m), cap, True)
