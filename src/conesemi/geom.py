@@ -450,64 +450,64 @@ class Layout:
     |box(x)| <= 2g + 2, where box(x) is x's lattice box (`lattice_box`).
     The points of box(x) other than 0 and x pair off as {a, x - a}, into
     ceil((|box(x)| - 2) / 2) disjoint pairs. Each pair holds a gap, or x
-    would split into two members, so there are at most g pairs. Let P be
-    the points with |box| <= 2 g_max + 2. The layout holds P, so it holds
-    every minimal generator of every semigroup up to genus g_max, and P
-    holds the box of each of its points.
+    would split into two members, so there are at most g pairs. The layout
+    holds P, the points with |box| <= size = 2 g_max + 2, and no others:
+    so it holds every minimal generator of every semigroup up to genus
+    g_max, and with each of its points that point's whole box.
 
-    Index. On N^p a point is its own index. |box(x)| = prod(x_i + 1) is at
-    least x_i + 1, so P lies in the cube 0..2 g_max + 1. On a sector a
+    Index. On N^p a point is its own index, and |box(x)| = prod(x_i + 1)
+    is at least x_i + 1, so P lies in the cube 0..size - 1. On a sector a
     point is u * base + k * r2, as in `lattice_box`: u is the first scaled
     coordinate, and base is `unit_point(0)` moved along r2 until its second
     scaled coordinate is -lean with 0 <= lean < det. A cone point then has
-    k >= ceil(u * lean / det) >= 0, and counting box(u, k) row by row gives
-        |box(u, k)| = (u + 1)(k + 1) - 2 * sum_{j <= u} ceil(j * lean / det).
-    A box holds floor(U / det) + floor(V / det) + 1 ray multiples, for
-    scaled coordinates U and V, so P lies in the rows u < (2 g_max + 2) det.
-    Those rows are scanned, each in closed form, for the last row and the
-    last column that meet P. Each index coordinate t then ranges over
-    0..extents[t] - 1, and every row has the same k range.
+    k >= lo(u) = ceil(u * lean / det) >= 0, and counting box(u, k) row by
+    row gives
+        |box(u, k)| = (u + 1)(k + 1) - 2 * sum_{j <= u} lo(j),
+    which grows by u + 1 >= 1 with each step of k: P holds at most size
+    points of a row, lo(u) <= k < lo(u) + size. A box holds
+    floor(U / det) + floor(V / det) + 1 ray multiples, for scaled
+    coordinates U and V, so P lies in the rows u < size * det, which are
+    scanned once, each in closed form.
 
-    Slots. The index i maps to the slot sum(i[t] * strides[t]), with the
-    last coordinate fastest, and slot j maps to the field at bit width * j.
-    Adding a point m adds slot(m) to the slot of every point y whose sum
-    y + m stays inside the index box, so the sum is one `<<` of a masked
-    `int` (see `move`). A sector's rectangle also has slots outside the
-    cone: they hold no member and a count of 0, and no sum of two cone
-    points lands on them.
+    Slots. The index i maps to the slot sum(i[t] * size^(p - 1 - t)), and
+    slot j to the field at bit width * j. On N^p that is the cube, row by
+    row. On a sector, row u of P fills slots u * size + lo(u) onwards, at
+    most size of them, and lo(u + 1) >= lo(u), so the rows do not overlap:
+    the slots number O(size^2 * det) however far P leans. The map is
+    linear, so a point m moves the slot of every y with y + m in P by the
+    same slot(m), one `<<` of a masked `int` (see `move`). Slots of points
+    outside P hold no member and a count of 0.
 
-    Counts. `counts` holds, for each point x, the number of ordered pairs
-    of nonzero members of the gap-free semigroup that sum to x: |box(x)| - 2,
-    saturated at sat = 2 g_max + 1. Removing a member m takes the pairs
-    (m, y) and (y, m) from each point m + y, and one pair from 2m, so a
-    count drops by at most 2 per removal. A point of P has its whole box,
-    so all its pairs, in the layout, and a count of at most 2 g_max: it
-    stays exact through every removal. Every other point starts saturated,
-    so its count stays at 1 or more through g_max removals; it is never a
-    minimal generator. No count goes below 0 or reaches the top bit of its
-    field, `width` = sat.bit_length() + 1 bits wide: that bit is a guard
-    (see `zeros`).
+    Counts. `counts` holds, for each point x of P, the number of ordered
+    pairs of nonzero members of the gap-free semigroup that sum to x:
+    |box(x)| - 2, at most 2 g_max. Both points of each pair lie in box(x),
+    so in P: removing a member m takes exactly the pairs (m, y) and (y, m)
+    from each point m + y of P (one pair from 2m), and every count stays
+    exact through any number of removals. A field is `width` =
+    (2 g_max + 1).bit_length() + 1 bits wide; its top bit is a guard (see
+    `zeros`).
 
     The layout is charged to CONESEMI_CAPACITY in 64-bit words before it is
-    built, and each mask in words when it is built (see `charge` for cap).
-    Nothing is computed at import.
+    built, after a sector's row scan is charged by its rows, and each mask
+    in words when it is built (see `charge` for cap). Nothing is computed
+    at import.
     """
 
     def __init__(self, cone: Cone, g_max: int, cap: int | None = None):
         if cap is None:
             cap = capacity()
+        self.cone, self.g_max = cone, g_max
         size = 2 * g_max + 2  # the largest box of a point of P
-        self.cone = cone
-        sat = size - 1
-        self.width = width = sat.bit_length() + 1
+        self.width = width = (size - 1).bit_length() + 1
         self.top = width - 1  # the guard bit of each field
         if cone.full:
-            self.extents = (size,) * cone.p
-            rows = [(0, 1)]  # (row number, box slope)
-            for _ in range(cone.p - 1):
-                rows = [(j * size + i, a * (i + 1)) for j, a in rows for i in range(size)]
-            # row j starts at slot j * size, and along it |box(k)| = a * (k + 1)
-            rows = [(j * size, 0, a, a) for j, a in rows]
+            # the last slot of the cube holding P is that of (size - 1, 0, ...)
+            self.slots = (size - 1) * size ** (cone.p - 1) + 1
+            self.words = width * self.slots // 64 + 1
+            charge(self.words, LAYOUT, cap)
+            boxes = [((), 1)]  # (index, |box|)
+            for _ in range(cone.p):
+                boxes = [(x + (i,), b * (i + 1)) for x, b in boxes for i in range(size // b)]
         else:
             d = cone.det
             r2 = cone.rays[1]
@@ -517,76 +517,86 @@ class Layout:
             self.base = (base[0] - q * r2[0], base[1] - q * r2[1])
             self.lean = lean = q * d - c
             charge(size * d, LAYOUT, cap)
-            scan, total, last, top = [], 0, 0, 0
+            rows, total = [], 0
             for u in range(size * d):
                 lo = -(-u * lean // d)
                 total += lo
                 # |box(u, k)| = (u + 1) * k + (u + 1 - 2 * total) <= size
                 hi = (size + 2 * total) // (u + 1) - 1
-                scan.append((lo, u + 1, u + 1 - 2 * total))
                 if hi >= lo:
-                    last, top = u, max(top, hi)
-            self.extents = (last + 1, top + 1)
-            rows = [(u * (top + 1), *row) for u, row in enumerate(scan[: last + 1])]
-        n = self.extents[-1]
-        self.strides = tuple(n ** t for t in reversed(range(len(self.extents))))
-        self.slots = self.strides[0] * self.extents[0]
-        self.words = width * self.slots // 64 + 1
-        charge(self.words, LAYOUT, cap)
-        ones = self._repunit(1, n)
-        members = counts = 0
-        for j, lo, a, b in rows:
-            k = lo
-            row = 0
-            while k < n and a * k + b - 2 < sat:
-                row |= max(a * k + b - 2, 0) << width * k
-                k += 1
-            row |= sat * (ones >> width * k << width * k)
-            members |= ones >> width * lo << width * lo << width * j
-            counts |= row << width * j
-        self.members = members ^ 1  # 0 is no nonzero member
-        self.counts = counts
-        self.guards = (ones * (1 << width - 1)) * self._repunit(n, self.slots // n)
+                    rows.append((u, lo, hi, u + 1 - 2 * total))
+            self.slots = max(u * size + hi for u, _, hi, _ in rows) + 1
+            self.words = width * self.slots // 64 + 1
+            charge(self.words, LAYOUT, cap)
+            boxes = [((u, k), (u + 1) * k + b) for u, lo, hi, b in rows for k in range(lo, hi + 1)]
+        self.strides = [size ** t for t in reversed(range(cone.p))]
+        self.radix = 2 * max(max(i) for i, _ in boxes) + 2
+        slots = [self._slot(i) for i, _ in boxes]
+        # index: the index of each slot; keys: the slot of each index's key
+        self.index = {j: i for j, (i, _) in zip(slots, boxes)}
+        self.keys = {self._key(i): j for j, i in self.index.items()}
+        ones = self._pack((j, 1) for j in slots)
+        self.members = ones ^ 1  # 0 is no nonzero member
+        self.counts = self._pack((j, b - 2) for j, (_, b) in zip(slots, boxes) if b > 2)
+        self.guards = ones << self.top
         self.moves: dict[int, tuple] = {}
         self.boxes: dict[int, int] = {}
         self.names: dict[int, tuple] = {}
 
-    def _repunit(self, stride: int, n: int) -> int:
-        """A 1 in the field of slots 0, stride, ..., (n - 1) * stride."""
-        step = self.width * stride
-        return ((1 << step * n) - 1) // ((1 << step) - 1)
+    def _key(self, i: tuple) -> int:
+        """The index i as one integer in base `radix`. Each coordinate of P
+        is below radix / 2, so the key of a sum of two indexes of P is the
+        sum of their keys, and the difference of their keys is the key of
+        a point of P only if their difference is that point."""
+        key = 0
+        for c in i:
+            key = key * self.radix + c
+        return key
 
-    def _index(self, j: int) -> list[int]:
-        out = []
-        for s in self.strides:
-            i, j = divmod(j, s)
-            out.append(i)
-        return out
+    def _slot(self, i: tuple) -> int:
+        """The slot of the index i."""
+        return sum(map(int.__mul__, i, self.strides))
+
+    def _pack(self, fields) -> int:
+        """The `int` with v in the field of slot j for each (j, v) of fields."""
+        out = bytearray(8 * self.words)
+        width = self.width
+        for j, v in fields:
+            bit = width * j
+            while v:
+                if v & 1:
+                    out[bit >> 3] |= 1 << (bit & 7)
+                v >>= 1
+                bit += 1
+        return int.from_bytes(out, "little")
+
+    def _ones(self, slots: list[int], cap: int | None) -> int:
+        """1 in the field of each slot, charged in words before it is built."""
+        charge(self.width * max(slots, default=0) // 64 + 1, LAYOUT, cap)
+        return self._pack((j, 1) for j in slots)
 
     def slot(self, x: Point) -> int | None:
-        """The slot of the cone point x, or None outside the index box."""
+        """The slot of the cone point x, or None if x is not in P."""
         cone = self.cone
         if cone.full:
-            index = x
+            i = tuple(x)
         else:
             u, v = cone.scaled_coords(x)
-            index = (u, (v + u * self.lean) // cone.det)
-        if all(0 <= i < e for i, e in zip(index, self.extents)):
-            return sum(i * s for i, s in zip(index, self.strides))
-        return None
+            i = (u, (v + u * self.lean) // cone.det)
+        j = self._slot(i)
+        return j if self.index.get(j) == i else None
 
     def name(self, j: int) -> tuple:
         """(canonical key, point) of slot j, cached in `names`."""
-        index = self._index(j)
+        x = self.index[j]
         if not self.cone.full:
-            (u, k), (bx, by), (rx, ry) = index, self.base, self.cone.rays[1]
-            index = (u * bx + k * rx, u * by + k * ry)
-        x = tuple(index)
+            (u, k), (bx, by), (rx, ry) = x, self.base, self.cone.rays[1]
+            x = (u * bx + k * rx, u * by + k * ry)
         self.names[j] = out = (canon_key(x), x)
         return out
 
     def zeros(self, counts: int) -> int:
-        """The low bit of each field of counts that holds 0: setting a
+        """The low bit of each field of P whose count is 0: setting a
         field's guard bit and subtracting the count leaves the guard set
         only where the count is 0, and no field borrows from the next."""
         guards = self.guards
@@ -594,59 +604,22 @@ class Layout:
 
     def move(self, j: int, cap: int | None = None) -> tuple[int, int, int, int]:
         """(bit, shift, mask, plus) for the point m at slot j, cached in
-        `moves`: bit is m's field, mask selects the points y with y + m in
-        the index box, y + m lies `shift` - 1 bits above y, and plus is 1 in
-        the field of 2m if the index box holds it, else 0. So
-        ((F & mask) << shift) is 2 in the field of y + m for each y in F."""
-        width = self.width
-        charge(width * (self.slots - 1 - j) // 64 + 1, LAYOUT, cap)
-        index = self._index(j)
-        mask = 1
-        for i, e, s in zip(index, self.extents, self.strides):
-            mask *= self._repunit(s, e - i)
-        inside = all(2 * i < e for i, e in zip(index, self.extents))
-        plus = 1 << 2 * width * j if inside else 0
+        `moves`: bit is m's field, mask selects the points y of P with
+        y + m in P, y + m lies `shift` - 1 bits above y, and plus is 1 in
+        the field of 2m if 2m is in P, else 0. So ((F & mask) << shift) is
+        2 in the field of y + m for each y in F."""
+        keys, km, width = self.keys, self._key(self.index[j]), self.width
+        mask = self._ones([s for k, s in keys.items() if k + km in keys], cap)
+        plus = 1 << 2 * width * j if mask >> width * j & 1 else 0
         self.moves[j] = out = (1 << width * j, width * j + 1, mask, plus)
         return out
 
     def box(self, j: int, cap: int | None = None) -> int:
         """The lattice box of the point at slot j, 1 in each of its fields,
-        cached in `boxes`; on a sector, row u' of the box of (u, k) runs from
-        ceil(u' * lean / det) to k - ceil((u - u') * lean / det)."""
-        charge(self.width * j // 64 + 1, LAYOUT, cap)
-        index = self._index(j)
-        if self.cone.full:
-            mask = 1
-            for i, s in zip(index, self.strides):
-                mask *= self._repunit(s, i + 1)
-        else:
-            (u, k), d, lean, n = index, self.cone.det, self.lean, self.extents[1]
-            row = self._repunit(1, k + 1)
-            mask = 0
-            for w in range(u + 1):
-                lo, cut = -(-w * lean // d), -(-(u - w) * lean // d)
-                mask |= (row >> self.width * (lo + cut) << self.width * lo) << self.width * n * w
-        self.boxes[j] = mask
+        cached in `boxes`: the points y of P with x - y in P."""
+        keys, kx = self.keys, self._key(self.index[j])
+        self.boxes[j] = mask = self._ones([s for k, s in keys.items() if kx - k in keys], cap)
         return mask
-
-
-_LAYOUTS: dict = {}
-
-
-def lattice_layout(cone: Cone, g_max: int, cap: int | None = None) -> Layout:
-    """The `Layout` of a walk to genus g_max on cone, kept for the next walk
-    on the same pair (the last four are kept). A kept layout is charged
-    again, so a lower cap still refuses it."""
-    key = (cone, g_max)
-    layout = _LAYOUTS.get(key)
-    if layout is None:
-        layout = Layout(cone, g_max, cap)
-        if len(_LAYOUTS) >= 4:
-            del _LAYOUTS[next(iter(_LAYOUTS))]
-        _LAYOUTS[key] = layout
-    else:
-        charge(layout.words, LAYOUT, cap)
-    return layout
 
 
 def lower_set(cone: Cone, x: Point) -> list[Point]:

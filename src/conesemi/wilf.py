@@ -22,7 +22,8 @@ pool threads.
 The walk is bit-parallel (Fromentin and Hivert, "Exploring the tree of
 numerical semigroups", Math. Comp. 2016), with Python's `int` as the
 vector register. A node is a few masks over one packed `geom.Layout` of
-the cone points the walk can read, built once per (cone, g_max):
+the cone points the walk can read, built once per walk (the workers of a
+split sweep inherit the parent's):
   * F, the nonzero members, one bit per point;
   * dec, the ordered two-member decompositions of each point, one field
     per point;
@@ -68,6 +69,7 @@ from .errors import InvalidInput
 # lower_set is unused here but stays importable: the benchmark tracer
 # replaces wilf.lower_set along with the other modules' copies
 from .geom import (
+    LAYOUT,
     Cone,
     Layout,
     box_scan,
@@ -75,7 +77,6 @@ from .geom import (
     capacity,
     charge,
     lattice_box,
-    lattice_layout,
     lower_set,
 )
 from .semigroup import CSemigroup, make_csemigroup
@@ -249,7 +250,7 @@ def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     cap = capacity()
-    layout = lattice_layout(cone, g_max, cap)
+    layout = Layout(cone, g_max, cap)
     levels = [[] for _ in range(g_max + 1)]
     for gaps, _, _ in _walk(layout, _node(layout, (), cap), g_max, 0, cap):
         levels[len(gaps)].append(CSemigroup(cone, gaps))
@@ -410,18 +411,28 @@ def get_context():
 # so the count covers the worker's earlier subtrees of the same sweep.
 _pool_walked = 0
 
+# The layout of the split sweep in progress: set before the workers are
+# forked, so they inherit it, and cleared when they are done.
+_sweep_layout: Layout | None = None
+
 
 def _sweep_node(task) -> tuple:
     """Sweep the subtree under one root: a (count, least margin or None,
     counterexamples) row for each genus from the root's up to g_max.
 
     The task is (root, g_max, walked, pooled). CONESEMI_CAPACITY is read
-    once, here, and the layout is the one kept for (cone, g_max): a split
-    sweep builds it before it forks, so its workers inherit it.
+    once, here. The layout is the split sweep's own if it is for (cone,
+    g_max), charged again so a lower cap still refuses it, and otherwise
+    built here.
     """
     root, g_max, walked, pooled = task
     cap = capacity()
-    return _sweep(lattice_layout(root.cone, g_max, cap), root, g_max, walked, pooled, cap)
+    layout = _sweep_layout
+    if layout is not None and (layout.cone, layout.g_max) == (root.cone, g_max):
+        charge(layout.words, LAYOUT, cap)
+    else:
+        layout = Layout(root.cone, g_max, cap)
+    return _sweep(layout, root, g_max, walked, pooled, cap)
 
 
 def _sweep(layout: Layout, root: CSemigroup, g_max: int, walked: int, pooled: bool, cap: int):
@@ -466,13 +477,14 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     as it goes, and a split walk's merged total before this returns; this
     process reads CONESEMI_CAPACITY once, and each task once more.
     """
+    global _sweep_layout
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     cap = capacity()
-    layout = lattice_layout(cone, g_max, cap)
+    layout = Layout(cone, g_max, cap)
     level, cut, walked = [_node(layout, (), cap)], 0, 0
     while jobs > 1 and cut < g_max and len(level) < 8 * jobs:
         walked += len(level)
@@ -484,8 +496,12 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     parts = [(0, _sweep(layout, make_csemigroup(cone, []), cut - 1, 0, False, cap))]
     if level:
         tasks = [(CSemigroup(cone, s[0]), g_max, walked, True) for s in level]
-        with get_context().Pool(jobs) as pool:
-            rows = pool.map(_sweep_node, tasks, chunksize=1)
+        _sweep_layout = layout
+        try:
+            with get_context().Pool(jobs) as pool:
+                rows = pool.map(_sweep_node, tasks, chunksize=1)
+        finally:
+            _sweep_layout = None
         parts += [(cut, r) for r in rows]
     counts = [0] * (g_max + 1)
     margins = []

@@ -260,3 +260,27 @@ def test_closure_check_charges_a_box_before_storing_its_row(site, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 40_000
+
+
+@pytest.mark.parametrize("call", [wilf_sweep, enumerate_genus])
+def test_a_huge_genus_is_refused_by_its_layout_first(call):
+    """N^3 to genus 10^5 needs a cube of about 8 * 10^15 slots: the default
+    budget refuses the layout before any of it, or any node, is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded, match="^the lattice layout needs more than"):
+            call(Cone.full_cone(3), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000
+
+
+def test_a_leaning_sector_lays_out_in_few_words(monkeypatch):
+    """On (1, 0), (999, 1000) the lean is 999: the points a * (1, 0) run
+    along a diagonal of their (u, k) rows. The layout to genus 4 scans
+    10 * 1000 rows and packs 98,992 slots of 5 bits, about 7,700 words, so
+    the whole sweep fits a cap of 20,000."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "20000")
+    sweep = wilf_sweep(Cone.from_rays((1, 0), (999, 1000)), 4)
+    assert sweep.counts == (1, 3, 13, 52, 197)

@@ -527,6 +527,9 @@ TREE_WALKS = {
              'sha256:0d9d5e62dc529f7646dc884622534877', 'sha256:c0dfd3348a4dab55996d721cadcde7aa'),
     "det20": ('{"type":"rays2d","rays":[[1,0],[1,20]]}', 4,
               'sha256:0ae67e5ee40abfd744c25af9ec1e9b2c', 'sha256:744ac4621fe69772f07c4c5cf80409cd'),
+    # lean 99: the multiples of (1, 0) run along a diagonal of the layout's rows
+    "lean99": ('{"type":"rays2d","rays":[[1,0],[99,100]]}', 4,
+               'sha256:b570f003bdcd75130cc7b578c1edca60', 'sha256:a37c5d2807cb9cba9101a7588a66e415'),
 }
 
 

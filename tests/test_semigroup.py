@@ -34,7 +34,7 @@ from conesemi.errors import (
     ZeroShift,
 )
 from conesemi.fme import feasible_strict
-from conesemi.geom import add, canon_key, capacity, lattice_layout, sub, weight
+from conesemi.geom import Layout, add, canon_key, capacity, sub, weight
 from conesemi.semigroup import _pack
 from conesemi.wilf import _child, _node, _past, enumerate_genus
 
@@ -585,7 +585,7 @@ def _closed_gap_set(cone, data):
             key=canon_key,
         )
     cap = capacity()
-    layout = lattice_layout(cone, 8, cap)
+    layout = Layout(cone, 8, cap)
     node = _node(layout, (), cap)
     for _ in range(data.draw(st.integers(0, 8))):
         kids = _past(layout, node)

@@ -12,7 +12,6 @@ from conesemi import (
     Cone,
     CSemigroup,
     enumerate_cone_points,
-    geom,
     lower_set_semigroup,
     make_csemigroup,
     oracle_all_gapsets,
@@ -21,7 +20,7 @@ from conesemi import (
 )
 from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
-from conesemi.geom import Layout, canon_key, capacity, lattice_box, lattice_layout
+from conesemi.geom import Layout, canon_key, capacity, lattice_box
 from conesemi.semigroup import msg_weight_bound
 from conesemi.wilf import enumerate_genus, wilf_report, wilf_sweep
 
@@ -139,9 +138,7 @@ def test_enumerate_builds_no_boxes(full2, monkeypatch):
 
     monkeypatch.setattr(wilf, "lattice_box", no_box)
     monkeypatch.setattr(Layout, "box", no_box)
-    monkeypatch.setattr(geom, "_LAYOUTS", {})
     assert [lv.count for lv in enumerate_genus(full2, 4)] == [1, 2, 7, 23, 71]
-    assert geom._LAYOUTS[full2, 4].boxes == {}
 
 
 def test_enumerate_children_validate(cone_skew):
@@ -391,7 +388,7 @@ def _walk(cone, g_max, gaps=()):
     """The layout for g_max and the (gaps, e, c) of each node of the
     counted walk under the node with these gaps, in walk order."""
     cap = capacity()
-    layout = lattice_layout(cone, g_max, cap)
+    layout = Layout(cone, g_max, cap)
     root = wilf._node(layout, tuple(gaps), cap)
     return layout, list(wilf._walk(layout, root, g_max, 0, cap, True))
 
@@ -452,7 +449,7 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
     minimal generator, which need not lie past the largest gap."""
     cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20]))
     cap = capacity()
-    layout = lattice_layout(cone, 9, cap)
+    layout = Layout(cone, 9, cap)
     node = wilf._node(layout, (), cap)
     while True:
         s = CSemigroup(cone, node[0])
@@ -471,9 +468,10 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
         node = wilf._child(layout, node, data.draw(st.sampled_from(kids))[1], cap, True)
 
 
-# the genus each cone's oracle test walks to at most: the pairwise scan of
-# a det-20 node at genus 2 already takes about 50 ms
-ORACLE_GENUS = {"full1": 12, "full2": 6, "full3": 4, "cone_a": 6, "cone_skew": 5, "det20": 2}
+# the genus each cone's oracle test walks to at most: at genus 2 the pairwise
+# scan of a det-20 node can pass the default budget (the gaps (1, 20), (2, 39)
+# need 11.8 million pairs); the random-path test takes DET20 on to genus 9
+ORACLE_GENUS = {"full1": 12, "full2": 6, "full3": 4, "cone_a": 6, "cone_skew": 5, "det20": 1}
 
 
 def _oracle_check(layout, cone, gaps, e, c):
@@ -500,7 +498,7 @@ def test_every_walk_node_matches_the_oracle(request, data):
     cone = DET20 if name == "det20" else request.getfixturevalue(name)
     g_max = data.draw(st.integers(1, ORACLE_GENUS[name]))
     cap = capacity()
-    layout = lattice_layout(cone, g_max, cap)
+    layout = Layout(cone, g_max, cap)
     node = wilf._node(layout, (), cap)
     while True:
         genus = len(node[0])
