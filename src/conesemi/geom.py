@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from math import gcd
+import re
+from functools import cached_property
+from math import gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -388,29 +390,6 @@ def json_points(value, path: str) -> list[Point]:
     return points
 
 
-def box_scan(cone: Cone, x: Point) -> tuple[int, str]:
-    """(steps, what): the points `lattice_box` scans for the box of x, and
-    the name its charge goes under."""
-    if cone.full:
-        size = 1
-        for c in x:
-            size *= c + 1
-        return size, "the lower set"
-    d = cone.det
-    uh, vh = cone.scaled_coords(x)
-    # the lattice points with one scaled coordinate fixed have the other in
-    # one residue class mod d, so either coordinate bounds the count; the
-    # scan also steps through every u, listed or not
-    points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
-    return max(uh + 1, points), "the lower-set scan"
-
-
-def charge_box(cone: Cone, x: Point, cap: int | None = None) -> None:
-    """Charge the lattice box of x, as `lattice_box` scans it, to
-    CONESEMI_CAPACITY (see `charge` for cap)."""
-    charge(*box_scan(cone, x), cap)
-
-
 def lattice_box(cone: Cone, x: Point, cap: int | None = None) -> list[Point]:
     """Cone lattice points a with x - a also in the cone, for x in the cone.
 
@@ -419,24 +398,197 @@ def lattice_box(cone: Cone, x: Point, cap: int | None = None) -> list[Point]:
     the point i places from the start. The box is charged to
     CONESEMI_CAPACITY before it is scanned (see `charge` for cap).
     """
-    charge_box(cone, x, cap)
     if cone.full:
+        size = 1
+        for c in x:
+            size *= c + 1
+        charge(size, "the lower set", cap)
         return list(itertools.product(*(range(c + 1) for c in x)))
     d = cone.det
     r2 = cone.rays[1]
     uh, vh = cone.scaled_coords(x)
-    # the lattice points with scaled ray-1 coordinate u are u * base + k * r2,
-    # with scaled ray-2 coordinate u * c + k * d: one residue class of v
-    base = cone.unit_point(0)
-    c = cone.residue_step(1)
-    pts = []
-    for u in range(uh + 1):
-        bx, by = u * base[0], u * base[1]
-        pts.extend(
-            (bx + k * r2[0], by + k * r2[1])
-            for k in range(-(u * c // d), (vh - u * c) // d + 1)
-        )
-    return pts
+    # the lattice points with one scaled coordinate fixed have the other in
+    # one residue class mod d, so either coordinate bounds the count; the
+    # scan also steps through every u, listed or not
+    points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
+    charge(max(uh + 1, points), "the lower-set scan", cap)
+    # the points of row u are those of Basis with 0 <= k * d - u * lean <= vh
+    _, (bx, by), lean = Basis.of(cone)
+    return [(u * bx + k * r2[0], u * by + k * r2[1]) for u in range(uh + 1)
+            for k in range(-(-u * lean // d), (vh + u * lean) // d + 1)]
+
+
+class Basis(NamedTuple):
+    """The index of cone lattice points that `Layout` and `Grid` share.
+
+    On N^p a point is its own index. On a sector a point is u * base + k * r2,
+    as in `lattice_box`: u is its first scaled coordinate, and base is
+    `unit_point(0)` moved along r2 until its second scaled coordinate is
+    -lean with 0 <= lean < det. The second scaled coordinate of (u, k) is
+    then k * det - u * lean, so a cone point has k >= ceil(u * lean / det) >= 0.
+    """
+
+    cone: Cone
+    base: Point
+    lean: int
+
+    @staticmethod
+    def of(cone: Cone) -> "Basis":
+        if cone.full:
+            return Basis(cone, (), 0)
+        d, r2 = cone.det, cone.rays[1]
+        base = cone.unit_point(0)
+        c = cone.residue_step(1)  # the second scaled coordinate of base
+        q = -(-c // d)
+        return Basis(cone, (base[0] - q * r2[0], base[1] - q * r2[1]), q * d - c)
+
+    def index(self, x: Point) -> tuple:
+        """The index of the cone point x."""
+        cone = self.cone
+        if cone.full:
+            return tuple(x)
+        u, v = cone.scaled_coords(x)
+        return (u, (v + u * self.lean) // cone.det)
+
+    def point(self, i: tuple) -> Point:
+        """The point of the index i."""
+        if self.cone.full:
+            return i
+        (u, k), (bx, by), (rx, ry) = i, self.base, self.cone.rays[1]
+        return (u * bx + k * rx, u * by + k * ry)
+
+
+GRID = "the lattice grid"
+
+
+class Grid:
+    """The cone lattice points whose scaled coordinates are at most `bounds`,
+    the box, one bit each of one `int`.
+
+    Slots. A point's index (see `Basis`) i maps to the slot
+    sum(i[t] * strides[t]). The last stride is 1 and each other is twice the
+    extent of the coordinates after it, so an index whose coordinates lie
+    above minus and below twice the extents, as a sum or difference of two
+    box points does, has the slot of a box point only if it is that point.
+    A shift by the slot of a point a therefore takes the bit of each box
+    point y to that of y + a (`<<`) or y - a (`>>`), and `& ones` keeps
+    those in the box. A nonzero
+    cone point has an index of nonnegative coordinates, not all 0, so a
+    positive slot; the slot of 0 is 0.
+
+    The grid is charged to CONESEMI_CAPACITY in 64-bit words, or in rows
+    where those are more, before it is built.
+    """
+
+    def __init__(self, cone: Cone, bounds: tuple[int, ...]):
+        self.cone, self.bounds = cone, bounds
+        self.basis = Basis.of(cone)
+        # a full cone has lean 0 and det 1: its index is the point
+        d, lean, last = cone.det, self.basis.lean, bounds[-1]
+        extents = [b + 1 for b in bounds[:-1]] + [(last + bounds[0] * lean) // d + 1]
+        self.strides = strides = [1]
+        for e in reversed(extents[1:]):
+            strides.insert(0, 2 * e * strides[0])
+        top = sum((e - 1) * s for e, s in zip(extents, strides))  # the last slot
+        self.nbytes = top // 8 + 1
+        # a row for each index of the coordinates before the last
+        charge(max(top // 64 + 1, prod(extents[:-1])), GRID)
+        out = bytearray(self.nbytes)
+        for head in itertools.product(*map(range, extents[:-1])):
+            # on a sector, row u holds the k with 0 <= k * d - u * lean <= last
+            w = sum(head) * lean
+            lo, hi = -(-w // d), (last + w) // d
+            if lo <= hi:
+                # rows come in slot order, so only a row's first byte can
+                # hold bits of the row before it
+                start = self.index_slot(head + (lo,))
+                run = ((1 << hi - lo + 1) - 1) << (start & 7)
+                chunk = run.to_bytes((run.bit_length() + 7) // 8, "little")
+                i = start >> 3
+                out[i] |= chunk[0]
+                out[i + 1:i + len(chunk)] = chunk[1:]
+        self.ones = int.from_bytes(out, "little")
+
+    def index_slot(self, i: tuple) -> int:
+        """The slot of the index i."""
+        return sum(map(int.__mul__, i, self.strides))
+
+    def point(self, j: int) -> Point:
+        """The box point at slot j."""
+        i = []
+        for s in self.strides:
+            c, j = divmod(j, s)
+            i.append(c)
+        return self.basis.point(tuple(i))
+
+    def mask(self, points) -> int:
+        """1 at the slot of each of these box points."""
+        out = bytearray(self.nbytes)
+        for x in points:
+            j = self.index_slot(self.basis.index(x))
+            out[j >> 3] |= 1 << (j & 7)
+        return int.from_bytes(out, "little")
+
+    def points(self, mask: int) -> list[Point]:
+        """The box points of a mask, in canonical order."""
+        # the 1s of the binary digits, lowest bit first
+        slots = (m.start() for m in re.finditer("1", bin(mask)[:1:-1]))
+        return sorted(map(self.point, slots), key=canon_key)
+
+    def split(self, members: int, holes: int = 0) -> tuple[list[int], int]:
+        """(atoms, hits) for a mask M of nonzero box points: the sums are the
+        box points a + m for an atom a and m in M, the atoms are the slots of
+        the points of M that are no sum, lowest first, and hits masks the
+        points of the mask holes that are sums.
+
+        A sum a + m lies above a and m in slot order, since their slots are
+        positive, so the lowest point of M not yet among the sums is an
+        atom, and its sums are known before any point above it is read. The
+        walk keeps only what lies above the last atom j, shifted down by
+        j + 1: there the sums of the next atom j' = j + 1 + k are M >> 1,
+        shifted down by k + 1 along with the rest.
+
+        When M is closed under the sums of its points that lie in the box,
+        as the nonzero members of a semigroup are, the atoms are the points
+        of M that are no sum of two: if x = a + b with a not an atom, then
+        a = a' + m with a' an atom, and x = a' + (m + b).
+        """
+        atoms, j, hits = [], -1, 0
+        rest, sums = members, members >> 1
+        while rest:
+            k = (rest & -rest).bit_length()
+            j += k
+            atoms.append(j)
+            rest >>= k
+            rest ^= rest & sums
+            if holes:
+                holes >>= k
+                if hit := holes & sums:
+                    hits |= hit << j + 1
+        return atoms, hits
+
+    @cached_property
+    def cone_atoms(self) -> list[int]:
+        """The slots of the nonzero box points that are no sum of two such
+        points (see `split`): every nonzero box point is a sum of these."""
+        return self.split(self.ones ^ 1)[0]
+
+    def below(self, mask: int) -> int:
+        """The box points below some point of the mask in the cone order.
+
+        That is the mask closed under subtracting each cone atom b, as often
+        as the box allows: by shifts of 2^i * b, i = 0, 1, ..., each after
+        the shifts before it, so k * b for every k < 2^(i + 1). Once 2^i * b
+        leaves the box no box point lies above it, and the shift would no
+        longer be one to one (see the class docstring) but land on box bits.
+        """
+        ones, bounds, down = self.ones, self.bounds, mask
+        for j in self.cone_atoms:
+            scaled = self.cone.scaled_coords(self.point(j))
+            while all(map(int.__le__, scaled, bounds)):
+                down |= (down >> j) & ones
+                j, scaled = 2 * j, [2 * c for c in scaled]
+        return down
 
 
 LAYOUT = "the lattice layout"
@@ -455,13 +607,11 @@ class Layout:
     so it holds every minimal generator of every semigroup up to genus
     g_max, and with each of its points that point's whole box.
 
-    Index. On N^p a point is its own index, and |box(x)| = prod(x_i + 1)
-    is at least x_i + 1, so P lies in the cube 0..size - 1. On a sector a
-    point is u * base + k * r2, as in `lattice_box`: u is the first scaled
-    coordinate, and base is `unit_point(0)` moved along r2 until its second
-    scaled coordinate is -lean with 0 <= lean < det. A cone point then has
-    k >= lo(u) = ceil(u * lean / det) >= 0, and counting box(u, k) row by
-    row gives
+    Index. A point's index is that of `Basis`. On N^p it is the point,
+    and |box(x)| = prod(x_i + 1) is at least x_i + 1, so P lies in the cube
+    0..size - 1. On a sector it is (u, k), and a cone point has
+    k >= lo(u) = ceil(u * lean / det) >= 0; counting box(u, k) row by row
+    gives
         |box(u, k)| = (u + 1)(k + 1) - 2 * sum_{j <= u} lo(j),
     which grows by u + 1 >= 1 with each step of k: P holds at most size
     points of a row, lo(u) <= k < lo(u) + size. A box holds
@@ -497,6 +647,7 @@ class Layout:
         if cap is None:
             cap = capacity()
         self.cone, self.g_max = cone, g_max
+        self.basis = Basis.of(cone)
         size = 2 * g_max + 2  # the largest box of a point of P
         self.width = width = (size - 1).bit_length() + 1
         self.top = width - 1  # the guard bit of each field
@@ -509,13 +660,7 @@ class Layout:
             for _ in range(cone.p):
                 boxes = [(x + (i,), b * (i + 1)) for x, b in boxes for i in range(size // b)]
         else:
-            d = cone.det
-            r2 = cone.rays[1]
-            base = cone.unit_point(0)
-            c = cone.residue_step(1)  # the second scaled coordinate of base
-            q = -(-c // d)
-            self.base = (base[0] - q * r2[0], base[1] - q * r2[1])
-            self.lean = lean = q * d - c
+            d, lean = cone.det, self.basis.lean
             charge(size * d, LAYOUT, cap)
             rows, total = [], 0
             for u in range(size * d):
@@ -577,21 +722,13 @@ class Layout:
 
     def slot(self, x: Point) -> int | None:
         """The slot of the cone point x, or None if x is not in P."""
-        cone = self.cone
-        if cone.full:
-            i = tuple(x)
-        else:
-            u, v = cone.scaled_coords(x)
-            i = (u, (v + u * self.lean) // cone.det)
+        i = self.basis.index(x)
         j = self._slot(i)
         return j if self.index.get(j) == i else None
 
     def name(self, j: int) -> tuple:
         """(canonical key, point) of slot j, cached in `names`."""
-        x = self.index[j]
-        if not self.cone.full:
-            (u, k), (bx, by), (rx, ry) = x, self.base, self.cone.rays[1]
-            x = (u * bx + k * rx, u * by + k * ry)
+        x = self.basis.point(self.index[j])
         self.names[j] = out = (canon_key(x), x)
         return out
 

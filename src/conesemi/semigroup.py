@@ -12,7 +12,6 @@ Orders in play:
 
 from __future__ import annotations
 
-from bisect import bisect, bisect_left
 from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
@@ -27,14 +26,16 @@ from .errors import (
     ZeroGap,
     ZeroShift,
 )
+# enumerate_cone_points is unused here but stays importable: the benchmark
+# tracer replaces semigroup.enumerate_cone_points along with the other copies
 from .geom import (
     Cone,
+    Grid,
     Point,
     Record,
     add,
     canon_key,
     charge,
-    charge_box,
     enumerate_cone_points,
     is_zero,
     json_field,
@@ -59,7 +60,8 @@ class NumericalSemigroup(Record):
     @classmethod
     def from_gaps(cls, gaps) -> "NumericalSemigroup":
         """Validate positive gaps with the closure check of `make_csemigroup`
-        on the cone N, which charges each gap's box to CONESEMI_CAPACITY."""
+        on the cone N, which charges the grid of the gaps' box to
+        CONESEMI_CAPACITY."""
         normalized = sorted({int(g) for g in gaps})
         if normalized and normalized[0] < 1:
             raise ZeroGap("numerical semigroup gaps must be positive")
@@ -216,40 +218,13 @@ class CSemigroup(Record):
         """The unique minimal generating set: minimal nonzero elements under
         the induced order, i.e. the members with no two-member decomposition.
 
-        The certified region is scanned in canonical order, so by weight, and
-        a member x is kept unless x - c is a nonzero member for a generator c
-        found so far (see `_splits`). That test is complete: if x = a + b for
-        nonzero members a and b, then a = c + r for a generator c and a
-        member r, c is lighter than x, and x - c = r + b is a nonzero member.
-        Every region coordinate is at most its bound, so fields as wide as
-        the largest bound hold every region point and every gap.
+        They are the atoms (see `Grid.split`) of the nonzero members of the
+        grid of the certified region's box: the summands of a decomposition
+        of a box point lie in its box, so in the region.
         """
-        bounds, cap = self._generator_region
-        cone = self.cone
-        width = max(bounds).bit_length()
-        guards = _pack([1 << width] * cone.p, width)
-        holes = self._holes(width)
-        out, weights, packed = [], [], []
-        for x in enumerate_cone_points(cone, cap):
-            if is_zero(x) or x in self.gap_set:
-                continue
-            sc = cone.scaled_coords(x)
-            if any(u > b for u, b in zip(sc, bounds)):
-                continue
-            px, wx = _pack(sc, width), weight(x)
-            if not _splits(px, wx, weights, packed, guards, holes):
-                out.append(x)
-                weights.append(wx)
-                packed.append(px)
-        return tuple(out)
-
-    def _holes(self, width: int) -> set[int]:
-        """The gaps whose scaled coordinates fit fields of `width` bits, packed
-        (see `_pack`); a difference of points that fit fits too, so it is
-        never one of the other gaps."""
-        cone = self.cone
-        scaled = self.gaps if cone.full else map(cone.scaled_coords, self.gaps)
-        return {_pack(sc, width) for sc in scaled if max(sc) >> width == 0}
+        grid = Grid(self.cone, self._generator_region[0])
+        atoms, _ = grid.split(grid.ones ^ grid.mask(self.gaps) ^ 1)
+        return tuple(sorted(map(grid.point, atoms), key=canon_key))
 
     @cached_property
     def embedding_dimension(self) -> int:
@@ -262,32 +237,25 @@ class CSemigroup(Record):
         """Maximal gaps under the cone order (default) or the induced order;
         the induced-maximal gaps are the pseudo-Frobenius set.
 
-        A gap k lies above a gap h in the cone order when every scaled
-        coordinate of k - h is >= 0, and in the induced order when k - h is
-        moreover no gap. Both tests run on scaled coordinates packed once per
-        gap (see `_pack`), and only against heavier gaps: k - h is a nonzero
-        cone point, so its weight is positive.
+        Both run on the grid of the gaps' box (`gap_grid`), which holds every
+        gap above a gap. In the induced order a gap h lies below another
+        exactly when h + a is a gap for a member atom a of the box: h + s for
+        a nonzero member s = a + r is the gap h + a plus the member r, or a
+        member. In the cone order h lies below a gap exactly when h + b lies
+        below a gap for a cone atom b of the box (`Grid.below`). Either way
+        h is maximal unless its bit is in one shift of the mask above it.
         """
         if order not in ("cone", "induced"):
             raise InvalidInput(f"order must be 'cone' or 'induced', got {order!r}")
-        cone = self.cone
-        scaled = [cone.scaled_coords(h) for h in self.gaps]
-        width = max(map(max, scaled), default=0).bit_length()
-        packed = [_pack(sc, width) for sc in scaled]
-        guards = _pack([1 << width] * cone.p, width)
-        high = [pk | guards for pk in packed]
-        # without borrows, (k | guards) - h is the packed k - h plus guards
-        holes = set(high) if order == "induced" else ()
-        weights = [weight(h) for h in self.gaps]
-        out = []
-        for h, ph, wh in zip(self.gaps, packed, weights):
-            for hk in high[bisect(weights, wh):]:
-                diff = hk - ph
-                if diff & guards == guards and diff not in holes:
-                    break
-            else:
-                out.append(h)
-        return tuple(out)
+        grid, gaps = gap_grid(self.cone, self.gaps)
+        if order == "cone":
+            above, steps = grid.below(gaps), grid.cone_atoms
+        else:
+            above, steps = gaps, grid.split(grid.ones ^ gaps ^ 1)[0]
+        covered = 0
+        for j in steps:
+            covered |= above >> j
+        return tuple(grid.points(gaps & ~covered))
 
     def pseudo_frobenius(self) -> tuple[Point, ...]:
         """Gaps a with a + s in the semigroup for every nonzero member s.
@@ -380,35 +348,13 @@ class CSemigroup(Record):
         return tuple(canon_key(g) for g in self.gaps)
 
 
-def _pack(coords, width: int) -> int:
-    """Nonnegative coordinates below 2^width as one int, one field each.
-
-    Field i holds bits i*(width+1) to i*(width+1)+width-1, and the bit above
-    it is the field's guard bit; packing 2^width in every field gives the
-    mask H of all guard bits. For packed x and c, ((x | H) - c) & H == H
-    exactly when x_i >= c_i for every i: setting a guard bit lends each field
-    2^width, so no borrow crosses fields, and a field's guard bit survives
-    the subtraction unless that field borrowed it.
-    """
-    out = 0
-    for u in reversed(coords):
-        out = out << (width + 1) | u
-    return out
-
-
-def _splits(px: int, wx: int, weights, packed, guards: int, holes) -> bool:
-    """Whether x - c is a cone point outside `holes` for some c in `packed`
-    lighter than x, all packed by `_pack` with guard mask `guards`.
-
-    x is packed as px, of weight wx; `weights` lists the weights of `packed`
-    in ascending order. When no field borrows, x - c is a cone point, and it
-    is nonzero since the weights differ.
-    """
-    high = px | guards
-    for pc in packed[: bisect_left(weights, wx)]:
-        if (high - pc) & guards == guards and px - pc not in holes:
-            return True
-    return False
+def gap_grid(cone: Cone, gaps) -> tuple[Grid, int]:
+    """The grid of the box of these cone points, whose scaled coordinates
+    bound theirs (the box of 0 alone if there are none), and the mask of
+    the points on it. The grid is charged to CONESEMI_CAPACITY."""
+    scaled = [cone.scaled_coords(h) for h in gaps] or [(0,) * cone.p]
+    grid = Grid(cone, tuple(map(max, zip(*scaled))))
+    return grid, grid.mask(gaps)
 
 
 def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
@@ -420,23 +366,17 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
     with h - a in the cone form h's lattice box: a coordinate box in scaled
     ray coordinates.
 
-    The gaps are taken in canonical order, and each is stored as one bit in
-    p rows: for each scaled coordinate, the row of the lattice points that
-    share its other coordinates, at the point's index along that
-    coordinate. On a sector a row's lattice points form one residue class
-    mod det (see `Cone.residue_step`), and a point's index is its
-    coordinate divided by det. The rows are complete for h when h is
-    tested: a gap g != h in h's box has h - g a nonzero cone point, whose
-    weight is positive, so g is lighter than h and was stored before it.
-
-    h is tested along its longest axis: for each prefix q (the other
-    coordinates) the free points of row q, read forward, meet the free
-    points of row h - q, read backward, exactly where a and h - a are both
-    members. Each box is charged to CONESEMI_CAPACITY, as `lattice_box`
-    charges it, before any of its bits is stored. Only the canonically
-    first failing gap has its lower set scanned in canonical order, so the
-    witness in a NotClosed error is the canonically first offending
-    decomposition (first h, then first a).
+    The check runs on the grid of the gaps' box (`gap_grid`), which holds
+    each gap's box: the set is closed exactly when no gap is among the sums
+    of `Grid.split` on the nonzero members of the grid. Take the
+    canonically first gap h = a + b with a, b members. If a is not an atom,
+    a = a' + m with a' an atom and m a member; then m + b is lighter than h
+    and a sum of two members, so a member, and h = a' + (m + b) is a sum.
+    Conversely every sum of an atom and a member splits into two members.
+    So the canonically first gap among the sums is the canonically first
+    offending gap, and only its lower set is scanned in canonical order:
+    the witness in a NotClosed error is the canonically first offending
+    decomposition (first h, then first a). A set with no gap builds no grid.
     """
     seen = set()
     normalized = []
@@ -451,73 +391,17 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
             seen.add(g)
             normalized.append(g)
     normalized.sort(key=canon_key)
-    d = cone.det
-    # along axis i, the lattice points of the row at other coordinate w have
-    # coordinate i in the class of w * steps[i] mod d (d is 1 on full cones)
-    steps = (0,) * cone.p if cone.full else (cone.residue_step(0), cone.residue_step(1))
-    rows = [{} for _ in steps]
-    for h in normalized:
-        charge_box(cone, h)
-        sc = cone.scaled_coords(h)
-        for i, row in enumerate(rows):
-            key = sc[:i] + sc[i + 1:]
-            row[key] = row.get(key, 0) | 1 << sc[i] // d
-        i = sc.index(max(sc))
-        if _splits_into_members(rows[i], sc[i], sc[:i] + sc[i + 1:], d, steps[i]):
+    if normalized:
+        grid, holes = gap_grid(cone, normalized)
+        _, hits = grid.split(grid.ones ^ holes ^ 1, holes)
+        if hits:
+            h = grid.points(hits)[0]
             # a = 0 and a = h pair with the gap h, so a witness is nonzero
             for a in lower_set(cone, h):
                 b = sub(h, a)
                 if a not in seen and b not in seen:
                     raise NotClosed(h, a, b)
     return CSemigroup(cone=cone, gaps=tuple(normalized))
-
-
-def _splits_into_members(row: dict, top: int, rest: tuple[int, ...], d: int, step: int) -> bool:
-    """Whether the point h with scaled coordinate `top` along the rows of
-    `row`, and `rest` for the others, is a + (h - a) with both free in the
-    rows; see `make_csemigroup`.
-
-    Each pair of prefixes (q, rest - q) is tried once, so the first
-    coordinate of q runs to half its value. On a sector the two rows hold
-    residues r and r', and index k of row q pairs with index
-    (top - r - r') / d - k of row rest - q.
-    """
-    pairs = [((), ())]
-    for i, c in enumerate(rest):
-        pairs = [
-            (q + (u,), q2 + (c - u,))
-            for q, q2 in pairs
-            for u in range(c // 2 + 1 if i == 0 else c + 1)
-        ]
-    for q, q2 in pairs:
-        n = top
-        if d > 1:
-            n -= q[0] * step % d + q2[0] * step % d
-            if n < 0:
-                continue
-            n //= d
-        width = n + 1
-        full = (1 << width) - 1
-        free = ~row.get(q, 0) & full
-        if free:
-            free2 = ~row.get(q2, 0) & full
-            if free2 and free & _reversed(free2, width):
-                return True
-    return False
-
-
-# bit j of byte b is bit 7 - j of _REVERSED_BYTES[b]
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reversed(x: int, width: int) -> int:
-    """The low `width` bits of x in reverse order: bit j of x becomes bit
-    width - 1 - j. Reversing each byte of the little-endian bytes and reading
-    them big-endian reverses all 8n bits; the shift drops the low 8n - width
-    bits, which held the zero bits of x above `width`."""
-    n = (width + 7) // 8
-    rev = x.to_bytes(n, "little").translate(_REVERSED_BYTES)
-    return int.from_bytes(rev, "big") >> (8 * n - width)
 
 
 def msg_weight_bound(s: CSemigroup) -> int:

@@ -68,18 +68,8 @@ from typing import NamedTuple
 from .errors import InvalidInput
 # lower_set is unused here but stays importable: the benchmark tracer
 # replaces wilf.lower_set along with the other modules' copies
-from .geom import (
-    LAYOUT,
-    Cone,
-    Layout,
-    box_scan,
-    canon_key,
-    capacity,
-    charge,
-    lattice_box,
-    lower_set,
-)
-from .semigroup import CSemigroup, make_csemigroup
+from .geom import LAYOUT, Cone, Layout, canon_key, capacity, charge, lower_set
+from .semigroup import CSemigroup, gap_grid, make_csemigroup
 
 WALK = "the genus-tree walk"
 
@@ -98,23 +88,6 @@ class WilfReport(NamedTuple):
         return self._asdict()
 
 
-def _region(s: CSemigroup, cap: int | None = None) -> set:
-    """The cone points below some gap of s in the cone order, in one set.
-    Before each box is scanned, the boxes so far are charged as one running
-    total (see `geom.charge` for cap)."""
-    if cap is None:
-        cap = capacity()
-    region: set = set()
-    total = 0
-    # every gap's box lies in the box of a cone-maximal gap above it
-    for b in s.frobenius_set():
-        size, what = box_scan(s.cone, b)
-        total += size
-        charge(total, what, cap)
-        region.update(lattice_box(s.cone, b, cap))
-    return region
-
-
 def wilf_report(s: CSemigroup, c: int | None = None) -> WilfReport:
     """Count the region under the gaps and test the inequality.
 
@@ -123,11 +96,12 @@ def wilf_report(s: CSemigroup, c: int | None = None) -> WilfReport:
     induced order would give n = 0 on every semigroup: a member a with
     b - a in S for a gap b would make b = a + (b - a) a member. A caller
     that already knows c, as the sweep does, passes it; otherwise the
-    region is counted here.
+    region is counted on the grid of the gaps' box (`Grid.below`).
     """
     cone = s.cone
     if c is None:
-        c = len(_region(s))
+        grid, gaps = gap_grid(cone, s.gaps)
+        c = grid.below(gaps).bit_count()
     # every gap lies in the region, and every other region point is a member
     n = c - s.genus
     e = s.embedding_dimension

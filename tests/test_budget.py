@@ -15,6 +15,7 @@ import pytest
 
 from conesemi import (
     Cone,
+    CSemigroup,
     GeneratorInput,
     NumericalSemigroup,
     RenderSpec,
@@ -33,6 +34,7 @@ from conesemi import (
 from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
 from conesemi.fme import feasible_strict
+from conesemi.semigroup import msg_weight_bound
 
 FULL2 = Cone.full_cone(2)
 CONE_A = Cone.from_rays((1, 0), (1, 1))
@@ -40,7 +42,8 @@ DET20 = Cone.from_rays((1, 0), (1, 20))
 WIDE = Cone.from_rays((1, 0), (1, 1000))
 SKINNY = Cone.from_rays((1000, 999), (999, 998))
 SKINNY_6 = Cone.from_rays((10**6, 10**6 - 1), (10**6 - 1, 10**6 - 2))
-# the cone-maximal gaps (9, 0) and (0, 9): boxes of 10 points each, 20 together
+SKINNY_6_FREE = make_csemigroup(SKINNY_6, [])
+# the gaps on both axes up to 9
 AXES_9 = make_csemigroup(FULL2, [(i, 0) for i in range(1, 10)] + [(0, i) for i in range(1, 10)])
 
 SITES = {
@@ -57,16 +60,23 @@ SITES = {
     # the certified region's weight cap is about 4 * 10^6 mostly empty levels
     "enumerate_cone_points-levels": (
         "the enumeration to the weight cap", 1000,
-        lambda: make_csemigroup(SKINNY_6, []).minimal_generators),
+        lambda: oracle_minimals(SKINNY_6_FREE, msg_weight_bound(SKINNY_6_FREE))),
     "from_generators": (
         "the reachability table", 1000, lambda: NumericalSemigroup.from_generators([150, 151])),
-    # the closure check charges the box of the gap 1000, its 1,001 points
+    # the closure check charges the grid of the gaps' box: 2,001 bits, 32 words
     "from_gaps": (
-        "the lower set", 1000, lambda: NumericalSemigroup.from_gaps(range(1, 2001))),
+        "the lattice grid", 10, lambda: NumericalSemigroup.from_gaps(range(1, 2001))),
     "enumerate_genus": ("the genus-tree walk", 10, lambda: enumerate_genus(FULL2, 4)),
     "wilf_sweep": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4)),
-    # the region union charges its boxes' running total, not each box alone
-    "wilf_report-region": ("the lower set", 15, lambda: wilf_report(AXES_9)),
+    # the region's grid has the 10 rows of the box (9, 9); the generator
+    # region's, built after it, has 20
+    "wilf_report-region": ("the lattice grid", 9, lambda: wilf_report(AXES_9)),
+    "frobenius_set": ("the lattice grid", 9, lambda: AXES_9.frobenius_set("induced")),
+    # the gaps' grids of the ray restrictions hold 1 row; the generator
+    # region's, of the box (7, 1), 8
+    "minimal_generators": (
+        "the lattice grid", 7,
+        lambda: CSemigroup(FULL2, ((1, 0), (2, 0), (3, 0))).minimal_generators),
     # the parent walks 10 nodes to genus 2; a worker's first subtree is the 11th
     "wilf_sweep-jobs2": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4, jobs=2)),
     # strips 4 * 48 * 1 = 192 > 100 >= the box 48 and the <7, 9> table 65
@@ -75,10 +85,10 @@ SITES = {
     # det 20: the box spans 400 > 200 >= the strips' 80
     "expand-box": ("the certificate box", 200,
                    lambda: expand(GeneratorInput(DET20, tuple((1, k) for k in range(21))))),
-    # the second gap's box is charged before the closure check stores its bit
-    "make_csemigroup-full": ("the lower set", 1000,
+    # the grid of the gaps' box has 10^6 + 1 rows, charged before it is built
+    "make_csemigroup-full": ("the lattice grid", 1000,
                              lambda: make_csemigroup(FULL2, [(1, 0), (10**6, 0)])),
-    "make_csemigroup-sector": ("the lower-set scan", 1000,
+    "make_csemigroup-sector": ("the lattice grid", 1000,
                                lambda: make_csemigroup(CONE_A, [(1, 0), (10**6, 0)])),
     "plot": ("the plot viewport", 1000,
              lambda: plot(make_csemigroup(FULL2, [(1, 0)]), RenderSpec(margin=150))),
@@ -248,8 +258,8 @@ def test_deep_sweeps_run_out_of_budget_not_of_stack(monkeypatch):
 
 @pytest.mark.parametrize("site", ["make_csemigroup-full", "make_csemigroup-sector"])
 def test_closure_check_charges_a_box_before_storing_its_row(site, monkeypatch):
-    """The gap (10^6, 0) sits at bit 10^6 of its row, about 125 KB; under a
-    cap of 1,000 its box is refused before that row exists."""
+    """The gap (10^6, 0) spans a grid of about 2 * 10^6 bits, 250 KB; under a
+    cap of 1,000 the grid is refused before any of it exists."""
     what, cap, call = SITES[site]
     monkeypatch.setenv("CONESEMI_CAPACITY", str(cap))
     tracemalloc.start()

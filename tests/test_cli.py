@@ -265,8 +265,6 @@ OVER_CAPACITY = {
                               "--genus", "8000"], "", None),
     "weights-skinny-sector": (["weights"], '{"cone":{"type":"rays2d","rays":'
                               '[[1000,999],[999,998]]},"gaps":[]}', "1000"),
-    "msg-skinny-sector": (["msg"], '{"cone":{"type":"rays2d","rays":'
-                          '[[1000000,999999],[999999,999998]]},"gaps":[]}', "1000"),
 }
 
 
@@ -283,6 +281,18 @@ def test_over_capacity_is_one_error_line(case):
     assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "CapacityExceeded"
+
+
+def test_msg_on_a_skinny_unimodular_sector(cli, monkeypatch):
+    """The rays (10^6, 10^6 - 1) and (10^6 - 1, 10^6 - 2) span a cone of det 1,
+    so its gap-free semigroup is generated by the two rays. The certified
+    region's grid holds 4 points, however far apart the rays' weights put
+    the levels between them."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "1000")
+    code, out, err = cli(["msg"], '{"cone":{"type":"rays2d","rays":'
+                         '[[1000000,999999],[999999,999998]]},"gaps":[]}')
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"minimal_generators": [[999999, 999998], [1000000, 999999]]}
 
 
 def test_plot_layers_and_file(cli, tmp_path):
@@ -569,6 +579,71 @@ def test_large_genus_query_bytes(cli, case):
     argv, pinned = LARGE_GENUS[case]
     code, out, err = cli(argv, LOWER_SET_20)
     assert (code, _pin(out), err) == (0, pinned, "")
+
+
+def _in_det5(x, y):
+    """Whether (x, y) lies in the cone of (2, 1) and (1, 3)."""
+    return 3 * x - y >= 0 and 2 * y - x >= 0
+
+
+# Single-semigroup queries on large inputs: N2 minus the lower set of (100, 100)
+# (genus 10,200), the det-5 sector minus the lower set of (100, 100) (genus
+# 4,060), and a genus-2 node of the lean-999 sector (1, 0), (999, 1000)
+N2_10200 = [[x, y] for x in range(101) for y in range(101) if x or y]
+SCALE_INPUTS = {
+    "n2-10200": json.dumps({"cone": json.loads(FULL2), "gaps": N2_10200}),
+    "det5-4060": json.dumps(
+        {"cone": {"type": "rays2d", "rays": [[2, 1], [1, 3]]},
+         "gaps": [[x, y] for x in range(101) for y in range(101)
+                  if (x or y) and _in_det5(x, y) and _in_det5(100 - x, 100 - y)]}),
+    "lean999-2": '{"cone":{"type":"rays2d","rays":[[1,0],[999,1000]]},"gaps":[[1,0],[999,1000]]}',
+}
+SCALE_COMMANDS = {
+    "validate": ["validate"],
+    "msg": ["msg"],
+    "frobenius": ["frobenius"],
+    "frobenius-induced": ["frobenius", "--order", "induced"],
+    "pf": ["pf"],
+    "wilf-report": ["wilf", "report"],
+    "plot-pf-generators": ["plot", "--pf", "--generators"],
+}
+# (exit code, stdout, stderr), recorded before the queries moved onto `geom.Grid`.
+# The lean-999 node is not plotted: the plot scans its 2,000 by 2,000 viewport.
+SCALE_PINS = {
+    'n2-10200:validate': (0, '{"genus":10200,"ok":true}\n', ''),
+    'n2-10200:msg': (0, 'sha256:7c986fdc8ddf16edfe77cbbc3df4134a', ''),
+    'n2-10200:frobenius': (0, '{"frobenius_set":[[100,100]]}\n', ''),
+    'n2-10200:frobenius-induced': (0, 'sha256:7bdbb42dcc294bd2e011c1d1a61178a2', ''),
+    'n2-10200:pf': (0, 'sha256:7fb35970c484e64e473fe11960906a35', ''),
+    'n2-10200:wilf-report': (0, '{"c":10201,"e":20402,"holds":true,"margin":0,"n":1,"p":2}\n', ''),
+    'n2-10200:plot-pf-generators': (0, 'sha256:62b1c3bee71b1d75f4c468e4e4a13a83', ''),
+    'det5-4060:validate': (0, '{"genus":4060,"ok":true}\n', ''),
+    'det5-4060:msg': (0, 'sha256:52b701ee720709a1e6b13abb550ce6af', ''),
+    'det5-4060:frobenius': (0, '{"frobenius_set":[[100,100]]}\n', ''),
+    'det5-4060:frobenius-induced': (0, 'sha256:e21bb4cb169021ad6b414383e538c29a', ''),
+    'det5-4060:pf': (0, 'sha256:8ea9d5c4fd2e7e393795b56ccca4ff11', ''),
+    'det5-4060:wilf-report': (0, '{"c":4061,"e":8126,"holds":true,"margin":4,"n":1,"p":2}\n', ''),
+    'det5-4060:plot-pf-generators': (0, 'sha256:df9c95826b65436d3d932ec52a831d05', ''),
+    'lean999-2:validate': (0, '{"genus":2,"ok":true}\n', ''),
+    'lean999-2:msg': (0, 'sha256:3c5b29a2de6518dfce4cd541012a82be', ''),
+    'lean999-2:frobenius': (0, '{"frobenius_set":[[1,0],[999,1000]]}\n', ''),
+    'lean999-2:frobenius-induced': (0, '{"frobenius_set":[[1,0],[999,1000]]}\n', ''),
+    'lean999-2:pf': (0, '{"pseudo_frobenius":[[1,0],[999,1000]]}\n', ''),
+    'lean999-2:wilf-report': (0, '{"c":3,"e":7,"holds":true,"margin":1,"n":1,"p":2}\n', ''),
+    'n2-10200:not-closed': (1, '', 'sha256:19fb3b63aae3c294f15d8b2bf57c3d30'),
+}
+
+
+@pytest.mark.parametrize("case", list(SCALE_PINS))
+def test_query_bytes_at_scale(cli, case):
+    name, _, command = case.partition(":")
+    if command == "not-closed":
+        argv, text = ["validate"], json.dumps(
+            {"cone": json.loads(FULL2), "gaps": N2_10200 + [[101, 101]]})
+    else:
+        argv, text = SCALE_COMMANDS[command], SCALE_INPUTS[name]
+    code, out, err = cli(argv, text)
+    assert (code, _pin(out), _pin(err)) == SCALE_PINS[case]
 
 
 # -- malformed input ---------------------------------------------------------------------

@@ -35,7 +35,6 @@ from conesemi.errors import (
 )
 from conesemi.fme import feasible_strict
 from conesemi.geom import Layout, add, canon_key, capacity, sub, weight
-from conesemi.semigroup import _pack
 from conesemi.wilf import _child, _node, _past, enumerate_genus
 
 S_A_MSG = ((1, 0), (2, 1), (3, 2), (3, 3), (4, 4), (5, 5))
@@ -695,29 +694,3 @@ def test_closure_check_on_a_lower_set_of_genus_10200(full2):
     with pytest.raises(NotClosed) as err:
         make_csemigroup(full2, gaps + [(101, 101)])
     assert (err.value.gap, err.value.a, err.value.b) == ((101, 101), (0, 101), (101, 0))
-
-
-# -- packed scaled coordinates -----------------------------------------------------
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_guard_bit_test_agrees_with_the_componentwise_test(data):
-    """((x | H) - c) & H == H exactly when x_i >= c_i in every field, and then
-    x - c packs the fieldwise difference; sums below 2^width pack the
-    fieldwise sum. Fields are drawn at 0, at 2^width - 1 and in between."""
-    width = data.draw(st.integers(1, 12))
-    p = data.draw(st.integers(1, 3))
-    top = (1 << width) - 1
-    field = st.one_of(st.just(0), st.just(top), st.integers(0, top))
-    x = data.draw(st.lists(field, min_size=p, max_size=p))
-    c = data.draw(st.lists(field, min_size=p, max_size=p))
-    guards = _pack([1 << width] * p, width)
-    px, pc = _pack(x, width), _pack(c, width)
-    assert px & guards == 0 and pc & guards == 0
-    fits = all(a >= b for a, b in zip(x, c))
-    assert (((px | guards) - pc) & guards == guards) == fits
-    if fits:
-        assert px - pc == _pack([a - b for a, b in zip(x, c)], width)
-    if all(a + b <= top for a, b in zip(x, c)):
-        assert px + pc == _pack([a + b for a, b in zip(x, c)], width)

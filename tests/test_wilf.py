@@ -20,7 +20,7 @@ from conesemi import (
 )
 from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
-from conesemi.geom import Layout, canon_key, capacity, lattice_box
+from conesemi.geom import Layout, canon_key, capacity, lower_set
 from conesemi.semigroup import msg_weight_bound
 from conesemi.wilf import enumerate_genus, wilf_report, wilf_sweep
 
@@ -133,10 +133,10 @@ def test_enumerate_no_duplicates_and_sorted(full1, full2, full3, cone_a, cone_sk
 def test_enumerate_builds_no_boxes(full2, monkeypatch):
     """Only the sweep carries the region under the gaps."""
 
-    def no_box(layout, j, cap=None):
+    def no_box(*args):
         raise AssertionError("enumerate_genus built a lattice box")
 
-    monkeypatch.setattr(wilf, "lattice_box", no_box)
+    monkeypatch.setattr(wilf, "gap_grid", no_box)
     monkeypatch.setattr(Layout, "box", no_box)
     assert [lv.count for lv in enumerate_genus(full2, 4)] == [1, 2, 7, 23, 71]
 
@@ -342,18 +342,24 @@ REGION_LOWER_SETS = {
 }
 
 
+def _region_size(s):
+    """The number of cone points below some gap of s: the union of the lower
+    sets of every gap, 0 and the gaps included."""
+    union = set()
+    for h in s.gaps:
+        union.update(lower_set(s.cone, h))
+    return len(union)
+
+
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_region_is_the_union_of_every_gap_box(name, request):
-    """The boxes of the cone-maximal gaps cover those of all the gaps, on
+    """The report's c counts the union of the boxes of all the gaps, on
     every tree node to genus 5 and on lower-set semigroups."""
     cone = request.getfixturevalue(name)
     semigroups = [s for level in enumerate_genus(cone, 5) for s in level.semigroups]
     semigroups += [lower_set_semigroup(cone, pts) for pts in REGION_LOWER_SETS[name]]
     for s in semigroups:
-        union = set()
-        for h in s.gaps:
-            union.update(lattice_box(cone, h))
-        assert wilf._region(s) == union
+        assert wilf_report(s).c == _region_size(s)
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
@@ -420,6 +426,32 @@ def _points(layout, mask):
     return tuple(x for _, x in sorted(out))
 
 
+# cones whose grids are far from square: det 20, det 1 between two nearly
+# parallel rays, and lean 999, where a (u, k) row holds one point in about 1,000
+GRID_WALKS = {
+    "det20": (DET20, 3),
+    "skinny": (Cone.from_rays((1000, 999), (999, 998)), 4),
+    "lean999": (Cone.from_rays((1, 0), (999, 1000)), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_WALKS))
+def test_grid_queries_match_the_walk_on_every_node(name):
+    """Every node of the walk: `minimal_generators`, found on the grid of
+    the certified region, equals the generators the walk reads from its
+    layout, and the report's c, counted on the grid of the gaps' box, equals
+    the c the walk carries."""
+    cone, g_max = GRID_WALKS[name]
+    layout, nodes = _walk(cone, g_max)
+    cap = capacity()
+    for gaps, _, c in nodes:
+        node = wilf._node(layout, gaps, cap)
+        walked = tuple(layout.names[j][1] for _, j in wilf._named(layout, node[4]))
+        s = CSemigroup(cone, gaps)
+        assert s.minimal_generators == walked
+        assert wilf_report(s).c == c
+
+
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_children_inherit_the_rescanned_generators(name, request):
     """Every node of the walk to genus 4: its e is the number of generators
@@ -454,14 +486,14 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
     while True:
         s = CSemigroup(cone, node[0])
         assert _points(layout, node[4]) == s.minimal_generators
-        assert node[3].bit_count() == len(wilf._region(s))
+        assert node[3].bit_count() == _region_size(s)
         if s.genus == 9:
             break
         m = data.draw(st.sampled_from(s.minimal_generators))
         child = wilf._child(layout, node, layout.slot(m), cap, True)
         t = make_csemigroup(cone, s.gaps + (m,))
         assert _points(layout, child[4]) == t.minimal_generators
-        assert child[3].bit_count() == len(wilf._region(t))
+        assert child[3].bit_count() == _region_size(t)
         kids = wilf._past(layout, node)
         if not kids:
             break
@@ -480,7 +512,7 @@ def _oracle_check(layout, cone, gaps, e, c):
     s = CSemigroup(cone, gaps)
     generators = oracle_minimals(s, msg_weight_bound(s))
     assert e == len(generators)
-    assert c == len(wilf._region(s))
+    assert c == _region_size(s)
     assert None not in map(layout.slot, generators)
     return generators
 
