@@ -421,11 +421,11 @@ def lattice_box(cone: Cone, x: Point, cap: int | None = None) -> list[Point]:
 class Basis(NamedTuple):
     """The index of cone lattice points that `Layout` and `Grid` share.
 
-    On N^p a point is its own index. On a sector a point is u * base + k * r2,
-    as in `lattice_box`: u is its first scaled coordinate, and base is
-    `unit_point(0)` moved along r2 until its second scaled coordinate is
-    -lean with 0 <= lean < det. The second scaled coordinate of (u, k) is
-    then k * det - u * lean, so a cone point has k >= ceil(u * lean / det) >= 0.
+    On N^p a point is its own index. On a sector a point is u * base + k * r2:
+    u is its first scaled coordinate, and base is `unit_point(0)` moved along
+    r2 until its second scaled coordinate is -lean with 0 <= lean < det. The
+    second scaled coordinate of (u, k) is then k * det - u * lean, so a cone
+    point has k >= ceil(u * lean / det) >= 0.
     """
 
     cone: Cone
@@ -465,16 +465,17 @@ class Grid:
     """The cone lattice points whose scaled coordinates are at most `bounds`,
     the box, one bit each of one `int`.
 
-    Slots. A point's index (see `Basis`) i maps to the slot
-    sum(i[t] * strides[t]). The last stride is 1 and each other is twice the
-    extent of the coordinates after it, so an index whose coordinates lie
-    above minus and below twice the extents, as a sum or difference of two
-    box points does, has the slot of a box point only if it is that point.
-    A shift by the slot of a point a therefore takes the bit of each box
-    point y to that of y + a (`<<`) or y - a (`>>`), and `& ones` keeps
-    those in the box. A nonzero
-    cone point has an index of nonnegative coordinates, not all 0, so a
-    positive slot; the slot of 0 is 0.
+    Slots. An index i (see `Basis`) maps to the slot sum(i[t] * strides[t]):
+    the last stride is 1, and each other is twice the indexes a box row
+    spans along the coordinates after it. On N^p that is twice their extent.
+    On a sector row u spans the k with 0 <= k * det - u * lean <= V, the
+    second bound, at most V // det + 1 of them, so the rows follow the
+    sector however far it leans; det * slot = u * (strides[0] * det + lean)
+    + v for v the second scaled coordinate, and strides[0] * det > 2V.
+    Either way a sum or difference of two box points has the slot of a box
+    point only if it is that point, so a shift by the slot of a point a takes
+    each box point y to y + a (`<<`) or y - a (`>>`), and `& ones` keeps
+    those in the box. A nonzero cone point has a positive slot, 0 slot 0.
 
     The grid is charged to CONESEMI_CAPACITY in 64-bit words, or in rows
     where those are more, before it is built.
@@ -485,11 +486,13 @@ class Grid:
         self.basis = Basis.of(cone)
         # a full cone has lean 0 and det 1: its index is the point
         d, lean, last = cone.det, self.basis.lean, bounds[-1]
-        extents = [b + 1 for b in bounds[:-1]] + [(last + bounds[0] * lean) // d + 1]
+        extents = [b + 1 for b in bounds[:-1]] + [last // d + 1]  # of a row
         self.strides = strides = [1]
         for e in reversed(extents[1:]):
             strides.insert(0, 2 * e * strides[0])
-        top = sum((e - 1) * s for e, s in zip(extents, strides))  # the last slot
+        # the slot of the last index of the last row
+        top = sum((e - 1) * s for e, s in zip(extents, strides[:-1]))
+        top += (last + bounds[0] * lean) // d
         self.nbytes = top // 8 + 1
         # a row for each index of the coordinates before the last
         charge(max(top // 64 + 1, prod(extents[:-1])), GRID)
@@ -515,8 +518,11 @@ class Grid:
 
     def point(self, j: int) -> Point:
         """The box point at slot j."""
-        i = []
-        for s in self.strides:
+        d, lean, (first, *rest) = self.cone.det, self.basis.lean, self.strides
+        # det * j = u * (first * det + lean) + v, with 0 <= v < first * det
+        u = j * d // (first * d + lean)
+        i, j = [u], j - u * first
+        for s in rest:
             c, j = divmod(j, s)
             i.append(c)
         return self.basis.point(tuple(i))
@@ -536,22 +542,17 @@ class Grid:
         return sorted(map(self.point, slots), key=canon_key)
 
     def split(self, members: int, holes: int = 0) -> tuple[list[int], int]:
-        """(atoms, hits) for a mask M of nonzero box points: the sums are the
-        box points a + m for an atom a and m in M, the atoms are the slots of
-        the points of M that are no sum, lowest first, and hits masks the
-        points of the mask holes that are sums.
+        """(atoms, hits) for a mask M of nonzero box points: the atoms are the
+        slots of the points of M that are no sum a + m of an atom a and m in
+        M, lowest first, and hits masks the points of holes that are sums.
 
-        A sum a + m lies above a and m in slot order, since their slots are
-        positive, so the lowest point of M not yet among the sums is an
-        atom, and its sums are known before any point above it is read. The
-        walk keeps only what lies above the last atom j, shifted down by
-        j + 1: there the sums of the next atom j' = j + 1 + k are M >> 1,
-        shifted down by k + 1 along with the rest.
-
-        When M is closed under the sums of its points that lie in the box,
-        as the nonzero members of a semigroup are, the atoms are the points
-        of M that are no sum of two: if x = a + b with a not an atom, then
-        a = a' + m with a' an atom, and x = a' + (m + b).
+        A sum lies above both summands in slot order, so the lowest point of
+        M not yet among the sums is an atom. The loop keeps only the bits
+        above the last atom j, shifted down by j + 1, where the sums of the
+        next atom j + 1 + k are M >> 1 once shifted down by k + 1 more. When
+        M is closed under the sums of its points in the box, as the nonzero
+        members of a semigroup are, the atoms are the points of M that are no
+        sum of two: if x = a + b with a not an atom, a = a' + m, x = a' + (m + b).
         """
         atoms, j, hits = [], -1, 0
         rest, sums = members, members >> 1

@@ -1,5 +1,6 @@
 """Geometry layer: membership, ray coordinates, orders, graded enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -214,3 +215,44 @@ def test_cone_json_roundtrip(cone_a, cone_skew, full1, full3):
     assert Cone.from_obj({"cone": {"type": "full", "p": 2}}) == Cone.full_cone(2)
     with pytest.raises(InvalidInput):
         Cone.from_obj({"type": "hexagonal"})
+
+
+LEAN999 = Cone.from_rays((1, 0), (999, 1000))
+# each cone with the bounds of its larger grids: the det-1 sector of nearly
+# parallel rays, and the lean-999 sector, whose rows u in 41..999 are empty
+GRID_CONES = [(Cone.full_cone(1), [(60,)]), (Cone.full_cone(2), [(25, 12)]),
+              (Cone.full_cone(3), [(5, 3, 2)]), (Cone.from_rays((1000, 999), (999, 998)), []),
+              (LEAN999, [(1500, 40)])] + [(c, [(30, 20)]) for c in SECTORS]
+
+
+def _box(cone, bounds):
+    """The cone points with scaled coordinates at most bounds, canonically
+    sorted: (u * r1 + v * r2) / det for the integer (u, v) that give one."""
+    if cone.full:
+        return sorted(itertools.product(*(range(b + 1) for b in bounds)), key=canon_key)
+    (x1, y1), (x2, y2) = cone.rays
+    scaled = ((u * x1 + v * x2, u * y1 + v * y2)
+              for u in range(bounds[0] + 1) for v in range(bounds[1] + 1))
+    return sorted(((x // cone.det, y // cone.det) for x, y in scaled
+                   if x % cone.det == 0 and y % cone.det == 0), key=canon_key)
+
+
+@pytest.mark.parametrize("cone,larger", GRID_CONES,
+                         ids=[repr(c.rays).replace(" ", "") for c, _ in GRID_CONES])
+def test_grid_slots_add_and_subtract_like_points(cone, larger):
+    """The grid holds exactly the cone points of its box, in canonical order,
+    and a sum or difference of two box points lies on a bit of `ones`
+    exactly when it is a box point: on every pair of a small box, and on
+    3,000 random pairs of a larger one."""
+    rng = random.Random(0)
+    for bounds in [(0,) * cone.p, (3,) * cone.p, (7, 4, 2)[:cone.p]] + larger:
+        grid = geom.Grid(cone, bounds)
+        box = _box(cone, bounds)
+        assert grid.points(grid.ones) == box
+        inside = set(box)
+        slots = {x: grid.mask([x]).bit_length() - 1 for x in box}
+        pairs = [(a, b) for a in box for b in box]
+        for a, b in pairs if len(pairs) < 3000 else rng.sample(pairs, 3000):
+            total, diff = slots[a] + slots[b], slots[a] - slots[b]
+            assert (grid.ones >> total & 1) == (add(a, b) in inside)
+            assert (diff >= 0 and grid.ones >> diff & 1) == (sub(a, b) in inside)
