@@ -475,7 +475,7 @@ class Grid:
     Either way a sum or difference of two box points has the slot of a box
     point only if it is that point, so a shift by the slot of a point a takes
     each box point y to y + a (`<<`) or y - a (`>>`), and `& ones` keeps
-    those in the box. A nonzero cone point has a positive slot, 0 slot 0.
+    those in the box. A nonzero cone point has a positive slot; 0 has 0.
 
     The grid is charged to CONESEMI_CAPACITY in 64-bit words, or in rows
     where those are more, before it is built.
