@@ -426,8 +426,8 @@ def _points(layout, mask):
     return tuple(x for _, x in sorted(out))
 
 
-# cones whose grids are far from square: det 20, det 1 between two nearly
-# parallel rays, and lean 999, where a (u, k) row holds one point in about 1,000
+# sectors far from N^2: det 20, det 1 between two nearly parallel rays, and
+# lean 999, whose grid rows each start about one step further along k
 GRID_WALKS = {
     "det20": (DET20, 3),
     "skinny": (Cone.from_rays((1000, 999), (999, 998)), 4),
