@@ -608,7 +608,7 @@ SCALE_COMMANDS = {
     "plot-pf-generators": ["plot", "--pf", "--generators"],
 }
 # (exit code, stdout, stderr), recorded before the queries moved onto `geom.Grid`.
-# The lean-999 node is not plotted: the plot scans its 2,000 by 2,000 viewport.
+# The lean-999 node is not plotted: its plot is a 106 MB SVG of 2 million members.
 SCALE_PINS = {
     'n2-10200:validate': (0, '{"genus":10200,"ok":true}\n', ''),
     'n2-10200:msg': (0, 'sha256:7c986fdc8ddf16edfe77cbbc3df4134a', ''),
