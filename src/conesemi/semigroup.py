@@ -239,19 +239,20 @@ class CSemigroup(Record):
 
         Both run on the grid of the gaps' box (`gap_grid`), which holds every
         gap above a gap. In the induced order a gap h lies below another
-        exactly when h + a is a gap for a member atom a of the box: h + s for
-        a nonzero member s = a + r is the gap h + a plus the member r, or a
+        exactly when h + a is a gap for an atom a of the nonzero members below
+        a gap: such an s with h + s a gap lies below that gap, and h + s for s = a + r is the gap h + a plus the member r, or a
         member. In the cone order h lies below a gap exactly when h + b lies
         below a gap for a cone atom b of the box (`Grid.below`). Either way
         h is maximal unless its bit is in one shift of the mask above it.
         """
         if order not in ("cone", "induced"):
             raise InvalidInput(f"order must be 'cone' or 'induced', got {order!r}")
-        grid, gaps = gap_grid(self.cone, self.gaps)
+        grid, gaps, down = gap_grid(self.cone, self.gaps)
         if order == "cone":
-            above, steps = grid.below(gaps), grid.cone_atoms
+            above, steps = down, grid.cone_atoms
         else:
-            above, steps = gaps, grid.split(grid.ones ^ gaps ^ 1)[0]
+            # the nonzero members below a gap
+            above, steps = gaps, grid.split((down ^ gaps) & ~1)[0]
         covered = 0
         for j in steps:
             covered |= above >> j
@@ -348,13 +349,15 @@ class CSemigroup(Record):
         return tuple(canon_key(g) for g in self.gaps)
 
 
-def gap_grid(cone: Cone, gaps) -> tuple[Grid, int]:
+def gap_grid(cone: Cone, gaps) -> tuple[Grid, int, int]:
     """The grid of the box of these cone points, whose scaled coordinates
-    bound theirs (the box of 0 alone if there are none), and the mask of
-    the points on it. The grid is charged to CONESEMI_CAPACITY."""
+    bound theirs (the box of 0 alone if there are none), the mask of the
+    points on it and the mask of the box points below them (`Grid.below`).
+    The grid is charged to CONESEMI_CAPACITY."""
     scaled = [cone.scaled_coords(h) for h in gaps] or [(0,) * cone.p]
     grid = Grid(cone, tuple(map(max, zip(*scaled))))
-    return grid, grid.mask(gaps)
+    mask = grid.mask(gaps)
+    return grid, mask, grid.below(mask)
 
 
 def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
@@ -368,11 +371,12 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
 
     The check runs on the grid of the gaps' box (`gap_grid`), which holds
     each gap's box: the set is closed exactly when no gap is among the sums
-    of `Grid.split` on the nonzero members of the grid. Take the
-    canonically first gap h = a + b with a, b members. If a is not an atom,
-    a = a' + m with a' an atom and m a member; then m + b is lighter than h
-    and a sum of two members, so a member, and h = a' + (m + b) is a sum.
-    Conversely every sum of an atom and a member splits into two members.
+    of `Grid.split` on M, the nonzero members below a gap (`Grid.below`).
+    Take the canonically first gap h = a + b with a, b nonzero members;
+    both lie below h, so in M. If a is not an atom of M, a = a' + m with
+    a' an atom and m in M; then m + b is below h, lighter, and a sum of two
+    members, so a member, in M, and h = a' + (m + b) is a sum. Conversely
+    every sum of an atom and a point of M splits into two members.
     So the canonically first gap among the sums is the canonically first
     offending gap, and only its lower set is scanned in canonical order:
     the witness in a NotClosed error is the canonically first offending
@@ -392,8 +396,8 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
             normalized.append(g)
     normalized.sort(key=canon_key)
     if normalized:
-        grid, holes = gap_grid(cone, normalized)
-        _, hits = grid.split(grid.ones ^ holes ^ 1, holes)
+        grid, holes, down = gap_grid(cone, normalized)
+        _, hits = grid.split((down ^ holes) & ~1, holes)
         if hits:
             h = grid.points(hits)[0]
             # a = 0 and a = h pair with the gap h, so a witness is nonzero

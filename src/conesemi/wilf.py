@@ -100,8 +100,7 @@ def wilf_report(s: CSemigroup, c: int | None = None) -> WilfReport:
     """
     cone = s.cone
     if c is None:
-        grid, gaps = gap_grid(cone, s.gaps)
-        c = grid.below(gaps).bit_count()
+        c = gap_grid(cone, s.gaps)[2].bit_count()
     # every gap lies in the region, and every other region point is a member
     n = c - s.genus
     e = s.embedding_dimension

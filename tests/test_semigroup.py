@@ -694,3 +694,29 @@ def test_closure_check_on_a_lower_set_of_genus_10200(full2):
     with pytest.raises(NotClosed) as err:
         make_csemigroup(full2, gaps + [(101, 101)])
     assert (err.value.gap, err.value.a, err.value.b) == ((101, 101), (0, 101), (101, 0))
+
+
+def test_closure_check_and_pf_split_only_members_below_a_gap(full2, monkeypatch):
+    """N2 minus the two axes up to 2000 is closed, and every gap is
+    pseudo-Frobenius. Its box holds about 4 million points, almost all
+    members, but no member lies below a gap: the closure check and the
+    induced Frobenius set each split the box for its two cone atoms (for
+    `Grid.below`) and then split no member, one round of shifts per atom."""
+    from conesemi.geom import Grid
+
+    atom_counts = []
+    real = Grid.split
+
+    def counting(self, members, holes=0):
+        atoms, hits = real(self, members, holes)
+        atom_counts.append(len(atoms))
+        return atoms, hits
+
+    monkeypatch.setattr(Grid, "split", counting)
+    k = 2000
+    gaps = [(i, 0) for i in range(1, k + 1)] + [(0, i) for i in range(1, k + 1)]
+    s = make_csemigroup(full2, gaps)
+    assert s.genus == 2 * k
+    assert set(s.pseudo_frobenius()) == set(gaps)
+    assert atom_counts == [2, 0, 2, 0]
+    assert s.frobenius_set() == ((0, k), (k, 0))
