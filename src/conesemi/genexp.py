@@ -1,35 +1,34 @@
 """Expand a finite generating set inside a 2D cone into its gap set.
 
 The complement of the generated semigroup is computed exactly, with a
-termination certificate instead of open-ended search:
+termination certificate instead of open-ended search. In scaled ray
+coordinates (u, v), ray i is where the other coordinate is 0 and
+n * r_i has i-th coordinate n * det:
 
   1. Per extremal ray, the generators lying on the ray must generate a
-     cofinite numerical semigroup (scaled gcd 1); its conductor k_i bounds
-     behaviour along that ray.
-  2. Lattice lines parallel to a ray are swept in order of distance from it.
-     On each line, the first member t0 is computed (not searched for) from
-     the already-summarized lower lines, and the k_i points from t0 on form
-     the line's window, stored as the bits of one int (bit i for t0 + i).
-     Everything beyond is a member: t0 plus any element of the ray's
-     numerical semigroup is one, and that semigroup holds every n >= k_i.
-     A point of the line is a member when it is an off-line generator plus
-     a member of a lower line, so the window is the OR of one shifted and
-     masked copy of a lower line's window per off-line generator. The
-     generators on the ray need no pass of their own: adding one to a
-     member gives a member, so each copy, and the OR, is already closed
-     under them. A line with no member at all proves the complement
-     infinite.
-  3. The region at ray-distance >= K_i from both rays is certified gap-free
-     by checking the finite box [K_1, 2K_1) x [K_2, 2K_2) in ray coordinates:
-     any deeper point is a box point plus multiples of K_i * r_i. Each box
-     row is one line of the ray-1 sweep, on which the box is a run of K_1
-     consecutive points, so a row is read off the line's summary: its first
-     member and its window. The K_i double (and the strips re-sweep) while
-     the box still contains gaps.
+     cofinite numerical semigroup (scaled gcd 1). Its least element m_i
+     and the depth K_i, which starts at its conductor (at least 1), size
+     the box u < (K_1 + m_1) det, v < (K_2 + m_2) det.
+  2. A member on the lattice line at distance 1 from ray i (the other
+     coordinate 1) is a generator on that line plus multiples of r_i. With
+     no such generator the line holds no member and the complement is
+     infinite; with one, j times it lies on each line at distance j.
+  3. The members in the box are the sums of generators in the box, since
+     summands lie below their sum. They are one `Grid` mask: {0}, closed
+     under each generator a in turn by shifts of 2^i * a while that stays
+     in the box (`Grid.doublings`).
+  4. The band of box points with u >= K_1 det or v >= K_2 det certifies
+     the rest: a cone point beyond the box, less m_1 r_1 while its u is
+     past the box and m_2 r_2 while its v is, is a band point, and the
+     m_i r_i are generators. So when the band holds no gap, the gaps are
+     those of the box. Otherwise K_i doubles for each i with a gap at i-th
+     coordinate >= K_i det, and the box is filled again. With both lines
+     of step 2 holding members the gap set is finite, so the band clears
+     at some depth; the box is charged per round.
 
-Every sweep step is a finite exact computation, so the result is the exact
-gap set whenever it is finite, and a NotCofinite diagnosis with a witness
-line otherwise.
+Every step is a finite exact computation, so the result is the exact gap
+set whenever it is finite, and a NotCofinite diagnosis with a witness line
+otherwise.
 """
 
 from __future__ import annotations
@@ -46,14 +45,16 @@ from .errors import (
 )
 from .geom import (
     Cone,
-    Point,
+    Grid,
     Record,
     _ceil_div,
+    add,
     canon_key,
     charge,
     is_zero,
     json_field,
     json_points,
+    scale,
 )
 # make_csemigroup is unused here but stays importable: the benchmark tracer
 # replaces genexp.make_csemigroup along with the other modules' copies
@@ -109,180 +110,29 @@ class ExpandDecision(NamedTuple):
         return obj
 
 
-class _LineTable:
-    """Membership summary of one lattice line x = base + t * ray.
-
-    t_min is the first parameter inside the cone; t0 the first member
-    (None for a memberless line). window is an int of k bits: bit i says
-    whether t0 + i is a member, and every t >= t0 + k is a member, so
-    `window | -1 << k` holds the membership of every t >= t0 at bit t - t0.
-    """
-
-    __slots__ = ("t_min", "t0", "k", "window")
-
-    def __init__(self, t_min: int, t0: int | None, k: int, window: int = 0):
-        self.t_min, self.t0, self.k, self.window = t_min, t0, k, window
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"_LineTable({fields})"
-
-    def member(self, t: int) -> bool:
-        if self.t0 is None or t < self.t0:
-            return False
-        return t >= self.t0 + self.k or self.window >> (t - self.t0) & 1 == 1
-
-    def all_members(self, lo: int, hi: int) -> bool:
-        """Whether every t in [lo, hi) is a member, for lo < hi."""
-        if self.t0 is None or lo < self.t0:
-            return False
-        span = min(hi - self.t0, self.k) - (lo - self.t0)
-        return span <= 0 or ~self.window >> (lo - self.t0) & ((1 << span) - 1) == 0
-
-    def first_member_at_least(self, s: int) -> int | None:
-        if self.t0 is None:
-            return None
-        s = max(s, self.t0)
-        if s >= self.t0 + self.k:
-            return s
-        rest = self.window >> (s - self.t0)
-        if not rest:
-            return self.t0 + self.k
-        return s + (rest & -rest).bit_length() - 1
-
-
-class _Sweep:
-    """Line-by-line membership tables parallel to one extremal ray."""
-
-    def __init__(self, cone: Cone, gens, axis: int, ray_ns: NumericalSemigroup):
-        self.d = cone.det
-        self.ray = cone.rays[axis]
-        # line j holds the points whose other scaled coordinate is j; the
-        # scaled coordinate along the ray is the point's offset
-        line = 1 - axis
-        self.base1 = cone.unit_point(line)
-        self.ob1 = cone.scaled_coords(self.base1)[axis]
-        self.k = max(ray_ns.conductor, 1)
-        # generators on the ray enter through ray_ns, the summary of line 0
-        self.offline = []
-        for a in gens:
-            sa = cone.scaled_coords(a)
-            ja, oa = sa[line], sa[axis]
-            if ja:
-                # a sits at parameter mu on its line; landing offset is -mu
-                delta, rem = divmod(ja * self.ob1 - oa, self.d)
-                assert rem == 0
-                self.offline.append((ja, delta))
-        self.offline.sort()
-        self.full = (1 << self.k) - 1
-        # line 0 is the ray itself, summarized by its numerical semigroup
-        window = self.full
-        for t in ray_ns.gaps:
-            window ^= 1 << t
-        self.tables = [_LineTable(0, 0, self.k, window)]
-
-    def line_point(self, j: int, t: int) -> Point:
-        return (
-            j * self.base1[0] + t * self.ray[0],
-            j * self.base1[1] + t * self.ray[1],
-        )
-
-    def extend(self, n_lines: int) -> None:
-        """Summarize lines up to index n_lines - 1 (continuing past work)."""
-        for j in range(len(self.tables), n_lines):
-            self.tables.append(self._summarize(j))
-
-    def _summarize(self, j: int) -> _LineTable:
-        t_min = _ceil_div(-j * self.ob1, self.d)
-        t0 = None
-        for ja, delta in self.offline:
-            if ja > j:
-                break
-            table = self.tables[j - ja]
-            if table.t0 is None:
-                continue
-            # bit 0 of a window is t0 itself, so a start at or below it lands there
-            s = t_min + delta
-            s = table.t0 if s <= table.t0 else table.first_member_at_least(s)
-            cand = s - delta
-            if t0 is None or cand < t0:
-                t0 = cand
-        if t0 is None:
-            witness = self.line_point(j, max(t_min, 0))
-            raise NotCofinite(
-                f"no member on the lattice line through {witness} with "
-                f"direction {self.ray}; the complement is infinite",
-                line_point=list(witness),
-                direction=list(self.ray),
-            )
-        # t is a member when t + delta is one on line j - ja for an off-line
-        # generator; same-ray steps add nothing, since every line's members
-        # are closed under them (see the module docstring)
-        window = 0
-        for ja, delta in self.offline:
-            if ja > j:
-                break
-            table = self.tables[j - ja]
-            # bit i of bits: whether table.t0 + i is a member; set past the window
-            bits = table.window | -1 << table.k
-            shift = t0 + delta - table.t0
-            if shift >= 0:
-                window |= bits >> shift & self.full
-            elif shift > -self.k:  # else its first member lies past this window
-                window |= bits << -shift & self.full
-        return _LineTable(t_min, t0, self.k, window)
-
-    def gaps_of_line(self, j: int) -> list[Point]:
-        table = self.tables[j]
-        out = [self.line_point(j, t) for t in range(table.t_min, table.t0)]
-        holes = ~table.window & self.full
-        while holes:
-            low = holes & -holes
-            out.append(self.line_point(j, table.t0 + low.bit_length() - 1))
-            holes ^= low
-        return out
-
-
-def _box_is_clear(sweep1: _Sweep, k1: int, k2: int) -> bool:
-    """Whether every lattice point with ray coordinates in
-    [k1, 2*k1) x [k2, 2*k2) is a member, read line by line.
-
-    Box row j, a scaled ray-2 coordinate in [k2*d, 2*k2*d), is line j of
-    sweep1, whose point t has scaled ray-1 coordinate j*ob1 + t*d. Its box
-    points are the k1 parameters from ceil((k1*d - j*ob1) / d) on, and they
-    are all members unless the range starts before the line's first member
-    or meets a non-member of its window.
-    """
-    d, ob1 = sweep1.d, sweep1.ob1
-    for j in range(k2 * d, 2 * k2 * d):
-        lo = _ceil_div(k1 * d - j * ob1, d)
-        if not sweep1.tables[j].all_members(lo, lo + k1):
-            return False
-    return True
+def _far_gaps(grid: Grid, gaps: int, k: list[int]) -> list[bool]:
+    """Per ray i, whether a gap of the mask has i-th scaled coordinate at
+    least k[i] * det: whether one stays in the box when k[i] * r_i is
+    subtracted, by a shift of its slot (see `Grid`)."""
+    return [(gaps >> grid.slot(scale(c, r))) & grid.ones != 0
+            for c, r in zip(k, grid.cone.rays)]
 
 
 def expand(g: GeneratorInput) -> CSemigroup:
     """The semigroup generated by g, provided its gap set is finite.
 
     Raises ConeMismatch when a ray carries no generator, NotCofinite when
-    the complement is provably infinite, CapacityExceeded when the strip
-    sweeps or the certificate box would outgrow CONESEMI_CAPACITY before
-    the certified region stabilizes.
+    the complement is provably infinite, CapacityExceeded when the box
+    would outgrow CONESEMI_CAPACITY before its band clears.
 
-    The result is built without a second validation. Its gaps are the swept
-    cone points that are no sum of generators, and the cleared box proves
-    every other cone point a sum, so the complement is exactly the monoid
-    the generators span: closed under addition, and 0 (the empty sum) is
-    no gap.
+    The result is built without a second validation. Its gaps are the box
+    points that are no sum of generators, and the clear band proves every
+    other cone point a sum, so the complement is exactly the monoid the
+    generators span: closed under addition, and 0 (the empty sum) is no gap.
     """
     cone = g.cone
     d = cone.det
-    ray_ns = []
+    k, m = [], []
     for i, r in enumerate(cone.rays):
         multiples = cone.ray_multiples(g.generators, i)
         if not multiples:
@@ -294,31 +144,40 @@ def expand(g: GeneratorInput) -> CSemigroup:
             raise NotCofinite(
                 f"generators on ray {r} are multiples of {common}", ray=list(r)
             )
-        ray_ns.append(NumericalSemigroup.from_generators(multiples))
+        k.append(max(NumericalSemigroup.from_generators(multiples).conductor, 1))
+        m.append(min(multiples))
 
-    cap1 = max(ray_ns[0].conductor, 1)
-    cap2 = max(ray_ns[1].conductor, 1)
-    sweep1 = _Sweep(cone, g.generators, 0, ray_ns[0])
-    sweep2 = _Sweep(cone, g.generators, 1, ray_ns[1])
+    # the box's lattice points; the name is the one this charge site had
+    # when line sweeps did the work
+    charge((k[0] + m[0]) * (k[1] + m[1]) * d, "the strip sweeps")
+    for axis, ray in enumerate(cone.rays):
+        # a member at distance 1 from the ray is a generator there plus
+        # multiples of the ray, and j times that generator lies on line j
+        if not any(cone.scaled_coords(a)[1 - axis] == 1 for a in g.generators):
+            base = cone.unit_point(1 - axis)
+            t = max(_ceil_div(-cone.scaled_coords(base)[axis], d), 0)
+            witness = add(base, scale(t, ray))
+            raise NotCofinite(
+                f"no member on the lattice line through {witness} with "
+                f"direction {ray}; the complement is infinite",
+                line_point=list(witness),
+                direction=list(ray),
+            )
     while True:
-        # sweep work is lines times window width; charge it like enumeration
-        charge(4 * d * cap1 * cap2, "the strip sweeps")
-        # the certificate box spans (cap1 * d) * (cap2 * d) scaled coordinates;
-        # this charge grows 4x per doubling, so it also ends a box that never clears
-        charge(cap1 * cap2 * d * d, "the certificate box")
-        sweep1.extend(2 * cap2 * d)  # lines indexed by distance from ray 1
-        sweep2.extend(2 * cap1 * d)
-        if _box_is_clear(sweep1, cap1, cap2):
-            break
-        cap1 *= 2
-        cap2 *= 2
-
-    gaps: set[Point] = set()
-    for j in range(cap2 * d):
-        gaps.update(sweep1.gaps_of_line(j))
-    for i in range(cap1 * d):
-        gaps.update(sweep2.gaps_of_line(i))
-    return CSemigroup(cone, tuple(sorted(gaps, key=canon_key)))
+        grid = Grid(cone, ((k[0] + m[0]) * d - 1, (k[1] + m[1]) * d - 1))
+        ones, members = grid.ones, 1
+        for a in g.generators:
+            steps = list(grid.doublings(a))
+            # a member already: the members are closed under adding it
+            if steps and not members >> steps[0] & 1:
+                for j in steps:
+                    members |= (members << j) & ones
+        gaps = ones ^ members
+        far = _far_gaps(grid, gaps, k)
+        if not any(far):
+            return CSemigroup(cone, tuple(grid.points(gaps)))
+        k = [2 * c if f else c for c, f in zip(k, far)]
+        charge((k[0] + m[0]) * (k[1] + m[1]) * d, "the strip sweeps")
 
 
 def is_csemigroup(g: GeneratorInput) -> ExpandDecision:

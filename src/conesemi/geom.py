@@ -516,6 +516,10 @@ class Grid:
         """The slot of the index i."""
         return sum(map(int.__mul__, i, self.strides))
 
+    def slot(self, x: Point) -> int:
+        """The slot of the box point x."""
+        return self.index_slot(self.basis.index(x))
+
     def point(self, j: int) -> Point:
         """The box point at slot j."""
         d, lean, (first, *rest) = self.cone.det, self.basis.lean, self.strides
@@ -531,14 +535,16 @@ class Grid:
         """1 at the slot of each of these box points."""
         out = bytearray(self.nbytes)
         for x in points:
-            j = self.index_slot(self.basis.index(x))
+            j = self.slot(x)
             out[j >> 3] |= 1 << (j & 7)
         return int.from_bytes(out, "little")
 
     def points(self, mask: int) -> list[Point]:
         """The box points of a mask, in canonical order."""
-        # the 1s of the binary digits, lowest bit first
-        slots = (m.start() for m in re.finditer("1", bin(mask)[:1:-1]))
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        # the 1s of each nonzero byte, lowest bit first
+        slots = (8 * m.start() + b for m in re.finditer(rb"[^\0]", data)
+                 for b in range(8) if m[0][0] >> b & 1)
         return sorted(map(self.point, slots), key=canon_key)
 
     def split(self, members: int, holes: int = 0) -> tuple[list[int], int]:
@@ -574,21 +580,28 @@ class Grid:
         points (see `split`): every nonzero box point is a sum of these."""
         return self.split(self.ones ^ 1)[0]
 
-    def below(self, mask: int) -> int:
-        """The box points below some point of the mask in the cone order.
+    def doublings(self, x: Point):
+        """The slots of x, 2x, 4x, ... while they lie in the box.
 
-        That is the mask closed under subtracting each cone atom b, as often
-        as the box allows: by shifts of 2^i * b, i = 0, 1, ..., each after
-        the shifts before it, so k * b for every k < 2^(i + 1). Once 2^i * b
-        leaves the box no box point lies above it, and the shift would no
-        longer be one to one (see the class docstring) but land on box bits.
+        Shifting a mask by each in turn, each shift after the ones before it,
+        adds (`<<`) or subtracts (`>>`) k * x for every k < 2^(i + 1) after
+        the i-th. Once 2^i * x leaves the box no box point lies above it,
+        and the shift would no longer be one to one (see the class
+        docstring) but land on box bits.
         """
-        ones, bounds, down = self.ones, self.bounds, mask
+        j, scaled = self.slot(x), self.cone.scaled_coords(x)
+        while all(map(int.__le__, scaled, self.bounds)):
+            yield j
+            j, scaled = 2 * j, [2 * c for c in scaled]
+
+    def below(self, mask: int) -> int:
+        """The box points below some point of the mask in the cone order:
+        the mask closed under subtracting each cone atom as often as the
+        box allows (see `doublings`)."""
+        ones, down = self.ones, mask
         for j in self.cone_atoms:
-            scaled = self.cone.scaled_coords(self.point(j))
-            while all(map(int.__le__, scaled, bounds)):
-                down |= (down >> j) & ones
-                j, scaled = 2 * j, [2 * c for c in scaled]
+            for step in self.doublings(self.point(j)):
+                down |= (down >> step) & ones
         return down
 
 

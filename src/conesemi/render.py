@@ -42,7 +42,8 @@ class RenderSpec(NamedTuple):
 
 
 def _fmt(q) -> str:
-    q = Fraction(q)
+    if isinstance(q, int):
+        return str(q)
     if q.denominator == 1:
         return str(q.numerator)
     scaled = round(q * 100)
@@ -64,7 +65,7 @@ def plot(s: CSemigroup, spec: RenderSpec | None = None) -> str:
     charge((ex + 1) * (ey + 1), "the plot viewport")
 
     def px(x, y) -> tuple:
-        return (_PAD + Fraction(x) * _SCALE, _PAD + (Fraction(ey) - y) * _SCALE)
+        return (_PAD + x * _SCALE, _PAD + (ey - y) * _SCALE)
 
     width = 2 * _PAD + ex * _SCALE
     height = 2 * _PAD + ey * _SCALE

@@ -13,6 +13,7 @@ Orders in play:
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -81,7 +82,10 @@ class NumericalSemigroup(Record):
         if gcd(*gens) != 1:
             raise InvalidInput(f"generators {gens} must have gcd 1")
         m = gens[0]
-        bound = m * gens[-1] + 2
+        # a_1 < ... < a_k with gcd 1 have a Frobenius number below a_1 * a_k,
+        # and more generators only lower it: a large redundant one costs nothing
+        last = next(a for a, c in zip(gens, accumulate(gens, gcd)) if c == 1)
+        bound = m * last + 2
         while True:
             charge(bound, "the reachability table")
             reach = bytearray(bound)

@@ -38,7 +38,6 @@ from conesemi.semigroup import msg_weight_bound
 
 FULL2 = Cone.full_cone(2)
 CONE_A = Cone.from_rays((1, 0), (1, 1))
-DET20 = Cone.from_rays((1, 0), (1, 20))
 WIDE = Cone.from_rays((1, 0), (1, 1000))
 SKINNY = Cone.from_rays((1000, 999), (999, 998))
 SKINNY_6 = Cone.from_rays((10**6, 10**6 - 1), (10**6 - 1, 10**6 - 2))
@@ -79,12 +78,9 @@ SITES = {
         lambda: CSemigroup(FULL2, ((1, 0), (2, 0), (3, 0))).minimal_generators),
     # the parent walks 10 nodes to genus 2; a worker's first subtree is the 11th
     "wilf_sweep-jobs2": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4, jobs=2)),
-    # strips 4 * 48 * 1 = 192 > 100 >= the box 48 and the <7, 9> table 65
+    # the box's (48 + 7) * (1 + 1) = 110 points > 100 >= the <7, 9> table 65
     "expand-strips": ("the strip sweeps", 100,
                       lambda: expand(GeneratorInput(CONE_A, ((7, 0), (9, 0), (1, 1))))),
-    # det 20: the box spans 400 > 200 >= the strips' 80
-    "expand-box": ("the certificate box", 200,
-                   lambda: expand(GeneratorInput(DET20, tuple((1, k) for k in range(21))))),
     # the grid of the gaps' box has 10^6 + 1 rows, charged before it is built
     "make_csemigroup-full": ("the lattice grid", 1000,
                              lambda: make_csemigroup(FULL2, [(1, 0), (10**6, 0)])),

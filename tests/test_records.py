@@ -2,8 +2,7 @@
 
 Field-only records are NamedTuples; the values with a cached_property
 cache, a validating constructor or fields read on hot paths (`Cone`) are
-`geom.Record` subclasses, and the genexp line summary is a small mutable
-class. Each keeps its keyword
+`geom.Record` subclasses. Each keeps its keyword
 constructor and defaults, compares and hashes by its fields, prints as
 ``Name(field=value, ...)``, pickles round-trip and refuses assignment to its
 fields.
@@ -17,7 +16,7 @@ import pytest
 from conesemi import wilf
 from conesemi.construct import IdemaxialSpec, LevelStatus, PfLinesReport
 from conesemi.errors import UnsupportedDimension
-from conesemi.genexp import ExpandDecision, GeneratorInput, _LineTable
+from conesemi.genexp import ExpandDecision, GeneratorInput
 from conesemi.geom import Cone, RayCoords
 from conesemi.render import RenderSpec
 from conesemi.semigroup import CofiniteNat, CSemigroup, NumericalSemigroup, make_csemigroup
@@ -93,17 +92,6 @@ def test_validating_constructors():
         GeneratorInput(Cone.full_cone(3), [(1, 0, 0)])
     with pytest.raises(UnsupportedDimension):
         IdemaxialSpec(Cone.full_cone(1), NS)
-
-
-def test_line_table_stays_a_mutable_value():
-    table = _LineTable(t_min=0, t0=2, k=3, window=0b101)
-    assert table == _LineTable(0, 2, 3, 0b101) != _LineTable(0, 2, 3)
-    assert repr(table) == "_LineTable(t_min=0, t0=2, k=3, window=5)"
-    assert pickle.loads(pickle.dumps(table)) == table
-    with pytest.raises(TypeError):
-        hash(table)
-    table.t0 = None
-    assert not table.member(2)
 
 
 def test_semigroup_caches_ride_along_in_pickles(monkeypatch):
