@@ -210,7 +210,8 @@ COMMANDS = [
      [MAX_GENUS,
       _arg("--jobs", type=int, default=1,
            help="parallel workers (default 1, at most the CPU count; "
-                "1 without os.fork)"),
+                "1 without os.fork); the tree is split only where the "
+                "estimated work beats the cost of forking"),
       _arg("--out", metavar="FILE", help="write report JSON here")]),
     ("enumerate", "count (and list) semigroups by genus", "cone", _enumerate,
      [MAX_GENUS, _arg("--full", action="store_true", help="include the gap sets per genus")]),
@@ -233,17 +234,25 @@ COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(first: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of the command or group that
+    first, the first word of a command line, names: that line parses the
+    same, and its usage errors print the same bytes."""
     parser = argparse.ArgumentParser(
         prog="conesemi",
         description="Exact invariants of cofinite subsemigroups of pointed integer cones.",
         epilog="Set CONESEMI_CAPACITY to override the default enumeration cap of 10^7 points.",
     )
     parser.set_defaults(out=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+    words = list(dict.fromkeys(path.split(" ")[0] for path, *_ in COMMANDS))
+    # the root usage of a partial parser still lists every first word
+    metavar = "{" + ",".join(words) + "}" if first in words else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     groups = {}
     for path, help_text, kind, run, extra in COMMANDS:
         group, _, name = path.rpartition(" ")
+        if metavar and (group or name) != first:
+            continue
         if group and group not in groups:
             dest, group_help = GROUPS[group]
             groups[group] = sub.add_parser(group, help=group_help).add_subparsers(
@@ -268,7 +277,8 @@ def _write(text: str, path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         result = args.run(args.decode(_read_json(args.source)), args)
         _write(result if isinstance(result, str) else _dump(result), args.out)

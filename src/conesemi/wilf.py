@@ -13,7 +13,8 @@ subtree under any root depth-first on an explicit stack (Fromentin and
 Hivert), so memory holds one path and its pending siblings rather than a
 whole genus, and a deep tree cannot exhaust the interpreter's recursion
 limit. Subtrees are also how `wilf_sweep` splits `jobs > 1` between
-workers: one subtree per task. The workers are forked by the sweep itself
+workers, one subtree per task, where the work estimated under them beats
+the cost of forking. The workers are forked by the sweep itself
 (`_ForkPool`, stdlib `os` and `pickle` only): they inherit the tasks, take
 task indices from one pipe as each is free, and send their rows back as one
 pickle each, so a split sweep imports no `multiprocessing` and starts no
@@ -436,19 +437,60 @@ def _sweep(layout: Layout, root: CSemigroup, g_max: int, walked: int, pooled: bo
     return tuple(zip(counts, lows, map(tuple, bad)))
 
 
+# The least estimated work, in node units, under the split level that a split
+# sweep forks for (see `wilf_sweep`)
+SPLIT_MIN = 8192
+
+
+def _split_pays(n_cut: int, n_above: int, depth: int, words: int) -> bool:
+    """Whether the work estimated under a split level reaches SPLIT_MIN: its
+    n_cut nodes, times its growth n_cut / n_above over the level above it
+    for each of the depth levels below it, each node weighted
+    1 + words / 300 for a layout of that many words. Exact in `int`s, which
+    a deep bound cannot overflow. Only a growing estimate is multiplied,
+    and only until it reaches SPLIT_MIN, so a deep bound costs few steps:
+    the level above the split level holds fewer than 8 * jobs nodes, so
+    each step grows the estimate by at least 1 + 1 / (8 * jobs)."""
+    est, goal = n_cut * (300 + words), SPLIT_MIN * 300
+    if n_cut > n_above:
+        for _ in range(depth):
+            if est >= goal:
+                break
+            est, goal = est * n_cut, goal * n_above
+    return est >= goal
+
+
 def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
     jobs is capped at the CPU count, and at 1 where the platform has no
     `os.fork`. The tree is split by subtree (Fromentin and Hivert) at the
-    first level of at least 8 * jobs nodes: this process sweeps the levels
-    above it, and jobs forked workers (`get_context`) the subtrees under it,
-    one root per task, handed out as each worker is free. With jobs == 1, or
-    no such level, this process sweeps the whole tree and forks nothing.
-    The rows merge in part order, which keeps each genus canonical, so the
-    summary does not depend on jobs. The walk is charged to the point budget
-    as it goes, and a split walk's merged total before this returns; this
-    process reads CONESEMI_CAPACITY once, and each task once more.
+    first level of at least 8 * jobs nodes, if the work estimated under it
+    reaches SPLIT_MIN (`_split_pays`): this process sweeps the levels above
+    it, and jobs forked workers (`get_context`) the subtrees under it, one
+    root per task, handed out as each worker is free. With jobs == 1, no
+    such level, or less work under it, this process sweeps the whole tree
+    and forks nothing. The rows merge in part order, which keeps each genus
+    canonical, so the summary does not depend on jobs. The walk is charged
+    to the point budget as it goes, and a split walk's merged total before
+    this returns; this process reads CONESEMI_CAPACITY once, and each task
+    once more.
+
+    Like Fromentin and Hivert's walk, which spawns no work below a fixed
+    depth, a split has a grain: forking the workers, importing `pickle`,
+    warming each worker's layout caches, rebuilding each root and sending
+    the rows back cost about 15 ms from the command line on a 2-vCPU host.
+    The work under the split level is estimated as its n_cut nodes grown
+    by n_cut / n_above per level down to g_max, the geometric growth of
+    the levels above, each node weighted 1 + words / 300: a node costs
+    about 5 us of walk plus about 0.016 us per layout word. So a node unit
+    is about 5 us, and SPLIT_MIN = 8192 units is about 40 ms of walk. Two
+    workers save at most half of that, and less where one subtree holds
+    more than half of the nodes (52% on N^2 to genus 9, 63% to genus 11):
+    about the fork's cost. In fresh processes, trees near that size (N^2 to
+    genus 8, det-5 (2,1), (1,3) to genus 6, N^3 to genus 6) ran about as
+    fast split as not, smaller ones no faster, and larger ones faster (the
+    crossover table of BENCH_21.json).
     """
     global _sweep_layout
     if g_max < 0:
@@ -458,13 +500,14 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     cap = capacity()
     layout = Layout(cone, g_max, cap)
-    level, cut, walked = [_node(layout, (), cap)], 0, 0
+    level, cut, walked, above = [_node(layout, (), cap)], 0, 0, 1
     while jobs > 1 and cut < g_max and len(level) < 8 * jobs:
         walked += len(level)
         charge(walked, WALK, cap)
+        above = len(level)
         level = [_child(layout, s, j, cap, False) for s in level for _, j in _past(layout, s)]
         cut += 1
-    if len(level) < 8 * jobs:
+    if len(level) < 8 * jobs or not _split_pays(len(level), above, g_max - cut, layout.words):
         level, cut = [], g_max + 1
     parts = [(0, _sweep(layout, make_csemigroup(cone, []), cut - 1, 0, False, cap))]
     if level:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conesemi import Cone, make_csemigroup
+from conesemi import Cone, make_csemigroup, wilf
 
 S_A_GAPS = ((1, 1), (2, 2))
 S_B_GAPS = ((1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (3, 1), (4, 0))
@@ -17,6 +17,14 @@ def pytest_configure(config):
     paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     if src not in paths:
         os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Every sweep with a level of 8 * jobs nodes splits there, however
+    little work the estimate puts under it, so that small trees still run
+    the forked path."""
+    monkeypatch.setattr(wilf, "SPLIT_MIN", 0)
 
 
 @pytest.fixture(scope="session")

@@ -149,6 +149,7 @@ class _InProcessPool:
         return out
 
 
+@pytest.mark.usefixtures("forced_split")
 @pytest.mark.parametrize("fresh_workers", [True, False])
 def test_split_sweeps_charge_every_subtree_and_the_total(fresh_workers, monkeypatch):
     """FULL2 to genus 4 under --jobs 2: the parent walks the 10 nodes to
@@ -198,6 +199,7 @@ def test_a_tree_walk_reads_the_capacity_once(call, monkeypatch):
     assert env.reads == 1
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_a_split_sweep_reads_the_capacity_once_in_the_parent(monkeypatch):
     """Under --jobs 2 the parent reads it once for its head levels, its own
     subtree and the merged total; each task, here run in this process,

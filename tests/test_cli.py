@@ -80,6 +80,33 @@ def test_usage_error_exits_2(cli, argv):
     assert exc.value.code == 2
 
 
+# Help and usage errors, which argparse writes before exiting: the exit code
+# and the pins of stdout and stderr, at a fixed terminal width
+PARSER_EXITS = {
+    "help": (["--help"], (0, 'sha256:b9c58ed9751e0a226ab4cb87fea2e159', '')),
+    "wilf-help": (["wilf", "--help"], (0, 'sha256:701cacd69eb2ecf4f3c807220268f9b6', '')),
+    "wilf-sweep-help": (["wilf", "sweep", "--help"],
+                        (0, 'sha256:9029ea41d442129f339b2799bc97b5e5', '')),
+    "msg-help": (["msg", "--help"], (0, 'sha256:916d4d580cd424c8394acea04d8a583c', '')),
+    "no-such-command": (["no-such-command"],
+                        (2, '', 'sha256:71092eeac316fc1717c47a8b7ae9b8d7')),
+    "empty": ([], (2, '', 'sha256:360af32723e6543a0ce78c98e9d0afda')),
+    "wilf-nope": (["wilf", "nope"], (2, '', 'sha256:5b4695e20ebd5ac2493c97902bb84f14')),
+    "wilf-alone": (["wilf"], (2, '', 'sha256:d70d50d7060d07ff0f089e2031dc6b89')),
+    "msg-bogus": (["msg", "--bogus"], (2, '', 'sha256:dfa5993b47da051fd68ee692d6645a47')),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSER_EXITS))
+def test_help_and_usage_error_bytes(case, monkeypatch, capsys):
+    argv, pinned = PARSER_EXITS[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, _pin(out), _pin(err)) == pinned
+
+
 def test_malformed_json_is_domain_error(cli):
     code, _, err = cli(["validate"], "{not json")
     assert code == 1
@@ -205,6 +232,7 @@ def test_wilf_report_and_sweep(cli, tmp_path):
     assert report["min_margin"] == 0
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_wilf_sweep_jobs_byte_identical(cli):
     _, seq, _ = cli(["wilf", "sweep", "--cone", FULL2, "--max-genus", "3", "--jobs", "1"])
     _, par, _ = cli(["wilf", "sweep", "--cone", FULL2, "--max-genus", "3", "--jobs", "4"])
@@ -373,9 +401,10 @@ def test_commands_import_only_what_they_run():
         (["construct", "idemaxial", "--cone", FULL2, "--pattern-gaps", "1"], NEVER_AT_START),
         (["plot", "--in", S_A_JSON], NEVER_AT_START),
         (["wilf", "sweep", "--cone", FULL2, "--max-genus", "2", "--jobs", "1"], NEVER_AT_START),
-        # 23 tasks for 2 forked workers; on a 1-CPU host jobs is capped at 1
+        # the estimated work under the 23 roots of genus 3 beats the fork, so
+        # they go to 2 forked workers; on a 1-CPU host jobs is capped at 1
         # and this sweep does not split
-        (["wilf", "sweep", "--cone", FULL2, "--max-genus", "3", "--jobs", "2"], NEVER_AT_START),
+        (["wilf", "sweep", "--cone", FULL2, "--max-genus", "9", "--jobs", "2"], NEVER_AT_START),
     ]
     for argv, absent in cases:
         code, modules = _probe(IMPORT_PROBE, *argv)
@@ -511,6 +540,7 @@ def _pin(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
+@pytest.mark.usefixtures("forced_split")
 @pytest.mark.parametrize("case,argv,stdin_text", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden_bytes(cli, tmp_path, case, argv, stdin_text):
     if "FILE" in argv:
@@ -543,6 +573,7 @@ TREE_WALKS = {
 }
 
 
+@pytest.mark.usefixtures("forced_split")
 @pytest.mark.parametrize("jobs", ["1", "2", "4"])
 @pytest.mark.parametrize("name", list(TREE_WALKS))
 def test_tree_walk_sweep_bytes(cli, name, jobs):

@@ -24,6 +24,7 @@ def tracing(monkeypatch):
     return tracing
 
 
+@pytest.mark.usefixtures("forced_split")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_tracer_records_the_sweep_layers(tracing, jobs, capsys):
     rec = tracing.Recorder()

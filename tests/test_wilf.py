@@ -195,6 +195,7 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_sweep_lists_counterexamples_by_genus_then_canonically(full2, monkeypatch, deadline):
     """The walk visits nodes depth first, out of canonical order, and a split
     sweep merges the head's levels with its subtrees'. With every node of
@@ -223,6 +224,7 @@ def test_sweep_lists_counterexamples_by_genus_then_canonically(full2, monkeypatc
     assert in_process.sizes == [2]
 
 
+@pytest.mark.usefixtures("forced_split")
 @pytest.mark.parametrize("how", ["raises", "dies"])
 def test_a_failed_worker_ends_the_sweep_and_leaves_no_child(how, full2, monkeypatch, deadline):
     """FULL2 to genus 4 under --jobs 2 hands out the 23 roots of genus 3.
@@ -268,6 +270,7 @@ class _RecordingPool:
         return [fn(t) for t in tasks]
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_sweep_jobs_are_capped_at_the_cpu_count(full2, monkeypatch):
     pool = _RecordingPool()
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
@@ -276,6 +279,7 @@ def test_sweep_jobs_are_capped_at_the_cpu_count(full2, monkeypatch):
     assert all(size <= os.cpu_count() for size in pool.sizes)
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_sweep_without_os_fork_runs_in_one_process(full2, monkeypatch):
     """Where the platform has no os.fork, jobs is capped at 1."""
     pool = _RecordingPool()
@@ -286,6 +290,7 @@ def test_sweep_without_os_fork_runs_in_one_process(full2, monkeypatch):
     assert pool.sizes == []
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_sweep_without_a_level_of_8_jobs_nodes_opens_no_pool(full2, monkeypatch):
     """FULL2 to genus 2 holds 1 + 2 + 7 nodes, fewer than 16 per level."""
     pool = _RecordingPool()
@@ -294,6 +299,7 @@ def test_sweep_without_a_level_of_8_jobs_nodes_opens_no_pool(full2, monkeypatch)
     assert pool.sizes == []
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, capsys):
     """FULL2 to genus 3 has levels of 1, 2, 7 and 23 nodes, so with 2 jobs
     the split level, the first of at least 16 nodes, is the last genus: the
@@ -312,6 +318,52 @@ def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, 
     assert [task[0].genus for task in pool.tasks] == [3] * 23
 
 
+DET5 = Cone.from_rays((2, 1), (1, 3))
+LEAN999 = Cone.from_rays((1, 0), (999, 1000))
+
+
+@pytest.mark.parametrize("cone,g_max,pools", [
+    pytest.param(Cone.full_cone(2), 7, 0, id="n2-g7"),
+    pytest.param(DET5, 5, 0, id="det5-g5"),
+    pytest.param(Cone.full_cone(3), 4, 0, id="n3-g4"),
+    pytest.param(Cone.full_cone(2), 9, 1, id="n2-g9"),
+    pytest.param(LEAN999, 5, 1, id="lean999-g5"),
+])
+def test_a_sweep_splits_only_where_the_estimated_work_beats_the_fork(cone, g_max, pools,
+                                                                     monkeypatch):
+    """Under --jobs 2 each of these trees has a level of 16 nodes, but only
+    the larger two are estimated to hold SPLIT_MIN node units below it."""
+    pool = _RecordingPool()
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
+    assert wilf_sweep(cone, g_max, jobs=2) == wilf_sweep(cone, g_max, jobs=1)
+    assert pool.sizes == [2] * pools
+
+
+def test_a_leaning_sector_splits_for_the_length_of_its_layout():
+    """Lean-999 to genus 5 splits at genus 3. Its nodes alone, about 830 by
+    the estimate, do not reach SPLIT_MIN, but weighted by the words of its
+    layout they do."""
+    counts = [lv.count for lv in enumerate_genus(LEAN999, 3)]
+    words = Layout(LEAN999, 5).words
+    assert counts[2] < 16 <= counts[3]
+    assert not wilf._split_pays(counts[3], counts[2], 2, 0)
+    assert wilf._split_pays(counts[3], counts[2], 2, words)
+
+
+def test_the_split_estimate_takes_few_steps_under_a_deep_bound(deadline):
+    """A float estimate overflows 10^4 levels deep; the int one stops once
+    it reaches SPLIT_MIN, and multiplies nothing where the levels do not
+    grow, however deep the bound."""
+    with pytest.raises(OverflowError):
+        33 * (33 / 16) ** 10**4
+    assert wilf._split_pays(33, 16, 10**4, 0)
+    assert wilf._split_pays(17, 16, 10**4, 0)
+    assert not wilf._split_pays(16, 16, 10**9, 0)
+    assert not wilf._split_pays(16, 17, 10**9, 0)
+
+
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_sweeps_derive_no_generators_for_the_last_genus(name, request, monkeypatch):
     """No node of a sweep, the last genus included, builds a generator
@@ -326,6 +378,7 @@ def test_sweeps_derive_no_generators_for_the_last_genus(name, request, monkeypat
     assert list(wilf_sweep(cone, 5).counts) == expected
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_sweep_parallel_matches_sequential(full2):
     seq = wilf_sweep(full2, 3, jobs=1)
     par = wilf_sweep(full2, 3, jobs=4)
