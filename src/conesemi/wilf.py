@@ -12,13 +12,14 @@ step, so every gap set of each genus appears exactly once. One walker,
 subtree under any root depth-first on an explicit stack (Fromentin and
 Hivert), so memory holds one path and its pending siblings rather than a
 whole genus, and a deep tree cannot exhaust the interpreter's recursion
-limit. Subtrees are also how `wilf_sweep` splits `jobs > 1` between
-workers, one subtree per task, where the work estimated under them beats
-the cost of forking. The workers are forked by the sweep itself
-(`_ForkPool`, stdlib `os` and `pickle` only): they inherit the tasks, take
-task indices from one pipe as each is free, and send their rows back as one
-pickle each, so a split sweep imports no `multiprocessing` and starts no
-pool threads.
+limit. Subtrees are also how `wilf_sweep` runs: its tasks are the walk
+states of one level, each swept by `_sweep_node`, and with `jobs > 1`
+forked workers run them where the work estimated under them beats the
+cost of forking. The workers are forked by the sweep itself (`_ForkPool`,
+stdlib `os` and `pickle` only): they inherit the tasks, take task indices
+from one pipe as each is free, and send their rows back as one pickle
+each, so a split sweep imports no `multiprocessing` and starts no pool
+threads.
 
 The walk is bit-parallel (Fromentin and Hivert, "Exploring the tree of
 numerical semigroups", Math. Comp. 2016), with Python's `int` as the
@@ -48,7 +49,7 @@ The walk yields nodes in canonical order: a node's canonical gap tuple is
 its path from the root, since each child's largest gap is the generator it
 removed, so depth first with children in canonical order lists each genus
 by `CSemigroup.sort_key`, and a level's subtrees, in level order, continue
-it. Only the sweep (`_sweep`) carries R; `enumerate_genus` leaves it 0.
+it. Only the sweep carries R; `enumerate_genus` leaves it 0.
 
 Most nodes are leaves, so the last genus costs the least (Fromentin and
 Hivert again). A node at genus g_max - 1 yields its children right away:
@@ -57,8 +58,8 @@ builds nothing for a leaf but its gap tuple. A parent's leaves are charged
 to the walk as one batch. A walk (an `enumerate_genus` call or a sweep)
 reads CONESEMI_CAPACITY once and checks every charge against that value:
 its nodes, its layout, and each mask of the layout when it is built. A
-split sweep builds the layout before it forks, so its workers inherit it,
-and each task rebuilds its root's state from the root's gaps.
+sweep's tasks carry its layout, their states and its cap, so a forked
+worker inherits all three and builds no state twice.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ import os
 from typing import NamedTuple
 
 from .errors import InvalidInput
-# lower_set is unused here but stays importable: the benchmark tracer
-# replaces wilf.lower_set along with the other modules' copies
-from .geom import LAYOUT, Cone, Layout, canon_key, capacity, charge, lower_set
+# lower_set and make_csemigroup are unused here but stay importable: the
+# benchmark tracer replaces wilf's copies along with the other modules'
+from .geom import Cone, Layout, canon_key, capacity, charge, lower_set
 from .semigroup import CSemigroup, gap_grid, make_csemigroup
 
 WALK = "the genus-tree walk"
@@ -381,48 +382,35 @@ def get_context():
     return _ForkContext
 
 
-# Nodes this process has walked as a pool worker. A pool serves one sweep,
-# so the count covers the worker's earlier subtrees of the same sweep.
+# Nodes this process has walked for the current sweep's tasks: reset when a
+# sweep starts, so the workers it forks inherit 0.
 _pool_walked = 0
-
-# The layout of the split sweep in progress: set before the workers are
-# forked, so they inherit it, and cleared when they are done.
-_sweep_layout: Layout | None = None
 
 
 def _sweep_node(task) -> tuple:
-    """Sweep the subtree under one root: a (count, least margin or None,
-    counterexamples) row for each genus from the root's up to g_max.
+    """Sweep the subtree under one walk state: a (count, least margin or
+    None, counterexamples) row for each genus from the state's up to g_max.
 
-    The task is (root, g_max, walked, pooled). CONESEMI_CAPACITY is read
-    once, here. The layout is the split sweep's own if it is for (cone,
-    g_max), charged again so a lower cap still refuses it, and otherwise
-    built here.
-    """
-    root, g_max, walked, pooled = task
-    cap = capacity()
-    layout = _sweep_layout
-    if layout is not None and (layout.cone, layout.g_max) == (root.cone, g_max):
-        charge(layout.words, LAYOUT, cap)
-    else:
-        layout = Layout(root.cone, g_max, cap)
-    return _sweep(layout, root, g_max, walked, pooled, cap)
-
-
-def _sweep(layout: Layout, root: CSemigroup, g_max: int, walked: int, pooled: bool, cap: int):
-    """`_sweep_node` on a layout for g_max or beyond. The root's state is
-    rebuilt from its gaps (`_node`). Each node goes to `wilf_report` as a
-    bare `CSemigroup` with its e preset, with its c. The budget counts the
-    `walked` nodes the parent visited and, in a pool worker, every node the
-    worker walked before this task, against cap."""
+    The task is (layout, state, g_max, walked, cap): a layout for g_max or
+    beyond, the state (`_node`), the nodes the sweep's head walked and the
+    sweep's point budget. The budget counts those, every node this process
+    walked for the sweep's earlier tasks and the subtree's own."""
     global _pool_walked
-    if pooled:
-        walked += _pool_walked
-    cone, low = root.cone, root.genus
+    layout, root, g_max, walked, cap = task
+    nodes = _walk(layout, root, g_max, walked + _pool_walked, cap, True)
+    rows = _rows(layout.cone, nodes, len(root[0]), g_max)
+    _pool_walked += sum(count for count, _, _ in rows)
+    return rows
+
+
+def _rows(cone: Cone, nodes, low: int, g_max: int) -> tuple:
+    """The rows of `_sweep_node` for genus low to g_max over the (gaps, e, c)
+    nodes, each genus in canonical order. Each node goes to `wilf_report`
+    as a bare `CSemigroup` with its e preset, with its c."""
     counts = [0] * (g_max + 1 - low)
     lows = [None] * len(counts)
     bad = [[] for _ in counts]
-    for gaps, e, c in _walk(layout, _node(layout, root.gaps, cap), g_max, walked, cap, True):
+    for gaps, e, c in nodes:
         s = CSemigroup(cone, gaps)
         s.__dict__["embedding_dimension"] = e
         rep = wilf_report(s, c)
@@ -432,8 +420,6 @@ def _sweep(layout: Layout, root: CSemigroup, g_max: int, walked: int, pooled: bo
             lows[i] = rep.margin
         if not rep.holds:
             bad[i].append((s, rep))
-    if pooled:
-        _pool_walked += sum(counts)
     return tuple(zip(counts, lows, map(tuple, bad)))
 
 
@@ -449,8 +435,11 @@ def _split_pays(n_cut: int, n_above: int, depth: int, words: int) -> bool:
     1 + words / 300 for a layout of that many words. Exact in `int`s, which
     a deep bound cannot overflow. Only a growing estimate is multiplied,
     and only until it reaches SPLIT_MIN, so a deep bound costs few steps:
-    the level above the split level holds fewer than 8 * jobs nodes, so
-    each step grows the estimate by at least 1 + 1 / (8 * jobs)."""
+    each step grows the estimate against SPLIT_MIN by n_cut / n_above, at
+    least 1 + 1 / n_above, from n_cut / SPLIT_MIN of the way, so it takes
+    at most about n_above * ln(SPLIT_MIN / n_cut) steps, fewer than
+    SPLIT_MIN / e. The level above holds fewer than 8 * jobs nodes unless
+    it is genus 1, one node per minimal generator of the gap-free root."""
     est, goal = n_cut * (300 + words), SPLIT_MIN * 300
     if n_cut > n_above:
         for _ in range(depth):
@@ -464,22 +453,25 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
     jobs is capped at the CPU count, and at 1 where the platform has no
-    `os.fork`. The tree is split by subtree (Fromentin and Hivert) at the
-    first level of at least 8 * jobs nodes, if the work estimated under it
-    reaches SPLIT_MIN (`_split_pays`): this process sweeps the levels above
-    it, and jobs forked workers (`get_context`) the subtrees under it, one
-    root per task, handed out as each worker is free. With jobs == 1, no
-    such level, or less work under it, this process sweeps the whole tree
+    `os.fork`. With jobs > 1 this process walks the head of the tree
+    breadth first, each state with its region, down to the split level:
+    the first level of at least 8 * jobs nodes below genus 1, or genus
+    g_max. Each state of the split level is one task (`_sweep_node`); with
+    jobs == 1 the one task is the root. The head's nodes are reported as
+    the tasks' are. If the split level holds 8 * jobs nodes and the work
+    estimated under it reaches SPLIT_MIN (`_split_pays`), jobs forked
+    workers (`get_context`) run the tasks, each handed out as a worker is
+    free (Fromentin and Hivert); otherwise this process runs them in order
     and forks nothing. The rows merge in part order, which keeps each genus
     canonical, so the summary does not depend on jobs. The walk is charged
-    to the point budget as it goes, and a split walk's merged total before
-    this returns; this process reads CONESEMI_CAPACITY once, and each task
-    once more.
+    to the point budget as it goes, and the merged total before this
+    returns. This process reads CONESEMI_CAPACITY once, and the tasks
+    carry the value.
 
     Like Fromentin and Hivert's walk, which spawns no work below a fixed
     depth, a split has a grain: forking the workers, importing `pickle`,
-    warming each worker's layout caches, rebuilding each root and sending
-    the rows back cost about 15 ms from the command line on a 2-vCPU host.
+    warming each worker's layout caches and sending the rows back cost
+    about 15 ms from the command line on a 2-vCPU host.
     The work under the split level is estimated as its n_cut nodes grown
     by n_cut / n_above per level down to g_max, the geometric growth of
     the levels above, each node weighted 1 + words / 300: a node costs
@@ -492,7 +484,7 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     fast split as not, smaller ones no faster, and larger ones faster (the
     crossover table of BENCH_21.json).
     """
-    global _sweep_layout
+    global _pool_walked
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
     if jobs < 1:
@@ -500,25 +492,23 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     cap = capacity()
     layout = Layout(cone, g_max, cap)
-    level, cut, walked, above = [_node(layout, (), cap)], 0, 0, 1
-    while jobs > 1 and cut < g_max and len(level) < 8 * jobs:
-        walked += len(level)
-        charge(walked, WALK, cap)
+    head, level, cut, above = [], [_node(layout, (), cap)], 0, 1
+    while jobs > 1 and cut < g_max and (cut < 2 or len(level) < 8 * jobs):
+        head += level
+        charge(len(head), WALK, cap)
         above = len(level)
-        level = [_child(layout, s, j, cap, False) for s in level for _, j in _past(layout, s)]
+        level = [_child(layout, s, j, cap, True) for s in level for _, j in _past(layout, s)]
         cut += 1
-    if len(level) < 8 * jobs or not _split_pays(len(level), above, g_max - cut, layout.words):
-        level, cut = [], g_max + 1
-    parts = [(0, _sweep(layout, make_csemigroup(cone, []), cut - 1, 0, False, cap))]
-    if level:
-        tasks = [(CSemigroup(cone, s[0]), g_max, walked, True) for s in level]
-        _sweep_layout = layout
-        try:
-            with get_context().Pool(jobs) as pool:
-                rows = pool.map(_sweep_node, tasks, chunksize=1)
-        finally:
-            _sweep_layout = None
-        parts += [(cut, r) for r in rows]
+    nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s in head)
+    parts = [(0, _rows(cone, nodes, 0, cut - 1))]
+    tasks = [(layout, s, g_max, len(head), cap) for s in level]
+    _pool_walked = 0
+    if len(level) >= 8 * jobs and _split_pays(len(level), above, g_max - cut, layout.words):
+        with get_context().Pool(jobs) as pool:
+            rows = pool.map(_sweep_node, tasks, chunksize=1)
+    else:
+        rows = [_sweep_node(task) for task in tasks]
+    parts += [(cut, r) for r in rows]
     counts = [0] * (g_max + 1)
     margins = []
     bad = [[] for _ in counts]
@@ -528,10 +518,8 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
             if low is not None:
                 margins.append(low)
             bad[g] += b
-    if level:
-        # the workers charged their own shares; unsplit, _walk has already
-        # charged the exact total
-        charge(sum(counts), WALK, cap)
+    # forked workers charged only their own shares
+    charge(sum(counts), WALK, cap)
     return WilfSummary(
         cone=cone,
         max_genus=g_max,

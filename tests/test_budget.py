@@ -34,6 +34,7 @@ from conesemi import (
 from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
 from conesemi.fme import feasible_strict
+from conesemi.geom import Layout, capacity
 from conesemi.semigroup import msg_weight_bound
 
 FULL2 = Cone.full_cone(2)
@@ -201,9 +202,9 @@ def test_a_tree_walk_reads_the_capacity_once(call, monkeypatch):
 
 @pytest.mark.usefixtures("forced_split")
 def test_a_split_sweep_reads_the_capacity_once_in_the_parent(monkeypatch):
-    """Under --jobs 2 the parent reads it once for its head levels, its own
-    subtree and the merged total; each task, here run in this process,
-    reads it once more."""
+    """Under --jobs 2 the parent reads it once for its head levels, its
+    tasks and the merged total; the tasks, here run in this process, carry
+    the value and read it no more."""
     env = _CountingEnviron(os.environ)
     monkeypatch.setattr(os, "environ", env)
     monkeypatch.setattr(wilf, "_pool_walked", 0)
@@ -212,19 +213,28 @@ def test_a_split_sweep_reads_the_capacity_once_in_the_parent(monkeypatch):
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
     wilf_sweep(FULL2, 5, jobs=2)
     assert pool.started == 23
-    assert env.reads == 1 + pool.started
+    assert env.reads == 1
 
 
-def test_a_sweep_task_reads_the_capacity_once(monkeypatch):
-    """The task roots have gaps, so their regions are boxed too. Genus 2 is
-    an inner level to genus 3: its nodes carry their generators."""
-    roots = enumerate_genus(FULL2, 3)[2].semigroups
-    env = _CountingEnviron(os.environ)
+def test_a_sweep_task_carries_the_capacity(monkeypatch):
+    """A task carries the sweep's cap: it reads CONESEMI_CAPACITY 0 times,
+    runs under an environment whose cap would refuse it, and is refused by
+    a cap it carries one short of its subtree's nodes. The task states
+    have gaps, so their regions are boxed too. Genus 2 is an inner level
+    to genus 3: its nodes carry their generators."""
+    cap = capacity()
+    layout = Layout(FULL2, 5, cap)
+    states = [wilf._node(layout, s.gaps, cap) for s in enumerate_genus(FULL2, 3)[2].semigroups]
+    env = _CountingEnviron(os.environ, CONESEMI_CAPACITY="1")
     monkeypatch.setattr(os, "environ", env)
-    for root in roots:
-        env.reads = 0
-        wilf._sweep_node((root, 5, 0, False))
-        assert env.reads == 1
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
+    for state in states:
+        wilf._pool_walked = 0
+        nodes = sum(count for count, _, _ in wilf._sweep_node((layout, state, 5, 0, cap)))
+        wilf._pool_walked = 0
+        with pytest.raises(CapacityExceeded, match=f"the genus-tree walk needs more than {nodes - 1} points"):
+            wilf._sweep_node((layout, state, 5, 0, nodes - 1))
+    assert env.reads == 0
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -24,9 +24,16 @@ def tracing(monkeypatch):
     return tracing
 
 
-@pytest.mark.usefixtures("forced_split")
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_tracer_records_the_sweep_layers(tracing, jobs, capsys):
+@pytest.mark.parametrize("jobs,split", [
+    pytest.param(1, True, id="1"),
+    pytest.param(2, True, id="2"),
+    pytest.param(2, False, id="2-unsplit"),
+])
+def test_tracer_records_the_sweep_layers(tracing, jobs, split, request, capsys):
+    """Split, the tasks run in forked workers and send their spans back;
+    unsplit, this process runs them through the tracer's sweep node."""
+    if split:
+        request.getfixturevalue("forced_split")
     rec = tracing.Recorder()
     restore = tracing.install(rec)
     rec.active = True
@@ -42,7 +49,7 @@ def test_tracer_records_the_sweep_layers(tracing, jobs, capsys):
     assert {"wilf.sweep", "wilf.report"} <= set(names)
     assert names.count("wilf.report") == 1 + 2 + 7 + 23
     assert names.count("semigroup.msg") == 0  # e comes from the walk's masks
-    assert rec.pools == (jobs > 1)  # one pool for the whole sweep
+    assert rec.pools == (split and jobs > 1)  # one pool for the whole sweep
 
 
 S_A = '{"cone":{"type":"rays2d","rays":[[1,0],[1,1]]},"gaps":[[1,1],[2,2]]}'

@@ -232,14 +232,15 @@ def test_a_failed_worker_ends_the_sweep_and_leaves_no_child(how, full2, monkeypa
     task; a worker that exits mid-task sends no rows, and the sweep raises
     ChildProcessError instead of waiting for them. Either way every worker
     is reaped. The workers inherit the patched _sweep_node through fork."""
-    roots = enumerate_genus(full2, 3)[3].semigroups
+    roots = [s.gaps for s in enumerate_genus(full2, 3)[3].semigroups]
     sweep_node = wilf._sweep_node
 
     def fails(task):
-        if task[0] in (roots[4], roots[9]):
+        gaps = task[1][0]
+        if gaps in (roots[4], roots[9]):
             if how == "dies":
                 os._exit(3)
-            raise InvalidInput(f"root {roots.index(task[0])}")
+            raise InvalidInput(f"root {roots.index(gaps)}")
         return sweep_node(task)
 
     monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
@@ -315,7 +316,7 @@ def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, 
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
     monkeypatch.setattr(wilf, "_pool_walked", 0)
     wilf_sweep(Cone.full_cone(2), 3, jobs=2)
-    assert [task[0].genus for task in pool.tasks] == [3] * 23
+    assert [len(task[1][0]) for task in pool.tasks] == [3] * 23
 
 
 DET5 = Cone.from_rays((2, 1), (1, 3))
@@ -326,13 +327,17 @@ LEAN999 = Cone.from_rays((1, 0), (999, 1000))
     pytest.param(Cone.full_cone(2), 7, 0, id="n2-g7"),
     pytest.param(DET5, 5, 0, id="det5-g5"),
     pytest.param(Cone.full_cone(3), 4, 0, id="n3-g4"),
+    pytest.param(DET20, 3, 0, id="det20-g3"),
     pytest.param(Cone.full_cone(2), 9, 1, id="n2-g9"),
     pytest.param(LEAN999, 5, 1, id="lean999-g5"),
+    pytest.param(DET20, 4, 1, id="det20-g4"),
 ])
 def test_a_sweep_splits_only_where_the_estimated_work_beats_the_fork(cone, g_max, pools,
                                                                      monkeypatch):
     """Under --jobs 2 each of these trees has a level of 16 nodes, but only
-    the larger two are estimated to hold SPLIT_MIN node units below it."""
+    the larger three are estimated to hold SPLIT_MIN node units below it.
+    Det-20's genus 1 already holds 16 nodes; the head still expands to
+    genus 2, so that its growth is not taken from the root's child count."""
     pool = _RecordingPool()
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
     monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
@@ -362,6 +367,8 @@ def test_the_split_estimate_takes_few_steps_under_a_deep_bound(deadline):
     assert wilf._split_pays(17, 16, 10**4, 0)
     assert not wilf._split_pays(16, 16, 10**9, 0)
     assert not wilf._split_pays(16, 17, 10**9, 0)
+    # a genus-2 split level may sit under a genus 1 of 8 * jobs nodes or more
+    assert wilf._split_pays(22, 21, 10**9, 0)
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
@@ -415,11 +422,22 @@ def test_region_is_the_union_of_every_gap_box(name, request):
         assert wilf_report(s).c == _region_size(s)
 
 
+def _genus2_tasks(cone, g_max):
+    """The sweep's tasks for the states of genus 2, built as its head
+    builds them: two levels of counted children below the root."""
+    cap = capacity()
+    layout = Layout(cone, g_max, cap)
+    level = [wilf._node(layout, (), cap)]
+    for _ in range(2):
+        level = [wilf._child(layout, s, j, cap, True) for s in level for _, j in wilf._past(layout, s)]
+    return [(layout, s, g_max, 0, cap) for s in level]
+
+
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_sweeps_report_the_counts_of_the_carried_region(name, request, monkeypatch):
-    """Every node to genus 5, from the gap-free root and from each genus-2
-    root a pool worker would receive: the report built from the region the
-    walk carries, and from the generators it derives or (on the last genus)
+    """Every node to genus 5, from the gap-free root, from a --jobs 2 head
+    and from each genus-2 task: the report built from the region the walk
+    carries, and from the generators it derives or (on the last genus)
     counts, equals the one counted from the node's gaps alone with a
     rescan of its generators. A subtree whose points stayed in the carried
     set would inflate c for every later sibling."""
@@ -432,15 +450,45 @@ def test_sweeps_report_the_counts_of_the_carried_region(name, request, monkeypat
         return rep
 
     monkeypatch.setattr(wilf, "wilf_report", recording)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
     sweep = wilf_sweep(cone, 5)
     assert len(seen) == sum(sweep.counts)
-    for root in enumerate_genus(cone, 2)[2].semigroups:
-        wilf._sweep_node((root, 5, 0, False))
-    assert len(seen) == sum(sweep.counts) + sum(sweep.counts[2:])
+    assert wilf_sweep(cone, 5, jobs=2) == sweep
+    assert len(seen) == 2 * sum(sweep.counts)
+    for task in _genus2_tasks(cone, 5):
+        wilf._sweep_node(task)
+    assert len(seen) == 2 * sum(sweep.counts) + sum(sweep.counts[2:])
     assert all(c is not None for _, c, _ in seen)
     # a pool root's subtree repeats its nodes: check each distinct report once
     for gaps, rep in {(s.gaps, rep) for s, _, rep in seen}:
         assert rep == wilf_report(CSemigroup(cone, gaps))
+
+
+@pytest.mark.parametrize("g_max,jobs,split", [(7, 1, False), (7, 2, False), (5, 2, True)],
+                         ids=["jobs1", "jobs2", "jobs2-split"])
+def test_a_sweep_builds_each_node_state_once(g_max, jobs, split, request, monkeypatch):
+    """Every node but the root is one _child call, whether this process
+    walks the whole tree, the head and then every task, or the head and
+    then hands the tasks to a pool (here run in this process)."""
+    calls = 0
+    child = wilf._child
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return child(*args)
+
+    if split:
+        request.getfixturevalue("forced_split")
+    pool = _RecordingPool()
+    monkeypatch.setattr(wilf, "_child", counting)
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    monkeypatch.setattr(wilf, "_pool_walked", 0)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    summary = wilf_sweep(Cone.full_cone(2), g_max, jobs=jobs)
+    assert calls == sum(summary.counts) - 1
+    assert pool.sizes == [2] * split
 
 
 def _walk(cone, g_max, gaps=()):
