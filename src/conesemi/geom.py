@@ -99,10 +99,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g."""
     if b == 0:
@@ -288,7 +284,7 @@ class Cone(Record):
         r1, r2 = self.rays
         w1, w2 = weight(r1), weight(r2)
         lo = _ceil_div(t * r2[0], w2)
-        hi = _floor_div(t * r1[0], w1)
+        hi = t * r1[0] // w1
         return lo, hi
 
     def points_at_weight(self, t: int) -> list[Point]:

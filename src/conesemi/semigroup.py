@@ -85,23 +85,16 @@ class NumericalSemigroup(Record):
         # a_1 < ... < a_k with gcd 1 have a Frobenius number below a_1 * a_k,
         # and more generators only lower it: a large redundant one costs nothing
         last = next(a for a, c in zip(gens, accumulate(gens, gcd)) if c == 1)
-        bound = m * last + 2
-        while True:
-            charge(bound, "the reachability table")
-            reach = bytearray(bound)
-            reach[0] = 1
-            for t in range(1, bound):
-                for a in gens:
-                    if a <= t and reach[t - a]:
-                        reach[t] = 1
-                        break
-            # m consecutive members make everything beyond them reachable
-            run = 0
-            for t in range(bound):
-                run = run + 1 if reach[t] else 0
-                if run == m:
-                    return cls(tuple(k for k in range(t - m + 1) if not reach[k]))
-            bound *= 2
+        bound = m * last
+        charge(bound, "the reachability table")
+        reach = bytearray(bound)
+        reach[0] = 1
+        for t in range(1, bound):
+            for a in gens:
+                if a <= t and reach[t - a]:
+                    reach[t] = 1
+                    break
+        return cls(tuple(k for k in range(bound) if not reach[k]))
 
     @cached_property
     def _gap_set(self) -> frozenset[int]:
@@ -336,7 +329,8 @@ class CSemigroup(Record):
         rays = self.cone.rays
         if not 0 <= i < len(rays):
             raise InvalidRay(f"ray index {i} out of range for {len(rays)} rays")
-        return NumericalSemigroup.from_gaps(self.cone.ray_multiples(self.gaps, i))
+        # the gaps are closed, so are those on a ray: no closure check
+        return NumericalSemigroup(tuple(sorted(self.cone.ray_multiples(self.gaps, i))))
 
     # -- serialization ----------------------------------------------------------------
 

@@ -9,13 +9,13 @@ and the children of S remove one minimal generator beyond the canonically
 largest gap. Adding the canonically largest gap back is the unique inverse
 step, so every gap set of each genus appears exactly once. One walker,
 `_walk`, serves both `enumerate_genus` and `wilf_sweep`. It walks the
-subtree under any root depth-first on an explicit stack (Fromentin and
+subtrees under one level depth-first on an explicit stack (Fromentin and
 Hivert), so memory holds one path and its pending siblings rather than a
 whole genus, and a deep tree cannot exhaust the interpreter's recursion
-limit. Subtrees are also how `wilf_sweep` runs: its tasks are the walk
-states of one level, each swept by `_sweep_node`, and with `jobs > 1`
-forked workers run them where the work estimated under them beats the
-cost of forking. The workers are forked by the sweep itself (`_ForkPool`,
+limit. With `jobs > 1`, `wilf_sweep` hands those subtrees to forked
+workers (`_sweep_node`) where the work estimated under them beats the
+cost of forking; otherwise it walks the whole level, as it walks the root
+at `jobs == 1`. The workers are forked by the sweep itself (`_ForkPool`,
 stdlib `os` and `pickle` only): they inherit the tasks, take task indices
 from one pipe as each is free, and send their rows back as one pickle
 each, so a split sweep imports no `multiprocessing` and starts no pool
@@ -42,8 +42,8 @@ The generators of S other than m stay minimal in S \\ {m}, since a
 decomposition there is one in S. A new generator decomposed in S only
 through m, so it is m plus a nonzero member, heavier than m. The children
 of S \\ {m} therefore remove the generators of S past m, or the new ones:
-the walk carries each node's list and reads only the bits that its child's
-generator mask gains.
+each node travels with that list (`_kids`, the one place that builds a
+node's children), so a child reads only the bits its generator mask gains.
 
 The walk yields nodes in canonical order: a node's canonical gap tuple is
 its path from the root, since each child's largest gap is the generator it
@@ -58,7 +58,7 @@ builds nothing for a leaf but its gap tuple. A parent's leaves are charged
 to the walk as one batch. A walk (an `enumerate_genus` call or a sweep)
 reads CONESEMI_CAPACITY once and checks every charge against that value:
 its nodes, its layout, and each mask of the layout when it is built. A
-sweep's tasks carry its layout, their states and its cap, so a forked
+sweep's tasks carry its layout, their nodes and its cap, so a forked
 worker inherits all three and builds no state twice.
 """
 
@@ -70,7 +70,7 @@ from typing import NamedTuple
 from .errors import InvalidInput
 # lower_set and make_csemigroup are unused here but stay importable: the
 # benchmark tracer replaces wilf's copies along with the other modules'
-from .geom import Cone, Layout, canon_key, capacity, charge, lower_set
+from .geom import Cone, Layout, capacity, charge, lower_set
 from .semigroup import CSemigroup, gap_grid, make_csemigroup
 
 WALK = "the genus-tree walk"
@@ -121,20 +121,18 @@ class GenusLevel(NamedTuple):
         return len(self.semigroups)
 
 
-def _node(layout: Layout, gaps: tuple, cap: int) -> tuple:
-    """The walk's state of the node with these canonical gaps: the gap-free
-    semigroup's, with each gap removed in turn, since a node's canonical
-    gap tuple is its path from the root.
+def _node(layout: Layout) -> tuple:
+    """The gap-free root as the walk's (state, pending) pair.
 
     A state is (gaps, F, dec, R, gens), each mask in `layout`'s fields: F
     the nonzero members, dec the ordered two-member decompositions of each
     point, R the region under the gaps and gens the minimal generators,
-    the members whose dec field is 0.
+    the members whose dec field is 0. pending is the (canonical key, slot)
+    of each generator past the largest gap, in canonical order: those
+    whose removal gives the node's children (see the module docstring).
     """
-    node = ((), layout.members, layout.counts, 0, layout.members & layout.zeros(layout.counts))
-    for g in gaps:
-        node = _child(layout, node, layout.slot(g), cap, True)
-    return node
+    gens = layout.members & layout.zeros(layout.counts)
+    return ((), layout.members, layout.counts, 0, gens), _named(layout, gens)
 
 
 def _child(layout: Layout, node: tuple, j: int, cap: int, counted: bool) -> tuple:
@@ -169,46 +167,43 @@ def _named(layout: Layout, mask: int, last: tuple = ()) -> list[tuple]:
     return out
 
 
-def _past(layout: Layout, node: tuple) -> list[tuple]:
-    """(canonical key, slot) of each of the node's minimal generators past
-    its canonically largest gap, in canonical order: the generators whose
-    removal gives its children (see the module docstring)."""
-    gaps = node[0]
-    return _named(layout, node[4], canon_key(gaps[-1]) if gaps else ())
+def _kids(layout: Layout, node: tuple, pending: list, cap: int, counted: bool) -> list[tuple]:
+    """The (child, pending) pair of each child of the state node, whose
+    pending generators are given, in canonical order. The child that
+    removes m has those of its parent past m, and its new generators,
+    which are all heavier than m (see the module docstring): the bits its
+    generator mask gains."""
+    gens, kids = node[4], []
+    for i, (key, j) in enumerate(pending):
+        child = _child(layout, node, j, cap, counted)
+        # m itself is among the changed bits, and is not past m
+        kids.append((child, sorted(pending[i + 1:] + _named(layout, child[4] ^ gens, key))))
+    return kids
 
 
-def _walk(layout: Layout, root: tuple, g_max: int, walked: int, cap: int, counted: bool = False):
-    """Yield (gaps, e, c) for each node of the subtree under the state root
-    up to genus g_max, depth first on an explicit stack, children in
-    canonical order: each genus in `CSemigroup.sort_key` order (see the
+def _walk(layout: Layout, pairs: list, g_max: int, walked: int, cap: int, counted: bool = False):
+    """Yield (gaps, e, c) for each node of the subtrees under the (state,
+    pending) pairs of one level, subtree by subtree, up to genus g_max:
+    depth first on an explicit stack, children in canonical order
+    (`_kids`), so each genus comes in `CSemigroup.sort_key` order (see the
     module docstring). c is 0 unless counted.
 
-    Each node on the stack carries its generators past its largest gap,
-    its children's gaps. The child that removes m has those of its parent
-    past m, and its new generators, which are all heavier than m (see the
-    module docstring): the bits its generator mask gains. Nodes below
-    genus g_max - 1 push their children. Those at g_max - 1 yield their
-    children, the leaves, right away: with counted, each with its e and c,
-    and otherwise as bare gap tuples with e and c None. Each node is
-    charged to the point budget cap before it is yielded, on top of
-    `walked` nodes visited elsewhere, and a parent's leaves as one batch.
+    Nodes below genus g_max - 1 push their children. Those at g_max - 1
+    yield their children, the leaves, right away and build no pending
+    list: with counted, each with its e and c, and otherwise as bare gap
+    tuples with e and c None. Each node is charged to the point budget cap
+    before it is yielded, on top of `walked` nodes visited elsewhere, and a
+    parent's leaves as one batch.
     """
-    stack = [(root, _past(layout, root))]
+    stack = pairs[::-1]
     while stack:
         node, ms = stack.pop()
         walked += 1
         charge(walked, WALK, cap)
-        gaps, gens = node[0], node[4]
-        yield gaps, gens.bit_count(), node[3].bit_count()
+        gaps = node[0]
+        yield gaps, node[4].bit_count(), node[3].bit_count()
         if len(gaps) + 1 < g_max:
-            kids = []
-            for i, (key, j) in enumerate(ms):
-                child = _child(layout, node, j, cap, counted)
-                # m itself is among the changed bits, and is not past m
-                past = ms[i + 1:] + _named(layout, child[4] ^ gens, key)
-                past.sort()
-                kids.append((child, past))
-            stack.extend(reversed(kids))
+            stack += reversed(_kids(layout, node, ms, cap, counted))
         elif len(gaps) < g_max:
             walked += len(ms)
             charge(walked, WALK, cap)
@@ -227,7 +222,7 @@ def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     cap = capacity()
     layout = Layout(cone, g_max, cap)
     levels = [[] for _ in range(g_max + 1)]
-    for gaps, _, _ in _walk(layout, _node(layout, (), cap), g_max, 0, cap):
+    for gaps, _, _ in _walk(layout, [_node(layout)], g_max, 0, cap):
         levels[len(gaps)].append(CSemigroup(cone, gaps))
     return [GenusLevel(g, tuple(level)) for g, level in enumerate(levels)]
 
@@ -388,17 +383,18 @@ _pool_walked = 0
 
 
 def _sweep_node(task) -> tuple:
-    """Sweep the subtree under one walk state: a (count, least margin or
-    None, counterexamples) row for each genus from the state's up to g_max.
+    """Sweep the subtrees under the (state, pending) pairs of one level: a
+    (count, least margin or None, counterexamples) row for each genus from
+    the level's up to g_max.
 
-    The task is (layout, state, g_max, walked, cap): a layout for g_max or
-    beyond, the state (`_node`), the nodes the sweep's head walked and the
-    sweep's point budget. The budget counts those, every node this process
-    walked for the sweep's earlier tasks and the subtree's own."""
+    The task is (layout, pairs, g_max, walked, cap): a layout for g_max or
+    beyond, the pairs (`_node`, `_kids`), the nodes the sweep's head walked
+    and the sweep's point budget. The budget counts those, every node this
+    process walked for the sweep's earlier tasks and the subtrees' own."""
     global _pool_walked
-    layout, root, g_max, walked, cap = task
-    nodes = _walk(layout, root, g_max, walked + _pool_walked, cap, True)
-    rows = _rows(layout.cone, nodes, len(root[0]), g_max)
+    layout, pairs, g_max, walked, cap = task
+    nodes = _walk(layout, pairs, g_max, walked + _pool_walked, cap, True)
+    rows = _rows(layout.cone, nodes, len(pairs[0][0][0]), g_max)
     _pool_walked += sum(count for count, _, _ in rows)
     return rows
 
@@ -453,20 +449,20 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     """Run wilf_report over every semigroup of genus <= g_max.
 
     jobs is capped at the CPU count, and at 1 where the platform has no
-    `os.fork`. With jobs > 1 this process walks the head of the tree
-    breadth first, each state with its region, down to the split level:
-    the first level of at least 8 * jobs nodes below genus 1, or genus
-    g_max. Each state of the split level is one task (`_sweep_node`); with
-    jobs == 1 the one task is the root. The head's nodes are reported as
-    the tasks' are. If the split level holds 8 * jobs nodes and the work
-    estimated under it reaches SPLIT_MIN (`_split_pays`), jobs forked
-    workers (`get_context`) run the tasks, each handed out as a worker is
-    free (Fromentin and Hivert); otherwise this process runs them in order
-    and forks nothing. The rows merge in part order, which keeps each genus
-    canonical, so the summary does not depend on jobs. The walk is charged
-    to the point budget as it goes, and the merged total before this
-    returns. This process reads CONESEMI_CAPACITY once, and the tasks
-    carry the value.
+    `os.fork`. With jobs > 1 this process expands the head of the tree
+    breadth first (`_kids`), each state with its region, down to the split
+    level: the first level of at least 8 * jobs nodes below genus 1, or
+    genus g_max. The head's nodes are reported as the walk's are. If the
+    split level holds 8 * jobs nodes and the work estimated under it
+    reaches SPLIT_MIN (`_split_pays`), each of its nodes is one task
+    (`_sweep_node`), and jobs forked workers (`get_context`) run the tasks,
+    each handed out as a worker is free (Fromentin and Hivert). Otherwise
+    this process sweeps the whole split level as one task, the walk that
+    jobs == 1 runs from the root, and forks nothing. The rows merge in
+    level order, which keeps each genus canonical, so the summary does not
+    depend on jobs. The walk is charged to the point budget as it goes,
+    and the merged total before this returns. This process reads
+    CONESEMI_CAPACITY once, and the tasks carry the value.
 
     Like Fromentin and Hivert's walk, which spawns no work below a fixed
     depth, a split has a grain: forking the workers, importing `pickle`,
@@ -492,22 +488,22 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     cap = capacity()
     layout = Layout(cone, g_max, cap)
-    head, level, cut, above = [], [_node(layout, (), cap)], 0, 1
+    head, level, cut, above = [], [_node(layout)], 0, 1
     while jobs > 1 and cut < g_max and (cut < 2 or len(level) < 8 * jobs):
         head += level
         charge(len(head), WALK, cap)
         above = len(level)
-        level = [_child(layout, s, j, cap, True) for s in level for _, j in _past(layout, s)]
+        level = [kid for s, ms in level for kid in _kids(layout, s, ms, cap, True)]
         cut += 1
-    nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s in head)
+    nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s, _ in head)
     parts = [(0, _rows(cone, nodes, 0, cut - 1))]
-    tasks = [(layout, s, g_max, len(head), cap) for s in level]
     _pool_walked = 0
     if len(level) >= 8 * jobs and _split_pays(len(level), above, g_max - cut, layout.words):
+        tasks = [(layout, [pair], g_max, len(head), cap) for pair in level]
         with get_context().Pool(jobs) as pool:
             rows = pool.map(_sweep_node, tasks, chunksize=1)
     else:
-        rows = [_sweep_node(task) for task in tasks]
+        rows = [_sweep_node((layout, level, g_max, len(head), cap))]
     parts += [(cut, r) for r in rows]
     counts = [0] * (g_max + 1)
     margins = []

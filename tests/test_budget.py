@@ -72,8 +72,8 @@ SITES = {
     # region's, built after it, has 20
     "wilf_report-region": ("the lattice grid", 9, lambda: wilf_report(AXES_9)),
     "frobenius_set": ("the lattice grid", 9, lambda: AXES_9.frobenius_set("induced")),
-    # the gaps' grids of the ray restrictions hold 1 row; the generator
-    # region's, of the box (7, 1), 8
+    # the ray restrictions are read off the gaps, with no grid; the
+    # generator region's grid, of the box (7, 1), has 8 rows
     "minimal_generators": (
         "the lattice grid", 7,
         lambda: CSemigroup(FULL2, ((1, 0), (2, 0), (3, 0))).minimal_generators),
@@ -220,20 +220,23 @@ def test_a_sweep_task_carries_the_capacity(monkeypatch):
     """A task carries the sweep's cap: it reads CONESEMI_CAPACITY 0 times,
     runs under an environment whose cap would refuse it, and is refused by
     a cap it carries one short of its subtree's nodes. The task states
-    have gaps, so their regions are boxed too. Genus 2 is an inner level
-    to genus 3: its nodes carry their generators."""
+    have gaps, so their regions are boxed too. Each task holds one
+    (state, pending) pair of genus 2, built as the sweep's head builds it."""
     cap = capacity()
     layout = Layout(FULL2, 5, cap)
-    states = [wilf._node(layout, s.gaps, cap) for s in enumerate_genus(FULL2, 3)[2].semigroups]
+    pairs = [wilf._node(layout)]
+    for _ in range(2):
+        pairs = [kid for pair in pairs for kid in wilf._kids(layout, *pair, cap, True)]
+    assert [state[0] for state, _ in pairs] == [s.gaps for s in enumerate_genus(FULL2, 2)[2].semigroups]
     env = _CountingEnviron(os.environ, CONESEMI_CAPACITY="1")
     monkeypatch.setattr(os, "environ", env)
     monkeypatch.setattr(wilf, "_pool_walked", 0)
-    for state in states:
+    for pair in pairs:
         wilf._pool_walked = 0
-        nodes = sum(count for count, _, _ in wilf._sweep_node((layout, state, 5, 0, cap)))
+        nodes = sum(count for count, _, _ in wilf._sweep_node((layout, [pair], 5, 0, cap)))
         wilf._pool_walked = 0
         with pytest.raises(CapacityExceeded, match=f"the genus-tree walk needs more than {nodes - 1} points"):
-            wilf._sweep_node((layout, state, 5, 0, nodes - 1))
+            wilf._sweep_node((layout, [pair], 5, 0, nodes - 1))
     assert env.reads == 0
 
 

@@ -20,6 +20,7 @@ from conesemi import (
     lower_set,
     lower_set_semigroup,
     make_csemigroup,
+    semigroup,
 )
 from conesemi.errors import (
     CapacityExceeded,
@@ -35,7 +36,7 @@ from conesemi.errors import (
 )
 from conesemi.fme import feasible_strict
 from conesemi.geom import Layout, add, canon_key, capacity, sub, weight
-from conesemi.wilf import _child, _node, _past, enumerate_genus
+from conesemi.wilf import _kids, _node, enumerate_genus
 
 S_A_MSG = ((1, 0), (2, 1), (3, 2), (3, 3), (4, 4), (5, 5))
 
@@ -114,6 +115,9 @@ def test_numerical_from_generators():
     assert NumericalSemigroup.from_generators([3, 5]).gaps == (1, 2, 4, 7)
     assert NumericalSemigroup.from_generators([2, 3]).gaps == (1,)
     assert NumericalSemigroup.from_generators([4, 6, 9]).gaps == (1, 2, 3, 5, 7, 11)
+    # a far redundant generator past the coprime prefix 5, 7
+    assert NumericalSemigroup.from_generators([5, 7, 100]).gaps == (
+        1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23)
     assert NumericalSemigroup.from_generators([1]).gaps == ()
     # pairwise non-coprime generators still work
     assert NumericalSemigroup.from_generators([6, 10, 15]).frobenius == 29
@@ -236,6 +240,28 @@ def test_msg_full1():
 
     s = make_csemigroup(Cone.full_cone(1), [(1,)])
     assert s.minimal_generators == ((2,), (3,))
+
+
+@pytest.mark.parametrize("name,tops", [
+    ("full2", [(4, 1), (1, 4)]),
+    ("cone_skew", [(5, 3), (3, 7)]),
+    ("full3", [(2, 1, 0), (0, 1, 2)]),
+])
+def test_minimal_generators_build_one_grid(name, tops, request, monkeypatch):
+    """A validated semigroup's generators take one lattice grid, that of
+    the certified region: its ray restrictions, which bound the region, are
+    read off its gaps with no closure check of their own."""
+    s = lower_set_semigroup(request.getfixturevalue(name), tops)
+    grids = []
+    grid = semigroup.Grid
+
+    def counting(*args):
+        grids.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(semigroup, "Grid", counting)
+    assert s.minimal_generators
+    assert len(grids) == 1
 
 
 def test_msg_members_are_indecomposable(s_b):
@@ -585,13 +611,13 @@ def _closed_gap_set(cone, data):
         )
     cap = capacity()
     layout = Layout(cone, 8, cap)
-    node = _node(layout, (), cap)
+    pair = _node(layout)
     for _ in range(data.draw(st.integers(0, 8))):
-        kids = _past(layout, node)
+        kids = _kids(layout, *pair, cap, False)
         if not kids:
             break
-        node = _child(layout, node, data.draw(st.sampled_from(kids))[1], cap, False)
-    return list(node[0])
+        pair = kids[data.draw(st.sampled_from(range(len(kids))))]
+    return list(pair[0][0])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

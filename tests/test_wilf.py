@@ -236,7 +236,8 @@ def test_a_failed_worker_ends_the_sweep_and_leaves_no_child(how, full2, monkeypa
     sweep_node = wilf._sweep_node
 
     def fails(task):
-        gaps = task[1][0]
+        (state, _), = task[1]
+        gaps = state[0]
         if gaps in (roots[4], roots[9]):
             if how == "dies":
                 os._exit(3)
@@ -316,7 +317,7 @@ def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, 
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
     monkeypatch.setattr(wilf, "_pool_walked", 0)
     wilf_sweep(Cone.full_cone(2), 3, jobs=2)
-    assert [len(task[1][0]) for task in pool.tasks] == [3] * 23
+    assert [[len(state[0]) for state, _ in task[1]] for task in pool.tasks] == [[3]] * 23
 
 
 DET5 = Cone.from_rays((2, 1), (1, 3))
@@ -422,15 +423,20 @@ def test_region_is_the_union_of_every_gap_box(name, request):
         assert wilf_report(s).c == _region_size(s)
 
 
+def _levels(layout, genus, cap):
+    """The (state, pending) pairs of each level to genus, built as the
+    sweep's head builds them: counted children, level by level."""
+    levels = [[wilf._node(layout)]]
+    for _ in range(genus):
+        levels.append([kid for pair in levels[-1] for kid in wilf._kids(layout, *pair, cap, True)])
+    return levels
+
+
 def _genus2_tasks(cone, g_max):
-    """The sweep's tasks for the states of genus 2, built as its head
-    builds them: two levels of counted children below the root."""
+    """The split sweep's tasks for the nodes of genus 2, one each."""
     cap = capacity()
     layout = Layout(cone, g_max, cap)
-    level = [wilf._node(layout, (), cap)]
-    for _ in range(2):
-        level = [wilf._child(layout, s, j, cap, True) for s in level for _, j in wilf._past(layout, s)]
-    return [(layout, s, g_max, 0, cap) for s in level]
+    return [(layout, [pair], g_max, 0, cap) for pair in _levels(layout, 2, cap)[2]]
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
@@ -491,13 +497,64 @@ def test_a_sweep_builds_each_node_state_once(g_max, jobs, split, request, monkey
     assert pool.sizes == [2] * split
 
 
-def _walk(cone, g_max, gaps=()):
+# trees with a level of 16 nodes whose estimated work does not pay a fork
+UNSPLIT = [
+    pytest.param(Cone.full_cone(2), 7, id="n2-g7"),
+    pytest.param(DET5, 5, id="det5-g5"),
+    pytest.param(Cone.full_cone(3), 4, id="n3-g4"),
+]
+
+
+@pytest.mark.parametrize("cone,g_max", UNSPLIT)
+def test_an_unsplit_sweep_walks_its_split_level_as_one_task(cone, g_max, monkeypatch):
+    """Under --jobs 2 an unsplit sweep hands its whole split level, every
+    (state, pending) pair of it, to one _sweep_node call, as --jobs 1 hands
+    it the root, and opens no pool."""
+    tasks = []
+    sweep_node = wilf._sweep_node
+
+    def recording(task):
+        tasks.append(task)
+        return sweep_node(task)
+
+    pool = _RecordingPool()
+    monkeypatch.setattr(wilf, "_sweep_node", recording)
+    monkeypatch.setattr(wilf, "get_context", lambda: pool)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    summary = wilf_sweep(cone, g_max, jobs=2)
+    assert len(tasks) == 1
+    (_, pairs, _, walked, _), = tasks
+    assert len(pairs) >= 16
+    assert walked + sum(summary.counts[len(pairs[0][0][0]):]) == sum(summary.counts)
+    assert pool.sizes == []
+
+
+@pytest.mark.parametrize("cone,g_max", UNSPLIT)
+def test_an_unsplit_sweep_reads_the_generator_bits_of_one_walk(cone, g_max, monkeypatch):
+    """The head and the walk both expand a node through _kids, with the
+    pending generators it carries, so an unsplit --jobs 2 sweep reads as
+    many bits of generator masks (`_named`) as --jobs 1 and no rescan."""
+    bits = []
+    named = wilf._named
+
+    def counting(layout, mask, last=()):
+        bits[-1] += mask.bit_count()
+        return named(layout, mask, last)
+
+    monkeypatch.setattr(wilf, "_named", counting)
+    monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        bits.append(0)
+        wilf_sweep(cone, g_max, jobs=jobs)
+    assert bits[0] == bits[1]
+
+
+def _walk(cone, g_max):
     """The layout for g_max and the (gaps, e, c) of each node of the
-    counted walk under the node with these gaps, in walk order."""
+    counted walk from the root, in walk order."""
     cap = capacity()
     layout = Layout(cone, g_max, cap)
-    root = wilf._node(layout, tuple(gaps), cap)
-    return layout, list(wilf._walk(layout, root, g_max, 0, cap, True))
+    return layout, list(wilf._walk(layout, [wilf._node(layout)], g_max, 0, cap, True))
 
 
 def _children(nodes):
@@ -544,10 +601,10 @@ def test_grid_queries_match_the_walk_on_every_node(name):
     the c the walk carries."""
     cone, g_max = GRID_WALKS[name]
     layout, nodes = _walk(cone, g_max)
-    cap = capacity()
+    states = {state[0]: state for level in _levels(layout, g_max, capacity()) for state, _ in level}
+    assert len(states) == len(nodes)
     for gaps, _, c in nodes:
-        node = wilf._node(layout, gaps, cap)
-        walked = tuple(layout.names[j][1] for _, j in wilf._named(layout, node[4]))
+        walked = tuple(layout.names[j][1] for _, j in wilf._named(layout, states[gaps][4]))
         s = CSemigroup(cone, gaps)
         assert s.minimal_generators == walked
         assert wilf_report(s).c == c
@@ -578,16 +635,18 @@ def test_children_inherit_the_rescanned_generators(name, request):
 @given(data=st.data())
 def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone_a, cone_skew, data):
     """Down a random tree path to genus 9, each state's generator mask and
-    region are those a rescan finds. At each node, also remove a random
+    region are those a rescan finds, and its pending list holds the
+    generators past its largest gap. At each node, also remove a random
     minimal generator, which need not lie past the largest gap."""
     cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20]))
     cap = capacity()
     layout = Layout(cone, 9, cap)
-    node = wilf._node(layout, (), cap)
+    node, pending = wilf._node(layout)
     while True:
         s = CSemigroup(cone, node[0])
         assert _points(layout, node[4]) == s.minimal_generators
         assert node[3].bit_count() == _region_size(s)
+        assert [layout.names[j][1] for _, j in pending] == _past(s.gaps, s.minimal_generators)
         if s.genus == 9:
             break
         m = data.draw(st.sampled_from(s.minimal_generators))
@@ -595,10 +654,10 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
         t = make_csemigroup(cone, s.gaps + (m,))
         assert _points(layout, child[4]) == t.minimal_generators
         assert child[3].bit_count() == _region_size(t)
-        kids = wilf._past(layout, node)
+        kids = wilf._kids(layout, node, pending, cap, True)
         if not kids:
             break
-        node = wilf._child(layout, node, data.draw(st.sampled_from(kids))[1], cap, True)
+        node, pending = kids[data.draw(st.sampled_from(range(len(kids))))]
 
 
 # the genus each cone's oracle test walks to at most: at genus 2 the pairwise
@@ -632,10 +691,10 @@ def test_every_walk_node_matches_the_oracle(request, data):
     g_max = data.draw(st.integers(1, ORACLE_GENUS[name]))
     cap = capacity()
     layout = Layout(cone, g_max, cap)
-    node = wilf._node(layout, (), cap)
+    pair = wilf._node(layout)
     while True:
-        genus = len(node[0])
-        (gaps, e, c), *leaves = wilf._walk(layout, node, genus + 1, 0, cap, True)
+        genus = len(pair[0][0])
+        (gaps, e, c), *leaves = wilf._walk(layout, [pair], genus + 1, 0, cap, True)
         generators = _oracle_check(layout, cone, gaps, e, c)
         assert [leaf[0][-1] for leaf in leaves] == _past(gaps, generators)
         if not leaves:
@@ -645,4 +704,4 @@ def test_every_walk_node_matches_the_oracle(request, data):
                 _oracle_check(layout, cone, *leaf)
             break
         m = data.draw(st.sampled_from(leaves))[0][-1]
-        node = wilf._child(layout, node, layout.slot(m), cap, True)
+        pair = next(kid for kid in wilf._kids(layout, *pair, cap, True) if kid[0][0][-1] == m)
