@@ -125,6 +125,7 @@ def _plot(s: CSemigroup, a) -> str:
 def _oracle_member(obj, a) -> dict:
     # any dimension, unlike GeneratorInput, which serves the 2D expansion
     cone = Cone.from_obj(json_field(obj, "cone"))
+    # read before --x: of a malformed list and a malformed --x, the list is reported
     gens = json_points(json_field(obj, "generators"), "generators")
     return {"member": _lib("oracle").oracle_member(cone, gens, _ints(a.x), a.cap)}
 

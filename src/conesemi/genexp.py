@@ -67,29 +67,23 @@ class GeneratorInput(Record):
     _fields = ("cone", "generators")
 
     def __init__(self, cone: Cone, generators):
+        gens = json_points(generators, "generators")
         if cone.p != 2:
             raise UnsupportedDimension("generator expansion is implemented for 2D cones")
-        gens = []
-        seen = set()
-        for a in generators:
-            a = tuple(int(c) for c in a)
+        for a in gens:
             if is_zero(a):
                 raise ZeroPoint("0 is not a useful generator")
             if not cone.contains(a):
                 raise PointOutsideCone(f"generator {a} is outside the cone", point=list(a))
-            if a not in seen:
-                seen.add(a)
-                gens.append(a)
         if not gens:
             raise ConeMismatch("at least one generator is required")
-        gens.sort(key=canon_key)
-        self.__dict__.update(cone=cone, generators=tuple(gens))
+        self.__dict__.update(cone=cone, generators=tuple(sorted(set(gens), key=canon_key)))
 
     @classmethod
     def from_obj(cls, obj) -> "GeneratorInput":
         """Decode ``{"cone": ..., "generators": [[x, y], ...]}``."""
         cone = Cone.from_obj(json_field(obj, "cone"))
-        return cls(cone, tuple(json_points(json_field(obj, "generators"), "generators")))
+        return cls(cone, json_field(obj, "generators"))
 
 
 class ExpandDecision(NamedTuple):

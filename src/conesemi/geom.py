@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from collections.abc import Set as AbstractSet
 from functools import cached_property
 from math import gcd, prod
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -186,7 +188,7 @@ class Cone(Record):
 
     @staticmethod
     def from_rays(r1, r2) -> "Cone":
-        r1, r2 = tuple(r1), tuple(r2)
+        r1, r2 = json_ints(r1, "r1"), json_ints(r2, "r2")
         if len(r1) != 2 or len(r2) != 2:
             raise DimensionMismatch("sector cones are two-dimensional")
         for r in (r1, r2):
@@ -347,11 +349,11 @@ class Cone(Record):
         raise InvalidInput(f"unknown cone type {kind!r:.40}", path="cone.type")
 
 
-# -- checked JSON readers --------------------------------------------------------
+# -- checked readers -------------------------------------------------------------
 #
-# Every object the program reads arrives as decoded JSON. These readers check
-# one shape each and raise InvalidInput naming the JSON path of the offending
-# value, such as ``cone.p`` or ``gaps[3][1]``.
+# Every point and integer list the library takes, from decoded JSON or from
+# Python, is read here. Each reader checks one shape and raises InvalidInput
+# naming the path of the offending value, such as ``cone.p`` or ``gaps[3][1]``.
 
 
 def json_field(obj, key: str, path: str = ""):
@@ -364,41 +366,52 @@ def json_field(obj, key: str, path: str = ""):
     return obj[key]
 
 
-def json_list(value, path: str) -> list:
-    if not isinstance(value, list):
+def json_list(value, path: str, ordered: bool = False) -> list:
+    """A JSON list, or a Python iterable but a str, bytes, dict or (if ordered) set."""
+    if type(value) is list:
+        return value
+    if (isinstance(value, (str, bytes, dict)) or not hasattr(value, "__iter__")
+            or ordered and isinstance(value, AbstractSet)):
         raise InvalidInput(f"{path} must be a list, got {value!r:.40}", path=path)
-    return value
+    return list(value)
 
 
 def json_int(value, path: str) -> int:
-    """A JSON integer; booleans, floats and numeric strings are refused."""
-    if type(value) is not int:
+    """An integer: a JSON one, or a Python value other than a bool whose type
+    has `__index__`. Booleans, floats, fractions and numeric strings are refused."""
+    if type(value) is bool or not hasattr(type(value), "__index__"):
         raise InvalidInput(f"{path} must be an integer, got {value!r:.40}", path=path)
-    return value
+    return index(value)
+
+
+def json_ints(value, path: str, ordered: bool = True) -> tuple[int, ...]:
+    """A point's coordinates, in order, or (not ordered) any list of integers, as a tuple."""
+    return tuple([c if type(c) is int else json_int(c, f"{path}[{j}]")
+                  for j, c in enumerate(json_list(value, path, ordered))])
 
 
 def json_points(value, path: str) -> list[Point]:
-    """A JSON list of integer points, as tuples."""
-    points = []
-    for i, x in enumerate(json_list(value, path)):
-        coords = json_list(x, f"{path}[{i}]")
-        points.append(tuple(json_int(c, f"{path}[{i}][{j}]") for j, c in enumerate(coords)))
-    return points
+    """A list of integer points, as tuples (see `json_ints`), all read before
+    the caller validates any; an error names the first bad value."""
+    value = json_list(value, path)
+    # lists or tuples of ints, the common case: two passes, 5x faster than one per point
+    if {*map(type, value)} <= {list, tuple}:
+        points = [*map(tuple, value)]
+        if {*map(type, itertools.chain.from_iterable(points))} <= {int}:
+            return points
+    return [json_ints(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
-def lattice_box(cone: Cone, x: Point, cap: int | None = None) -> list[Point]:
+def lattice_box(cone: Cone, x: Point) -> list[Point]:
     """Cone lattice points a with x - a also in the cone, for x in the cone.
 
     In scaled ray coordinates this is a coordinate box, listed in
     lexicographic box order, so the point i places from the end is x minus
     the point i places from the start. The box is charged to
-    CONESEMI_CAPACITY before it is scanned (see `charge` for cap).
+    CONESEMI_CAPACITY before it is scanned.
     """
     if cone.full:
-        size = 1
-        for c in x:
-            size *= c + 1
-        charge(size, "the lower set", cap)
+        charge(prod(c + 1 for c in x), "the lower set")
         return list(itertools.product(*(range(c + 1) for c in x)))
     d = cone.det
     r2 = cone.rays[1]
@@ -407,7 +420,7 @@ def lattice_box(cone: Cone, x: Point, cap: int | None = None) -> list[Point]:
     # one residue class mod d, so either coordinate bounds the count; the
     # scan also steps through every u, listed or not
     points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
-    charge(max(uh + 1, points), "the lower-set scan", cap)
+    charge(max(uh + 1, points), "the lower-set scan")
     # the points of row u are those of Basis with 0 <= k * d - u * lean <= vh
     _, (bx, by), lean = Basis.of(cone)
     return [(u * bx + k * r2[0], u * by + k * r2[1]) for u in range(uh + 1)
@@ -775,8 +788,7 @@ def lower_set(cone: Cone, x: Point) -> list[Point]:
     In scaled ray coordinates this is a coordinate box, so the size is
     proportional to the output, not to a graded sweep of the whole cone.
     """
-    x = tuple(x)
-    cone._check_dim(x)
+    x = json_ints(x, "x")
     if not cone.contains(x):
         return []
     return sorted(lattice_box(cone, x), key=canon_key)

@@ -12,14 +12,14 @@ import itertools
 from math import comb
 
 from .errors import CapacityExceeded, InvalidInput
-from .geom import Cone, Point, add, charge, enumerate_cone_points, is_zero, sub, weight
+from .geom import (Cone, Point, add, charge, enumerate_cone_points, is_zero, json_ints,
+                   json_points, sub, weight)
 from .semigroup import CSemigroup, msg_weight_bound
 
 
 def oracle_member(cone: Cone, generators, x, weight_cap: int) -> bool:
     """Is x a sum of generators? Full graded reachability table, no shortcuts."""
-    x = tuple(int(c) for c in x)
-    gens = [tuple(int(c) for c in a) for a in generators]
+    x, gens = json_ints(x, "x"), json_points(generators, "generators")
     if not cone.contains(x):
         return False
     if weight(x) > weight_cap:

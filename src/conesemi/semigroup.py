@@ -40,6 +40,8 @@ from .geom import (
     enumerate_cone_points,
     is_zero,
     json_field,
+    json_int,
+    json_ints,
     json_points,
     lower_set,
     sub,
@@ -63,7 +65,7 @@ class NumericalSemigroup(Record):
         """Validate positive gaps with the closure check of `make_csemigroup`
         on the cone N, which charges the grid of the gaps' box to
         CONESEMI_CAPACITY."""
-        normalized = sorted({int(g) for g in gaps})
+        normalized = sorted(set(json_ints(gaps, "gaps", ordered=False)))
         if normalized and normalized[0] < 1:
             raise ZeroGap("numerical semigroup gaps must be positive")
         make_csemigroup(Cone.full_cone(1), [(g,) for g in normalized])
@@ -76,7 +78,7 @@ class NumericalSemigroup(Record):
         The table marks exactly the sums of generators, so its unmarked
         entries form a closed gap set without a separate closure check.
         """
-        gens = sorted({int(g) for g in generators})
+        gens = sorted(set(json_ints(generators, "generators", ordered=False)))
         if not gens or gens[0] < 1:
             raise InvalidInput("generators must be positive integers")
         if gcd(*gens) != 1:
@@ -268,7 +270,7 @@ class CSemigroup(Record):
     def apery_set(self, b) -> tuple[Point, ...]:
         """Members a with a - b a gap; equivalently gaps shifted by b that land
         back in the semigroup."""
-        b = tuple(b)
+        b = json_ints(b, "b")
         self.cone._check_dim(b)
         if is_zero(b):
             raise ZeroShift("Apery shift must be nonzero")
@@ -326,7 +328,7 @@ class CSemigroup(Record):
     def ray_restriction(self, i: int) -> NumericalSemigroup:
         """Multiples k of ray i with k * r_i missing from the semigroup, as a
         numerical semigroup gap set."""
-        rays = self.cone.rays
+        rays, i = self.cone.rays, json_int(i, "i")
         if not 0 <= i < len(rays):
             raise InvalidRay(f"ray index {i} out of range for {len(rays)} rays")
         # the gaps are closed, so are those on a ray: no closure check
@@ -341,7 +343,7 @@ class CSemigroup(Record):
     def from_obj(obj) -> "CSemigroup":
         """Decode and validate ``{"cone": ..., "gaps": [[x, y], ...]}``."""
         cone = Cone.from_obj(json_field(obj, "cone"))
-        return make_csemigroup(cone, json_points(json_field(obj, "gaps"), "gaps"))
+        return make_csemigroup(cone, json_field(obj, "gaps"))
 
     def sort_key(self):
         return tuple(canon_key(g) for g in self.gaps)
@@ -380,19 +382,15 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
     the witness in a NotClosed error is the canonically first offending
     decomposition (first h, then first a). A set with no gap builds no grid.
     """
-    seen = set()
-    normalized = []
-    for g in gaps:
-        g = tuple(int(c) for c in g)
+    points = json_points(gaps, "gaps")
+    for g in points:
         cone._check_dim(g)
         if is_zero(g):
             raise ZeroGap(f"{g} cannot be a gap")
         if not cone.contains(g):
             raise GapOutsideCone(f"{g} is not in the cone", point=list(g))
-        if g not in seen:
-            seen.add(g)
-            normalized.append(g)
-    normalized.sort(key=canon_key)
+    seen = set(points)
+    normalized = sorted(seen, key=canon_key)
     if normalized:
         grid, holes, down = gap_grid(cone, normalized)
         _, hits = grid.split((down ^ holes) & ~1, holes)

@@ -384,8 +384,8 @@ _pool_walked = 0
 
 def _sweep_node(task) -> tuple:
     """Sweep the subtrees under the (state, pending) pairs of one level: a
-    (count, least margin or None, counterexamples) row for each genus from
-    the level's up to g_max.
+    (count, least margin or None, counterexamples) row for each genus up to
+    g_max, empty above the level's.
 
     The task is (layout, pairs, g_max, walked, cap): a layout for g_max or
     beyond, the pairs (`_node`, `_kids`), the nodes the sweep's head walked
@@ -394,29 +394,27 @@ def _sweep_node(task) -> tuple:
     global _pool_walked
     layout, pairs, g_max, walked, cap = task
     nodes = _walk(layout, pairs, g_max, walked + _pool_walked, cap, True)
-    rows = _rows(layout.cone, nodes, len(pairs[0][0][0]), g_max)
+    rows = _rows(layout.cone, nodes, g_max)
     _pool_walked += sum(count for count, _, _ in rows)
     return rows
 
 
-def _rows(cone: Cone, nodes, low: int, g_max: int) -> tuple:
-    """The rows of `_sweep_node` for genus low to g_max over the (gaps, e, c)
+def _rows(cone: Cone, nodes, g_max: int) -> tuple:
+    """The rows of `_sweep_node` for genus 0 to g_max over the (gaps, e, c)
     nodes, each genus in canonical order. Each node goes to `wilf_report`
     as a bare `CSemigroup` with its e preset, with its c."""
-    counts = [0] * (g_max + 1 - low)
-    lows = [None] * len(counts)
-    bad = [[] for _ in counts]
+    rows = [[0, None, []] for _ in range(g_max + 1)]
     for gaps, e, c in nodes:
         s = CSemigroup(cone, gaps)
         s.__dict__["embedding_dimension"] = e
         rep = wilf_report(s, c)
-        i = len(gaps) - low
-        counts[i] += 1
-        if lows[i] is None or rep.margin < lows[i]:
-            lows[i] = rep.margin
+        row = rows[len(gaps)]
+        row[0] += 1
+        if row[1] is None or rep.margin < row[1]:
+            row[1] = rep.margin
         if not rep.holds:
-            bad[i].append((s, rep))
-    return tuple(zip(counts, lows, map(tuple, bad)))
+            row[2].append((s, rep))
+    return tuple((count, low, tuple(bad)) for count, low, bad in rows)
 
 
 # The least estimated work, in node units, under the split level that a split
@@ -496,30 +494,22 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
         level = [kid for s, ms in level for kid in _kids(layout, s, ms, cap, True)]
         cut += 1
     nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s, _ in head)
-    parts = [(0, _rows(cone, nodes, 0, cut - 1))]
+    rows = [_rows(cone, nodes, g_max)]
     _pool_walked = 0
     if len(level) >= 8 * jobs and _split_pays(len(level), above, g_max - cut, layout.words):
         tasks = [(layout, [pair], g_max, len(head), cap) for pair in level]
         with get_context().Pool(jobs) as pool:
-            rows = pool.map(_sweep_node, tasks, chunksize=1)
+            rows += pool.map(_sweep_node, tasks, chunksize=1)
     else:
-        rows = [_sweep_node((layout, level, g_max, len(head), cap))]
-    parts += [(cut, r) for r in rows]
-    counts = [0] * (g_max + 1)
-    margins = []
-    bad = [[] for _ in counts]
-    for start, rows in parts:
-        for g, (count, low, b) in enumerate(rows, start):
-            counts[g] += count
-            if low is not None:
-                margins.append(low)
-            bad[g] += b
+        rows.append(_sweep_node((layout, level, g_max, len(head), cap)))
+    genera = list(zip(*rows))  # the rows of each genus, one per part
+    counts = tuple(sum(count for count, _, _ in g) for g in genera)
     # forked workers charged only their own shares
     charge(sum(counts), WALK, cap)
     return WilfSummary(
         cone=cone,
         max_genus=g_max,
-        counts=tuple(counts),
-        min_margin=min(margins),
-        counterexamples=tuple(x for b in bad for x in b),
+        counts=counts,
+        min_margin=min(low for g in genera for _, low, _ in g if low is not None),
+        counterexamples=tuple(x for g in genera for _, _, b in g for x in b),
     )

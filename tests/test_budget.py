@@ -23,6 +23,7 @@ from conesemi import (
     enumerate_genus,
     expand,
     lower_set,
+    lower_set_semigroup,
     make_csemigroup,
     oracle_all_gapsets,
     oracle_minimals,
@@ -52,6 +53,9 @@ SITES = {
     # det 1000: 101 points, but the scan steps through 100,001 ray-1 coordinates
     "lower_set-sector-scan": (
         "the lower-set scan", 1000, lambda: lower_set(WIDE, (100, 0))),
+    # the grid of the box (50, 50) is 41 words and 51 rows; its 2,600 gaps are
+    # listed one tuple each
+    "lower_set_semigroup": ("the lower set", 100, lambda: lower_set_semigroup(FULL2, [(50, 50)])),
     "enumerate_cone_points": (
         "the enumeration to the weight cap", 10, lambda: enumerate_cone_points(CONE_A, 100)),
     # 21 levels fit under the cap, their 231 points do not

@@ -694,6 +694,9 @@ MALFORMED = [
     ("no-generators", ["check-generators"], '{"cone":%s}' % N2, "generators"),
     ("oracle-no-generators", ["oracle", "member", "--x", "1,0", "--cap", "3"],
      '{"cone":%s}' % N2, "generators"),
+    # the generators are read before --x
+    ("oracle-both-malformed", ["oracle", "member", "--x", "1,a", "--cap", "3"],
+     '{"cone":%s,"generators":[[1,0],[0,"a"]]}' % N2, "generators[1][1]"),
     ("pattern-not-int", ["construct", "idemaxial", "--cone", N2, "--pattern-gaps", "1,x"], "",
      None),
     ("in-directory", ["validate", "--in", "DIR"], "", None),

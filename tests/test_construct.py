@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conesemi import (
+    Cone,
     IdemaxialSpec,
     NumericalSemigroup,
+    construct,
     frobenius_band,
     high_elasticity,
     idemaxial,
+    lower_set,
     lower_set_semigroup,
     make_csemigroup,
     pf_lines_check,
@@ -21,6 +24,7 @@ from conesemi.errors import (
     UnsupportedDimension,
     ZeroPoint,
 )
+from conesemi.geom import canon_key
 
 PATTERNS = ([3, 5], [2, 3], [3, 4], [4, 7, 9])
 
@@ -51,6 +55,28 @@ def test_lower_set_frobenius_identity(full2, cone_a):
     for cone, pts in ((full2, [(2, 3), (4, 0)]), (cone_a, [(3, 1), (2, 2)])):
         s = lower_set_semigroup(cone, pts)
         assert set(s.frobenius_set()) == set(pts)
+
+
+LOWER_SET_CASES = {
+    "N2": (Cone.full_cone(2), [(40, 3), (20, 20), (3, 40)]),
+    "D5": (Cone.from_rays((2, 1), (1, 3)), [(30, 20), (20, 35)]),
+    "N3": (Cone.full_cone(3), [(4, 1, 2), (0, 5, 0), (1, 1, 1)]),
+    "D20": (Cone.from_rays((1, 0), (1, 20)), [(5, 30), (9, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOWER_SET_CASES))
+def test_lower_set_semigroup_needs_no_closure_check(name, monkeypatch):
+    """The gaps are the union of the points' lower sets less 0, canonically
+    sorted, built without a call to make_csemigroup; its check accepts them."""
+    cone, points = LOWER_SET_CASES[name]
+    calls = []
+    monkeypatch.setattr(construct, "make_csemigroup", lambda *a: calls.append(a))
+    s = lower_set_semigroup(cone, points)
+    assert calls == []
+    union = {a for f in points for a in lower_set(cone, f) if any(a)}
+    assert s.gaps == tuple(sorted(union, key=canon_key))
+    assert make_csemigroup(cone, s.gaps[::-1]) == s
 
 
 def test_lower_set_errors(cone_a):

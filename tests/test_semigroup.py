@@ -620,6 +620,29 @@ def _closed_gap_set(cone, data):
     return list(pair[0][0])
 
 
+def _addable(cone, gaps):
+    """The nonzero cone points that are no gaps, up to 2 past the heavier of
+    the largest gap and the cone's lightest nonzero point, so there are
+    some even when there are no gaps."""
+    light = weight(enumerate_cone_points(cone, min(map(weight, cone.rays)))[1])
+    top = max([light] + [weight(h) for h in gaps]) + 2
+    return [p for p in enumerate_cone_points(cone, top) if any(p) and p not in gaps]
+
+
+def _check_closure(cone, gaps, shuffled):
+    """make_csemigroup on shuffled agrees with the pairwise brute force."""
+    expected = _first_decomposition(cone, gaps)
+    if expected is None:
+        s = make_csemigroup(cone, shuffled)
+        assert s.gaps == tuple(sorted(gaps, key=canon_key))
+        if cone.p == 2:
+            assert expand(GeneratorInput(cone, s.minimal_generators)).gaps == s.gaps
+    else:
+        with pytest.raises(NotClosed) as err:
+            make_csemigroup(cone, shuffled)
+        assert (err.value.gap, err.value.a, err.value.b) == expected
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_closure_check_matches_pairwise_brute_force(data):
@@ -634,20 +657,19 @@ def test_closure_check_matches_pairwise_brute_force(data):
     if edit == "drop" and gaps:
         gaps.remove(data.draw(st.sampled_from(gaps)))
     elif edit == "add":
-        top = max((weight(h) for h in gaps), default=0) + 2
-        gaps.append(data.draw(st.sampled_from(
-            [p for p in enumerate_cone_points(cone, top) if any(p) and p not in gaps])))
-    expected = _first_decomposition(cone, gaps)
-    shuffled = data.draw(st.permutations(gaps))
-    if expected is None:
-        s = make_csemigroup(cone, shuffled)
-        assert s.gaps == tuple(sorted(gaps, key=canon_key))
-        if cone.p == 2:
-            assert expand(GeneratorInput(cone, s.minimal_generators)).gaps == s.gaps
-    else:
-        with pytest.raises(NotClosed) as err:
-            make_csemigroup(cone, shuffled)
-        assert (err.value.gap, err.value.a, err.value.b) == expected
+        gaps.append(data.draw(st.sampled_from(_addable(cone, gaps))))
+    _check_closure(cone, gaps, data.draw(st.permutations(gaps)))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CONES))
+def test_closure_check_adds_to_the_gap_free_set(name):
+    """The 'add' edit above on the gap-free set of each cone, every point it
+    can draw: there is at least one, and each one-gap set is checked right."""
+    cone = CLOSURE_CONES[name]
+    points = _addable(cone, [])
+    assert points
+    for p in points:
+        _check_closure(cone, [p], [p])
 
 
 @pytest.mark.parametrize("name", sorted(CLOSURE_CONES))

@@ -440,6 +440,24 @@ def _genus2_tasks(cone, g_max):
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
+def test_a_task_of_mixed_depths_reports_each_genus_in_its_row(name, request):
+    """A task holding the children of the first genus-1 node and the other
+    genus-1 nodes returns one row for each genus 0 to g_max, whatever genus
+    its first pair has: with the root and that first node, the rows give
+    the sweep's counts, least margin and counterexamples."""
+    cone = request.getfixturevalue(name)
+    cap = capacity()
+    layout = Layout(cone, 5, cap)
+    first, *rest = _levels(layout, 1, cap)[1]
+    rows = wilf._sweep_node((layout, wilf._kids(layout, *first, cap, True) + rest, 5, 0, cap))
+    assert len(rows) == 6 and rows[0] == (0, None, ())
+    sweep = wilf_sweep(cone, 5)
+    assert tuple(count for count, _, _ in rows) == (0, sweep.counts[1] - 1) + sweep.counts[2:]
+    assert min(low for _, low, _ in rows if low is not None) >= sweep.min_margin
+    assert tuple(x for _, _, bad in rows for x in bad) == sweep.counterexamples
+
+
+@pytest.mark.parametrize("name", TEST_CONES)
 def test_sweeps_report_the_counts_of_the_carried_region(name, request, monkeypatch):
     """Every node to genus 5, from the gap-free root, from a --jobs 2 head
     and from each genus-2 task: the report built from the region the walk
