@@ -9,20 +9,25 @@ JSON integers; a value of the wrong shape is an InvalidInput error naming its
 JSON path.
 
 Results go to stdout with sorted keys and sorted point lists; diagnostics go
-to stderr. Exit codes: 0 success, 1 domain error, 2 usage error. The env var
-CONESEMI_CAPACITY overrides the default point-count cap.
+to stderr. Exit codes: 0 success, 1 domain error, 2 usage error. Run as a
+program, the process ends as soon as its output is flushed, without the
+interpreter's teardown. The env var CONESEMI_CAPACITY overrides the default
+point-count cap.
 
 A command loads only the modules it runs: every semigroup query needs just
 `geom` and `semigroup`, and the rest of the package is imported when a
-command first calls into it.
+command first calls into it. A well-formed command line is read from the
+command table directly; argparse is loaded only for help, usage errors and
+the lines that reader declines.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import ConesemiError, InvalidInput
 from .geom import Cone, json_field, json_points
@@ -239,6 +244,8 @@ def build_parser(first: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or only of the command or group that
     first, the first word of a command line, names: that line parses the
     same, and its usage errors print the same bytes."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="conesemi",
         description="Exact invariants of cofinite subsemigroups of pointed integer cones.",
@@ -266,6 +273,45 @@ def build_parser(first: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _strict(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser` parses from argv, when its command words
+    are exact and each option is spelled in full, at most once, with its
+    value (which starts with no "-") as the next word; else None."""
+    for path, _, kind, run, extra in COMMANDS:
+        words = path.split(" ")
+        if argv[:len(words)] == words:
+            break
+    else:
+        return None
+    source, decode = INPUTS[kind]
+    ns = {"out": None, "command": words[0], "decode": decode, "run": run}
+    if len(words) == 2:
+        ns[GROUPS[words[0]][0]] = words[1]
+    options = {}
+    for flags, kwargs in [source, *extra]:
+        dest = kwargs.get("dest", flags[0][2:].replace("-", "_"))
+        ns[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        options[flags[0]] = dest, kwargs
+    rest = iter(argv[len(words):])
+    for word in rest:
+        dest, kwargs = options.pop(word, (None, None))
+        if dest is None:
+            return None
+        if "action" in kwargs:  # a store_true flag
+            ns[dest] = True
+            continue
+        text = next(rest, "-")
+        try:
+            ns[dest] = value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        if text.startswith("-") or value not in kwargs.get("choices", (value,)):
+            return None
+    if any(kwargs.get("required") for _, kwargs in options.values()):
+        return None
+    return SimpleNamespace(**ns)
+
+
 def _write(text: str, path: str | None) -> None:
     if not path:
         sys.stdout.write(text)
@@ -278,8 +324,12 @@ def _write(text: str, path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    """Run one command line, by default the process's own, and return its
+    exit code. Without argv, the process ends once the output is flushed."""
+    entry = argv is None
+    argv = sys.argv[1:] if entry else list(argv)
+    args = _strict(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    code = 0
     try:
         result = args.run(args.decode(_read_json(args.source)), args)
         _write(result if isinstance(result, str) else _dump(result), args.out)
@@ -287,8 +337,15 @@ def main(argv=None) -> int:
         diag = {"error": type(e).__name__, "detail": str(e)}
         diag.update(e.payload)
         sys.stderr.write(_dump(diag))
-        return 1
-    return 0
+        code = 1
+    if entry:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            return code  # the interpreter's own exit reports it
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ def lower_set_semigroup(cone: Cone, points) -> CSemigroup:
     for f in points:
         if is_zero(f):
             raise ZeroPoint("cannot remove the lower set of the origin")
-        if not cone.contains(f):
+        if not cone._contains(f):
             raise PointOutsideCone(f"{f} is not in the cone", point=list(f))
     grid, _, down = gap_grid(cone, points)
     # the grid is charged in words, the gaps listed from it one tuple each

@@ -73,7 +73,7 @@ class GeneratorInput(Record):
         for a in gens:
             if is_zero(a):
                 raise ZeroPoint("0 is not a useful generator")
-            if not cone.contains(a):
+            if not cone._contains(a):
                 raise PointOutsideCone(f"generator {a} is outside the cone", point=list(a))
         if not gens:
             raise ConeMismatch("at least one generator is required")

@@ -245,7 +245,11 @@ class Cone(Record):
         """
         return self.scaled_coords(self.unit_point(1 - i))[i]
 
-    def contains(self, x: Point) -> bool:
+    def contains(self, x) -> bool:
+        return self._contains(json_ints(x, "x"))
+
+    def _contains(self, x: Point) -> bool:
+        """`contains` for a point already read by `json_ints`."""
         return all(c >= 0 for c in self.scaled_coords(x))
 
     def ray_coords(self, x: Point) -> RayCoords:
@@ -257,10 +261,11 @@ class Cone(Record):
         u, v = self.scaled_coords(x)
         return RayCoords(Fraction(u, self.det), Fraction(v, self.det))
 
-    def leq(self, x: Point, y: Point) -> bool:
+    def leq(self, x, y) -> bool:
         """Cone order: x <= y iff y - x lies in the cone."""
+        x, y = json_ints(x, "x"), json_ints(y, "y")
         self._check_dim(x)
-        return self.contains(sub(y, x))
+        return self._contains(sub(y, x))
 
     def ray_multiples(self, points, i: int) -> list[int]:
         """The k with k * rays[i] among the points, in input order."""
@@ -789,7 +794,7 @@ def lower_set(cone: Cone, x: Point) -> list[Point]:
     proportional to the output, not to a graded sweep of the whole cone.
     """
     x = json_ints(x, "x")
-    if not cone.contains(x):
+    if not cone._contains(x):
         return []
     return sorted(lattice_box(cone, x), key=canon_key)
 

@@ -20,7 +20,7 @@ from .semigroup import CSemigroup, msg_weight_bound
 def oracle_member(cone: Cone, generators, x, weight_cap: int) -> bool:
     """Is x a sum of generators? Full graded reachability table, no shortcuts."""
     x, gens = json_ints(x, "x"), json_points(generators, "generators")
-    if not cone.contains(x):
+    if not cone._contains(x):
         return False
     if weight(x) > weight_cap:
         raise CapacityExceeded(
@@ -34,7 +34,7 @@ def oracle_member(cone: Cone, generators, x, weight_cap: int) -> bool:
         hit = False
         for a in gens:
             q = sub(p, a)
-            if cone.contains(q) and reachable.get(q, False):
+            if cone._contains(q) and reachable.get(q, False):
                 hit = True
                 break
         reachable[p] = hit
@@ -55,11 +55,12 @@ def oracle_minimals(s: CSemigroup, weight_cap: int) -> tuple[Point, ...]:
     pts = [
         p
         for p in enumerate_cone_points(s.cone, weight_cap)
-        if not is_zero(p) and s.member(p)
+        if not is_zero(p) and s._member(p)
     ]
     charge(len(pts) ** 2, "the pairwise scan")
+    # y <= x in the induced order (`induced_leq`) on points already read
     return tuple(
-        x for x in pts if not any(y != x and s.induced_leq(y, x) for y in pts)
+        x for x in pts if not any(y != x and s._member(sub(x, y)) for y in pts)
     )
 
 

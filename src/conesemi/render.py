@@ -101,7 +101,7 @@ def plot(s: CSemigroup, spec: RenderSpec | None = None) -> str:
         (x, y)
         for x in range(ex + 1)
         for y in range(ey + 1)
-        if cone.contains((x, y))
+        if cone._contains((x, y))
     ]
     gap_set = s.gap_set
     for pt in in_view:

@@ -183,12 +183,15 @@ class CSemigroup(Record):
         return max((weight(h) for h in self.gaps), default=0)
 
     def member(self, x) -> bool:
-        x = tuple(x)
-        return self.cone.contains(x) and x not in self.gap_set
+        return self._member(json_ints(x, "x"))
+
+    def _member(self, x: Point) -> bool:
+        """`member` for a point already read by `json_ints`."""
+        return self.cone._contains(x) and x not in self.gap_set
 
     def induced_leq(self, x, y) -> bool:
         """Induced order: x <= y iff y - x belongs to the semigroup."""
-        return self.member(sub(tuple(y), tuple(x)))
+        return self._member(sub(json_ints(y, "y"), json_ints(x, "x")))
 
     # -- generators ------------------------------------------------------------
 
@@ -274,7 +277,7 @@ class CSemigroup(Record):
         self.cone._check_dim(b)
         if is_zero(b):
             raise ZeroShift("Apery shift must be nonzero")
-        if not self.member(b):
+        if not self._member(b):
             raise NotAMember(f"{b} is not in the semigroup", point=list(b))
         shifted = (add(h, b) for h in self.gaps)
         return tuple(sorted((a for a in shifted if a not in self.gap_set), key=canon_key))
@@ -387,7 +390,7 @@ def make_csemigroup(cone: Cone, gaps) -> CSemigroup:
         cone._check_dim(g)
         if is_zero(g):
             raise ZeroGap(f"{g} cannot be a gap")
-        if not cone.contains(g):
+        if not cone._contains(g):
             raise GapOutsideCone(f"{g} is not in the cone", point=list(g))
     seen = set(points)
     normalized = sorted(seen, key=canon_key)

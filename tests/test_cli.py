@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesemi import errors
-from conesemi.cli import main
+from conesemi.cli import COMMANDS, INPUTS, _strict, build_parser, main
 
 S_A_JSON = '{"cone":{"type":"rays2d","rays":[[1,0],[1,1]]},"gaps":[[1,1],[2,2]]}'
 S_B_JSON = (
@@ -378,7 +378,21 @@ missing = [n for n in conesemi.__all__ if getattr(conesemi, n, None) is None]
 print(json.dumps([bare, missing, sorted(set(conesemi.__all__) - set(dir(conesemi)))]))
 """
 
-NEVER_AT_START = {"dataclasses", "multiprocessing"}
+# Runs the same through the process entry point, main() without argv, which
+# ends the process itself: the probe line is printed from os._exit.
+ENTRY_PROBE = """
+import io, json, os, sys
+from conesemi import cli
+sys.stdout, end = io.StringIO(), os._exit
+def report(code):
+    sys.__stdout__.write(json.dumps([code, sorted(sys.modules)]) + "\\n")
+    sys.__stdout__.flush()
+    end(code)
+os._exit = report
+cli.main()
+"""
+
+NEVER_AT_START = {"dataclasses", "multiprocessing", "argparse", "gettext", "locale"}
 QUERY_ONLY = NEVER_AT_START | {
     "inspect", "fractions", "conesemi.genexp", "conesemi.wilf",
     "conesemi.construct", "conesemi.render", "conesemi.oracle",
@@ -410,6 +424,8 @@ def test_commands_import_only_what_they_run():
         code, modules = _probe(IMPORT_PROBE, *argv)
         assert code == 0, argv
         assert absent.isdisjoint(modules), (argv, sorted(absent.intersection(modules)))
+    code, modules = _probe(ENTRY_PROBE, "msg", "--in", S_A_JSON)
+    assert code == 0 and QUERY_ONLY.isdisjoint(modules), sorted(QUERY_ONLY.intersection(modules))
     bare, missing, undir = _probe(PACKAGE_PROBE)
     assert bare == [] and missing == [] and undir == []
 
@@ -808,3 +824,151 @@ def test_fuzz_never_a_traceback(kind, argv, data):
     else:
         assert code == 1 and out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] in ERROR_NAMES
+
+
+# -- the strict reader against argparse --------------------------------------------------
+
+
+def _options(row):
+    """(flag, a value it takes or None for a store_true flag) per option of a row."""
+    _, _, kind, _, extra = row
+    out = []
+    for flags, kwargs in [INPUTS[kind][0], *extra]:
+        if "action" in kwargs:
+            value = None
+        elif "choices" in kwargs:
+            value = kwargs["choices"][-1]
+        else:
+            value = "2" if kwargs.get("type") is int else "1,2"
+        out.append((flags[0], value))
+    return out
+
+
+def _parsed(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv[0]).parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"the strict reader took a line argparse refuses: {argv}")
+
+
+ODD_VALUES = ["-1", "", "--", "1e3", "x", "nope", "cone", "{}", "7/2", " 3"]
+ODD_WORDS = ["-h", "--help", "--", "bogus", "--bogus", "-", "wilf", "--in=x"]
+
+
+@st.composite
+def _lines(draw):
+    """A command line from the table: mostly well formed, each option now and
+    then missing, repeated, abbreviated, in the = form, bare or given an odd value."""
+    row = draw(st.sampled_from(COMMANDS))
+    words = row[0].split(" ")
+    if draw(st.integers(0, 9)) == 0:
+        words = draw(st.sampled_from([words[:1], words + ["extra"], ["nope", *words[1:]]]))
+    tokens = []
+    for flag, value in _options(row):
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+            form = draw(st.sampled_from(["full"] * 10 + ["abbrev", "equals", "odd", "alone"]))
+            spelled = flag
+            if form == "abbrev" and len(flag) > 3:
+                spelled = flag[:draw(st.integers(3, len(flag) - 1))]
+            if value is None or form == "alone":
+                tokens.append([spelled])
+            elif form == "equals":
+                tokens.append([f"{flag}={value}"])
+            else:
+                odd = draw(st.sampled_from(ODD_VALUES))
+                tokens.append([spelled, odd if form == "odd" else value])
+    if draw(st.integers(0, 4)) == 0:
+        tokens.append([draw(st.sampled_from(ODD_WORDS))])
+    return words + [w for token in draw(st.permutations(tokens)) for w in token]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=_lines())
+def test_strict_reader_agrees_with_argparse(argv):
+    """The strict reader either declines a line or reads it as argparse does."""
+    ns = _strict(argv)
+    if ns is not None:
+        assert vars(ns) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["wilf"], ["nope"], ["msg", "--help"], ["msg", "-h"], ["msg", "--in"],
+    ["msg", "--in=x"], ["msg", "--in", "x", "--in", "y"], ["msg", "--", "x"],
+    ["msg", "--in", "-"], ["frobenius", "--order", "nope"], ["restrict", "--ray", "1e3"],
+    ["restrict", "--ray", "-1"], ["restrict"], ["wilf", "sweep", "--cone", FULL2],
+    ["enumerate", "--cone", FULL2, "--max-gen", "3"], ["plot", "--pf", "x"],
+], ids=" ".join)
+def test_strict_reader_declines(argv):
+    assert _strict(argv) is None
+
+
+# the command shapes the benchmark's four workloads run, spelled by hand
+BENCH_SHAPES = [
+    ["wilf", "sweep", "--cone", FULL2, "--max-genus", "7", "--jobs", "1"],
+    ["wilf", "sweep", "--cone", FULL2, "--max-genus", "7", "--jobs", "2"],
+    ["gaps"], ["check-generators"],
+    ["validate"], ["msg"], ["frobenius"], ["pf"], ["apery", "--shift", "2,1"], ["weights"],
+    ["elasticity"], ["restrict", "--ray", "1"], ["wilf", "report"],
+    ["plot"], ["plot", "--levels", "--pf", "--generators"],
+    ["construct", "idemaxial", "--cone", FULL2, "--pattern-gaps", "1,2,4,7"],
+    ["construct", "lower-set", "--cone", FULL2, "--points", "2,1;0,3"],
+    ["construct", "elasticity", "--cone", FULL2, "--target", "7/2"],
+    ["construct", "pf-lines", "--cone", FULL2, "--pattern-gaps", "1,2"],
+    ["enumerate", "--cone", FULL2, "--max-genus", "3", "--full"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *[row[0].split(" ") + [w for flag, value in _options(row)
+                           for w in ([flag] if value is None else [flag, value])]
+      for row in COMMANDS],
+    *BENCH_SHAPES,
+], ids=lambda argv: " ".join(w for w in argv if not w.startswith("{")))
+def test_strict_reader_reads_full_spellings(argv):
+    ns = _strict(argv)
+    assert ns is not None and vars(ns) == _parsed(argv)
+
+
+# -- the process entry point: it ends once its output is flushed -------------------------
+
+
+def _fresh(argv, stdin_text=""):
+    return subprocess.run([sys.executable, "-m", "conesemi.cli", *argv], input=stdin_text,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_large_output_arrives_whole():
+    argv, text = ["plot", "--margin", "150"], '{"cone":{"type":"full","p":2},"gaps":[[1,0]]}'
+    proc = _fresh(argv, text)
+    assert len(proc.stdout) > 10**6
+    assert (proc.returncode, proc.stdout, proc.stderr) == _run_main(argv, text)
+
+
+def test_output_files_are_complete(tmp_path):
+    for argv, stdin_text in [
+        (["plot", "--svg", "FILE", "--margin", "40", "--levels"], S_A_JSON),
+        (["wilf", "sweep", "--cone", FULL2, "--max-genus", "6", "--out", "FILE"], ""),
+    ]:
+        path = tmp_path / argv[0]
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        proc = _fresh(argv, stdin_text)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        fresh = path.read_text()
+        assert _run_main(argv, stdin_text) == (0, "", "") and path.read_text() == fresh
+
+
+def test_exit_codes_of_a_fresh_process():
+    proc = _fresh(["frobenius"], S_A_JSON)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"frobenius_set":[[2,2]]}\n', "")
+    proc = _fresh(["apery", "--shift", "2,2"], S_A_JSON)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
+    assert json.loads(proc.stderr)["error"] == "NotAMember"
+    proc = _fresh(["msg", "--bogus"], S_A_JSON)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_main_with_argv_returns_its_code():
+    assert _run_main(["validate"], S_A_JSON)[0] == 0
+    assert _run_main(["apery", "--shift", "2,2"], S_A_JSON)[0] == 1

@@ -55,6 +55,10 @@ ENTRY_POINTS = {
     "lower_set": (lambda v: lower_set(N2, (v, 1)), "x[0]", 2),
     "from_rays-r1": (lambda v: Cone.from_rays((1, v), (1, 3)), "r1[1]", 0),
     "from_rays-r2": (lambda v: Cone.from_rays((1, 0), (v, 3)), "r2[0]", 1),
+    "member": (lambda v: S.member((v, 0)), "x[0]", 2),
+    "induced_leq": (lambda v: S.induced_leq((0, 0), (v, 0)), "y[0]", 2),
+    "Cone.contains": (lambda v: S11.contains((v, 0)), "x[0]", 1),
+    "Cone.leq": (lambda v: N2.leq((v, 0), (2, 0)), "x[0]", 1),
 }
 
 NOT_INTEGERS = {"float": 1.5, "str": "2", "bool": True, "Fraction": Fraction(3, 2)}
@@ -89,6 +93,10 @@ WRONG_ANSWERS = {
     "float-oracle-point": lambda: oracle_member(N2, [(1, 0), (0, 1)], (1.5, 1), 5),
     "float-lower-set-point": lambda: lower_set(N2, (1.5, 1)),
     "float-ray": lambda: Cone.from_rays((1.5, 0), (0, 1)),
+    "float-member": lambda: S.member((1.5, 0)),
+    "float-induced-leq": lambda: S.induced_leq((0, 0), (1.5, 0)),
+    "float-contains": lambda: Cone.full_cone(2).contains((0.5, 0)),
+    "bool-leq": lambda: Cone.full_cone(2).leq((0, 0), (True, 0)),
 }
 
 
