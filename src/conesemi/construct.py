@@ -97,7 +97,7 @@ class IdemaxialSpec(Record):
 
     def level(self, x: Point) -> Fraction:
         """Ray-coordinate level alpha + beta of a lattice point."""
-        u, v = self.cone.scaled_coords(x)
+        u, v = self.cone._scaled_coords(x)
         return Fraction(u + v, self.cone.det)
 
     def level_in_pattern(self, lvl: Fraction) -> bool:

@@ -147,9 +147,9 @@ def expand(g: GeneratorInput) -> CSemigroup:
     for axis, ray in enumerate(cone.rays):
         # a member at distance 1 from the ray is a generator there plus
         # multiples of the ray, and j times that generator lies on line j
-        if not any(cone.scaled_coords(a)[1 - axis] == 1 for a in g.generators):
+        if not any(cone._scaled_coords(a)[1 - axis] == 1 for a in g.generators):
             base = cone.unit_point(1 - axis)
-            t = max(_ceil_div(-cone.scaled_coords(base)[axis], d), 0)
+            t = max(_ceil_div(-cone._scaled_coords(base)[axis], d), 0)
             witness = add(base, scale(t, ray))
             raise NotCofinite(
                 f"no member on the lattice line through {witness} with "

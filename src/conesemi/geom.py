@@ -211,11 +211,15 @@ class Cone(Record):
         if len(x) != self.p:
             raise DimensionMismatch(f"point {x} has dimension {len(x)}, cone has {self.p}")
 
-    def scaled_coords(self, x: Point) -> tuple[int, ...]:
+    def scaled_coords(self, x) -> tuple[int, ...]:
         """Per-ray coordinates scaled by det, as exact integers.
 
         x lies in the cone iff every scaled coordinate is >= 0.
         """
+        return self._scaled_coords(json_ints(x, "x"))
+
+    def _scaled_coords(self, x: Point) -> tuple[int, ...]:
+        """`scaled_coords` for a point already read by `json_ints`."""
         self._check_dim(x)
         if self.full:
             return tuple(x)
@@ -243,16 +247,16 @@ class Cone(Record):
         `unit_point(1 - i)` plus multiples of ray i, whose i-th scaled
         coordinate is det.
         """
-        return self.scaled_coords(self.unit_point(1 - i))[i]
+        return self._scaled_coords(self.unit_point(1 - i))[i]
 
     def contains(self, x) -> bool:
         return self._contains(json_ints(x, "x"))
 
     def _contains(self, x: Point) -> bool:
         """`contains` for a point already read by `json_ints`."""
-        return all(c >= 0 for c in self.scaled_coords(x))
+        return all(c >= 0 for c in self._scaled_coords(x))
 
-    def ray_coords(self, x: Point) -> RayCoords:
+    def ray_coords(self, x) -> RayCoords:
         """Solve x = alpha*r1 + beta*r2 exactly (2D only; signs unrestricted)."""
         from fractions import Fraction
 
@@ -270,8 +274,8 @@ class Cone(Record):
     def ray_multiples(self, points, i: int) -> list[int]:
         """The k with k * rays[i] among the points, in input order."""
         out = []
-        for x in points:
-            sc = self.scaled_coords(x)
+        for x in json_points(points, "points"):
+            sc = self._scaled_coords(x)
             if all(c == 0 for j, c in enumerate(sc) if j != i):
                 out.append(sc[i] // self.det)
         return out
@@ -420,7 +424,7 @@ def lattice_box(cone: Cone, x: Point) -> list[Point]:
         return list(itertools.product(*(range(c + 1) for c in x)))
     d = cone.det
     r2 = cone.rays[1]
-    uh, vh = cone.scaled_coords(x)
+    uh, vh = cone._scaled_coords(x)
     # the lattice points with one scaled coordinate fixed have the other in
     # one residue class mod d, so either coordinate bounds the count; the
     # scan also steps through every u, listed or not
@@ -461,7 +465,7 @@ class Basis(NamedTuple):
         cone = self.cone
         if cone.full:
             return tuple(x)
-        u, v = cone.scaled_coords(x)
+        u, v = cone._scaled_coords(x)
         return (u, (v + u * self.lean) // cone.det)
 
     def point(self, i: tuple) -> Point:
@@ -603,7 +607,7 @@ class Grid:
         and the shift would no longer be one to one (see the class
         docstring) but land on box bits.
         """
-        j, scaled = self.slot(x), self.cone.scaled_coords(x)
+        j, scaled = self.slot(x), self.cone._scaled_coords(x)
         while all(map(int.__le__, scaled, self.bounds)):
             yield j
             j, scaled = 2 * j, [2 * c for c in scaled]
@@ -637,9 +641,9 @@ class Layout:
 
     Index. A point's index is that of `Basis`. On N^p it is the point,
     and |box(x)| = prod(x_i + 1) is at least x_i + 1, so P lies in the cube
-    0..size - 1. On a sector it is (u, k), and a cone point has
-    k >= lo(u) = ceil(u * lean / det) >= 0; counting box(u, k) row by row
-    gives
+    0..size - 1, on at most size^(p - 1) lines of at most size points. On
+    a sector it is (u, k), and a cone point has k >= lo(u) =
+    ceil(u * lean / det) >= 0; counting box(u, k) row by row gives
         |box(u, k)| = (u + 1)(k + 1) - 2 * sum_{j <= u} lo(j),
     which grows by u + 1 >= 1 with each step of k: P holds at most size
     points of a row, lo(u) <= k < lo(u) + size. A box holds
@@ -647,14 +651,13 @@ class Layout:
     coordinates U and V, so P lies in the rows u < size * det, which are
     scanned once, each in closed form.
 
-    Slots. The index i maps to the slot sum(i[t] * size^(p - 1 - t)), and
-    slot j to the field at bit width * j. On N^p that is the cube, row by
-    row. On a sector, row u of P fills slots u * size + lo(u) onwards, at
-    most size of them, and lo(u + 1) >= lo(u), so the rows do not overlap:
-    the slots number O(size^2 * det) however far P leans. The map is
-    linear, so a point m moves the slot of every y with y + m in P by the
-    same slot(m), one `<<` of a masked `int` (see `move`). Slots of points
-    outside P hold no member and a count of 0.
+    Slots. The points of P take the slots 0..|P| - 1 in lexicographic
+    order of their indexes, and slot j is the field at bit width * j. The
+    index is additive, and that of a nonzero cone point m is
+    lexicographically positive (on a sector k > 0 where u = 0), so for y
+    and y + m in P, y + m comes after y: a move by m takes the field of
+    each such y up by d = slot(y + m) - slot(y) > 0 slots, one `<<` of a
+    masked `int` for each distinct d (see `move`).
 
     Counts. `counts` holds, for each point x of P, the number of ordered
     pairs of nonzero members of the gap-free semigroup that sum to x:
@@ -665,10 +668,10 @@ class Layout:
     (2 g_max + 1).bit_length() + 1 bits wide; its top bit is a guard (see
     `zeros`).
 
-    The layout is charged to CONESEMI_CAPACITY in 64-bit words before it is
-    built, after a sector's row scan is charged by its rows, and each mask
-    in words when it is built (see `charge` for cap). Nothing is computed
-    at import.
+    The layout is charged to CONESEMI_CAPACITY by its lines or rows before
+    P is listed, in 64-bit words before it is packed, and each mask in
+    words when it is built (see `charge` for cap). Nothing is computed at
+    import.
     """
 
     def __init__(self, cone: Cone, g_max: int, cap: int | None = None):
@@ -679,14 +682,14 @@ class Layout:
         size = 2 * g_max + 2  # the largest box of a point of P
         self.width = width = (size - 1).bit_length() + 1
         self.top = width - 1  # the guard bit of each field
+        # (head, lo, hi, a, c): the indexes head + (k,) for lo <= k <= hi,
+        # whose boxes hold a * (k + 1) + c points, in index order
         if cone.full:
-            # the last slot of the cube holding P is that of (size - 1, 0, ...)
-            self.slots = (size - 1) * size ** (cone.p - 1) + 1
-            self.words = width * self.slots // 64 + 1
-            charge(self.words, LAYOUT, cap)
-            boxes = [((), 1)]  # (index, |box|)
-            for _ in range(cone.p):
-                boxes = [(x + (i,), b * (i + 1)) for x, b in boxes for i in range(size // b)]
+            charge(size ** (cone.p - 1), LAYOUT, cap)
+            heads = [((), 1)]  # (index, |box|)
+            for _ in range(cone.p - 1):
+                heads = [(x + (i,), b * (i + 1)) for x, b in heads for i in range(size // b)]
+            rows = [(x, 0, size // b - 1, b, 0) for x, b in heads]
         else:
             d, lean = cone.det, self.basis.lean
             charge(size * d, LAYOUT, cap)
@@ -694,23 +697,19 @@ class Layout:
             for u in range(size * d):
                 lo = -(-u * lean // d)
                 total += lo
-                # |box(u, k)| = (u + 1) * k + (u + 1 - 2 * total) <= size
+                # |box(u, k)| = (u + 1) * (k + 1) - 2 * total <= size
                 hi = (size + 2 * total) // (u + 1) - 1
                 if hi >= lo:
-                    rows.append((u, lo, hi, u + 1 - 2 * total))
-            self.slots = max(u * size + hi for u, _, hi, _ in rows) + 1
-            self.words = width * self.slots // 64 + 1
-            charge(self.words, LAYOUT, cap)
-            boxes = [((u, k), (u + 1) * k + b) for u, lo, hi, b in rows for k in range(lo, hi + 1)]
-        self.strides = [size ** t for t in reversed(range(cone.p))]
+                    rows.append(((u,), lo, hi, u + 1, -2 * total))
+        self.words = width * sum(hi - lo + 1 for _, lo, hi, _, _ in rows) // 64 + 1
+        charge(self.words, LAYOUT, cap)
+        boxes = [(x + (k,), a * (k + 1) + c) for x, lo, hi, a, c in rows for k in range(lo, hi + 1)]
         self.radix = 2 * max(max(i) for i, _ in boxes) + 2
-        slots = [self._slot(i) for i, _ in boxes]
-        # index: the index of each slot; keys: the slot of each index's key
-        self.index = {j: i for j, (i, _) in zip(slots, boxes)}
-        self.keys = {self._key(i): j for j, i in self.index.items()}
-        ones = self._pack((j, 1) for j in slots)
+        self.index = [i for i, _ in boxes]  # the index of each slot
+        self.keys = {self._key(i): j for j, i in enumerate(self.index)}
+        ones = self._pack((j, 1) for j in range(len(boxes)))
         self.members = ones ^ 1  # 0 is no nonzero member
-        self.counts = self._pack((j, b - 2) for j, (_, b) in zip(slots, boxes) if b > 2)
+        self.counts = self._pack((j, b - 2) for j, (_, b) in enumerate(boxes) if b > 2)
         self.guards = ones << self.top
         self.moves: dict[int, tuple] = {}
         self.boxes: dict[int, int] = {}
@@ -725,10 +724,6 @@ class Layout:
         for c in i:
             key = key * self.radix + c
         return key
-
-    def _slot(self, i: tuple) -> int:
-        """The slot of the index i."""
-        return sum(map(int.__mul__, i, self.strides))
 
     def _pack(self, fields) -> int:
         """The `int` with v in the field of slot j for each (j, v) of fields."""
@@ -751,8 +746,8 @@ class Layout:
     def slot(self, x: Point) -> int | None:
         """The slot of the cone point x, or None if x is not in P."""
         i = self.basis.index(x)
-        j = self._slot(i)
-        return j if self.index.get(j) == i else None
+        j = self.keys.get(self._key(i))
+        return j if j is not None and self.index[j] == i else None
 
     def name(self, j: int) -> tuple:
         """(canonical key, point) of slot j, cached in `names`."""
@@ -767,16 +762,22 @@ class Layout:
         guards = self.guards
         return ((guards - counts) & guards) >> self.top
 
-    def move(self, j: int, cap: int | None = None) -> tuple[int, int, int, int]:
-        """(bit, shift, mask, plus) for the point m at slot j, cached in
-        `moves`: bit is m's field, mask selects the points y of P with
-        y + m in P, y + m lies `shift` - 1 bits above y, and plus is 1 in
-        the field of 2m if 2m is in P, else 0. So ((F & mask) << shift) is
-        2 in the field of y + m for each y in F."""
-        keys, km, width = self.keys, self._key(self.index[j]), self.width
-        mask = self._ones([s for k, s in keys.items() if k + km in keys], cap)
-        plus = 1 << 2 * width * j if mask >> width * j & 1 else 0
-        self.moves[j] = out = (1 << width * j, width * j + 1, mask, plus)
+    def move(self, j: int, cap: int | None = None) -> tuple[int, list, int]:
+        """(bit, classes, plus) for the point m at slot j, cached in
+        `moves`: bit is m's field; classes holds a (mask, shift) for each
+        distinct d = slot(y + m) - slot(y) over the points y of P with y + m
+        in P, where mask selects those y and shift is width * d + 1; plus is
+        1 in the field of 2m if 2m is in P, else 0. So the sum of
+        ((F & mask) << shift) is 2 in the field of y + m for each y in F."""
+        keys, km = self.keys, self._key(self.index[j])
+        steps: dict[int, list[int]] = {}
+        for k, s in keys.items():
+            if (t := keys.get(k + km)) is not None:
+                steps.setdefault(t - s, []).append(s)
+        classes = [(self._ones(slots, cap), self.width * d + 1) for d, slots in steps.items()]
+        two = keys.get(2 * km)
+        plus = 0 if two is None else 1 << self.width * two
+        self.moves[j] = out = (1 << self.width * j, classes, plus)
         return out
 
     def box(self, j: int, cap: int | None = None) -> int:

@@ -210,7 +210,7 @@ class CSemigroup(Record):
         bounds = []
         for i, r in enumerate(cone.rays):
             step = max(self.ray_restriction(i).conductor, 1)
-            hmax = max((cone.scaled_coords(h)[i] for h in self.gaps), default=0)
+            hmax = max((cone._scaled_coords(h)[i] for h in self.gaps), default=0)
             bounds.append(hmax + step * d)
         cap = sum(u * weight(r) for u, r in zip(bounds, cone.rays)) // d
         return tuple(bounds), cap
@@ -357,7 +357,7 @@ def gap_grid(cone: Cone, gaps) -> tuple[Grid, int, int]:
     bound theirs (the box of 0 alone if there are none), the mask of the
     points on it and the mask of the box points below them (`Grid.below`).
     The grid is charged to CONESEMI_CAPACITY."""
-    scaled = [cone.scaled_coords(h) for h in gaps] or [(0,) * cone.p]
+    scaled = [cone._scaled_coords(h) for h in gaps] or [(0,) * cone.p]
     grid = Grid(cone, tuple(map(max, zip(*scaled))))
     mask = grid.mask(gaps)
     return grid, mask, grid.below(mask)

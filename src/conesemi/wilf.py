@@ -138,12 +138,14 @@ def _node(layout: Layout) -> tuple:
 def _child(layout: Layout, node: tuple, j: int, cap: int, counted: bool) -> tuple:
     """The state of S \\ {m}, for the minimal generator m at slot j of the
     node S. The pairs that lose m are (m, y) and (y, m) for each nonzero
-    member y, with one pair at y = m: dec' = dec - 2 * ((F & mask) << slot
-    of m) + 1 at 2m (see `Layout.move`). With counted, R gains m's box;
-    otherwise R stays 0."""
+    member y, with one pair at y = m: dec loses 2 in the field of y + m,
+    one masked shift per class of `Layout.move`, and gains 1 at 2m. With
+    counted, R gains m's box; otherwise R stays 0."""
     gaps, members, dec, region, _ = node
-    bit, shift, mask, plus = layout.moves.get(j) or layout.move(j, cap)
-    dec = dec - ((members & mask) << shift) + plus
+    bit, classes, plus = layout.moves.get(j) or layout.move(j, cap)
+    dec += plus
+    for mask, shift in classes:
+        dec -= (members & mask) << shift
     members ^= bit
     if counted:
         region |= layout.boxes.get(j) or layout.box(j, cap)
@@ -417,24 +419,23 @@ def _rows(cone: Cone, nodes, g_max: int) -> tuple:
     return tuple((count, low, tuple(bad)) for count, low, bad in rows)
 
 
-# The least estimated work, in node units, under the split level that a split
+# The least estimated work, in nodes, under the split level that a split
 # sweep forks for (see `wilf_sweep`)
 SPLIT_MIN = 8192
 
 
-def _split_pays(n_cut: int, n_above: int, depth: int, words: int) -> bool:
+def _split_pays(n_cut: int, n_above: int, depth: int) -> bool:
     """Whether the work estimated under a split level reaches SPLIT_MIN: its
     n_cut nodes, times its growth n_cut / n_above over the level above it
-    for each of the depth levels below it, each node weighted
-    1 + words / 300 for a layout of that many words. Exact in `int`s, which
-    a deep bound cannot overflow. Only a growing estimate is multiplied,
-    and only until it reaches SPLIT_MIN, so a deep bound costs few steps:
-    each step grows the estimate against SPLIT_MIN by n_cut / n_above, at
-    least 1 + 1 / n_above, from n_cut / SPLIT_MIN of the way, so it takes
-    at most about n_above * ln(SPLIT_MIN / n_cut) steps, fewer than
-    SPLIT_MIN / e. The level above holds fewer than 8 * jobs nodes unless
-    it is genus 1, one node per minimal generator of the gap-free root."""
-    est, goal = n_cut * (300 + words), SPLIT_MIN * 300
+    for each of the depth levels below it. Exact in `int`s, which a deep
+    bound cannot overflow. Only a growing estimate is multiplied, and only
+    until it reaches SPLIT_MIN, so a deep bound costs few steps: each step
+    grows the estimate against SPLIT_MIN by n_cut / n_above, at least
+    1 + 1 / n_above, from n_cut / SPLIT_MIN of the way, so it takes at most
+    about n_above * ln(SPLIT_MIN / n_cut) steps, fewer than SPLIT_MIN / e.
+    The level above holds fewer than 8 * jobs nodes unless it is genus 1,
+    one node per minimal generator of the gap-free root."""
+    est, goal = n_cut, SPLIT_MIN
     if n_cut > n_above:
         for _ in range(depth):
             if est >= goal:
@@ -468,15 +469,14 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     about 15 ms from the command line on a 2-vCPU host.
     The work under the split level is estimated as its n_cut nodes grown
     by n_cut / n_above per level down to g_max, the geometric growth of
-    the levels above, each node weighted 1 + words / 300: a node costs
-    about 5 us of walk plus about 0.016 us per layout word. So a node unit
-    is about 5 us, and SPLIT_MIN = 8192 units is about 40 ms of walk. Two
-    workers save at most half of that, and less where one subtree holds
-    more than half of the nodes (52% on N^2 to genus 9, 63% to genus 11):
-    about the fork's cost. In fresh processes, trees near that size (N^2 to
-    genus 8, det-5 (2,1), (1,3) to genus 6, N^3 to genus 6) ran about as
-    fast split as not, smaller ones no faster, and larger ones faster (the
-    crossover table of BENCH_21.json).
+    the levels above. A node costs about 5 us of walk, so SPLIT_MIN = 8192
+    nodes is about 40 ms of walk. Two workers save at most half of that,
+    and less where one subtree holds more than half of the nodes (52% on
+    N^2 to genus 9, 63% to genus 11): about the fork's cost. In fresh
+    processes, trees near that size (N^2 to genus 8, det-5 (2,1), (1,3) to
+    genus 6, N^3 to genus 6) ran about as fast split as not, smaller ones
+    no faster, and larger ones faster (the crossover table of
+    BENCH_21.json).
     """
     global _pool_walked
     if g_max < 0:
@@ -496,7 +496,7 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s, _ in head)
     rows = [_rows(cone, nodes, g_max)]
     _pool_walked = 0
-    if len(level) >= 8 * jobs and _split_pays(len(level), above, g_max - cut, layout.words):
+    if len(level) >= 8 * jobs and _split_pays(len(level), above, g_max - cut):
         tasks = [(layout, [pair], g_max, len(head), cap) for pair in level]
         with get_context().Pool(jobs) as pool:
             rows += pool.map(_sweep_node, tasks, chunksize=1)

@@ -8,6 +8,8 @@ the older per-site guard tests where one exists.
 
 import json
 import os
+import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -287,25 +289,42 @@ def test_closure_check_charges_a_box_before_storing_its_row(site, monkeypatch):
     assert peak < 40_000
 
 
-@pytest.mark.parametrize("call", [wilf_sweep, enumerate_genus])
+# the call of a huge-genus case, run in a child interpreter whose address
+# space is capped at 1 GiB: a layout listed before it is charged then fails
+# in seconds rather than exhausting the machine's memory
+GUARDED = """
+import json, resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conesemi import Cone, enumerate_genus, wilf_sweep
+from conesemi.errors import CapacityExceeded
+call = {"wilf_sweep": wilf_sweep, "enumerate_genus": enumerate_genus}[sys.argv[1]]
+tracemalloc.start()
+try:
+    call(Cone.full_cone(3), 100_000)
+except CapacityExceeded as exc:
+    print(json.dumps([str(exc), tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+@pytest.mark.parametrize("call", ["wilf_sweep", "enumerate_genus"])
 def test_a_huge_genus_is_refused_by_its_layout_first(call):
-    """N^3 to genus 10^5 needs a cube of about 8 * 10^15 slots: the default
-    budget refuses the layout before any of it, or any node, is built."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityExceeded, match="^the lattice layout needs more than"):
-            call(Cone.full_cone(3), 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """N^3 to genus 10^5 lays its points out on about 4 * 10^10 lines: the
+    default budget refuses the layout before any of it, or any node, is
+    built."""
+    out = subprocess.run([sys.executable, "-c", GUARDED, call],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout, out.stderr
+    message, peak = json.loads(out.stdout)
+    assert re.match("^the lattice layout needs more than", message)
     assert peak < 40_000
 
 
 def test_a_leaning_sector_lays_out_in_few_words(monkeypatch):
     """On (1, 0), (999, 1000) the lean is 999: the points a * (1, 0) run
     along a diagonal of their (u, k) rows. The layout to genus 4 scans
-    10 * 1000 rows and packs 98,992 slots of 5 bits, about 7,700 words, so
-    the whole sweep fits a cap of 20,000."""
-    monkeypatch.setenv("CONESEMI_CAPACITY", "20000")
-    sweep = wilf_sweep(Cone.from_rays((1, 0), (999, 1000)), 4)
-    assert sweep.counts == (1, 3, 13, 52, 197)
+    10 * 1000 rows and packs its 44 points of 5 bits into 4 words, so the
+    whole sweep fits a cap of 10,000, the charge of its row scan."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "10000")
+    lean = Cone.from_rays((1, 0), (999, 1000))
+    assert Layout(lean, 4).words == 4
+    assert wilf_sweep(lean, 4).counts == (1, 3, 13, 52, 197)

@@ -59,6 +59,9 @@ ENTRY_POINTS = {
     "induced_leq": (lambda v: S.induced_leq((0, 0), (v, 0)), "y[0]", 2),
     "Cone.contains": (lambda v: S11.contains((v, 0)), "x[0]", 1),
     "Cone.leq": (lambda v: N2.leq((v, 0), (2, 0)), "x[0]", 1),
+    "Cone.scaled_coords": (lambda v: S11.scaled_coords((v, 0)), "x[0]", 1),
+    "Cone.ray_coords": (lambda v: S11.ray_coords((v, 0)), "x[0]", 1),
+    "Cone.ray_multiples": (lambda v: N2.ray_multiples([(1, 0), (v, 0)], 0), "points[1][0]", 2),
 }
 
 NOT_INTEGERS = {"float": 1.5, "str": "2", "bool": True, "Fraction": Fraction(3, 2)}
@@ -97,6 +100,9 @@ WRONG_ANSWERS = {
     "float-induced-leq": lambda: S.induced_leq((0, 0), (1.5, 0)),
     "float-contains": lambda: Cone.full_cone(2).contains((0.5, 0)),
     "bool-leq": lambda: Cone.full_cone(2).leq((0, 0), (True, 0)),
+    "float-scaled-coords": lambda: Cone.full_cone(2).scaled_coords((0.5, 0)),
+    "float-ray-multiples": lambda: Cone.full_cone(2).ray_multiples([(0.5, 0)], 0),
+    "float-ray-coords": lambda: S11.ray_coords((1.5, 0.5)),
 }
 
 

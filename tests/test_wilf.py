@@ -20,7 +20,7 @@ from conesemi import (
 )
 from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
-from conesemi.geom import Layout, canon_key, capacity, lower_set
+from conesemi.geom import Layout, canon_key, capacity, lattice_box, lower_set
 from conesemi.semigroup import msg_weight_bound
 from conesemi.wilf import enumerate_genus, wilf_report, wilf_sweep
 
@@ -330,13 +330,13 @@ LEAN999 = Cone.from_rays((1, 0), (999, 1000))
     pytest.param(Cone.full_cone(3), 4, 0, id="n3-g4"),
     pytest.param(DET20, 3, 0, id="det20-g3"),
     pytest.param(Cone.full_cone(2), 9, 1, id="n2-g9"),
-    pytest.param(LEAN999, 5, 1, id="lean999-g5"),
+    pytest.param(LEAN999, 5, 0, id="lean999-g5"),
     pytest.param(DET20, 4, 1, id="det20-g4"),
 ])
 def test_a_sweep_splits_only_where_the_estimated_work_beats_the_fork(cone, g_max, pools,
                                                                      monkeypatch):
     """Under --jobs 2 each of these trees has a level of 16 nodes, but only
-    the larger three are estimated to hold SPLIT_MIN node units below it.
+    the larger two are estimated to hold SPLIT_MIN nodes below it.
     Det-20's genus 1 already holds 16 nodes; the head still expands to
     genus 2, so that its growth is not taken from the root's child count."""
     pool = _RecordingPool()
@@ -347,29 +347,18 @@ def test_a_sweep_splits_only_where_the_estimated_work_beats_the_fork(cone, g_max
     assert pool.sizes == [2] * pools
 
 
-def test_a_leaning_sector_splits_for_the_length_of_its_layout():
-    """Lean-999 to genus 5 splits at genus 3. Its nodes alone, about 830 by
-    the estimate, do not reach SPLIT_MIN, but weighted by the words of its
-    layout they do."""
-    counts = [lv.count for lv in enumerate_genus(LEAN999, 3)]
-    words = Layout(LEAN999, 5).words
-    assert counts[2] < 16 <= counts[3]
-    assert not wilf._split_pays(counts[3], counts[2], 2, 0)
-    assert wilf._split_pays(counts[3], counts[2], 2, words)
-
-
 def test_the_split_estimate_takes_few_steps_under_a_deep_bound(deadline):
     """A float estimate overflows 10^4 levels deep; the int one stops once
     it reaches SPLIT_MIN, and multiplies nothing where the levels do not
     grow, however deep the bound."""
     with pytest.raises(OverflowError):
         33 * (33 / 16) ** 10**4
-    assert wilf._split_pays(33, 16, 10**4, 0)
-    assert wilf._split_pays(17, 16, 10**4, 0)
-    assert not wilf._split_pays(16, 16, 10**9, 0)
-    assert not wilf._split_pays(16, 17, 10**9, 0)
+    assert wilf._split_pays(33, 16, 10**4)
+    assert wilf._split_pays(17, 16, 10**4)
+    assert not wilf._split_pays(16, 16, 10**9)
+    assert not wilf._split_pays(16, 17, 10**9)
     # a genus-2 split level may sit under a genus 1 of 8 * jobs nodes or more
-    assert wilf._split_pays(22, 21, 10**9, 0)
+    assert wilf._split_pays(22, 21, 10**9)
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
@@ -723,3 +712,77 @@ def test_every_walk_node_matches_the_oracle(request, data):
             break
         m = data.draw(st.sampled_from(leaves))[0][-1]
         pair = next(kid for kid in wilf._kids(layout, *pair, cap, True) if kid[0][0][-1] == m)
+
+
+def _p_points(cone, genus):
+    """The cone points whose lattice box holds at most 2 * genus + 2 points,
+    found without a layout. They are closed under going down in the cone
+    order, and each nonzero one is y + h for y and h among them and h a
+    step: on N^p a unit vector; on a sector a ray, or the point whose
+    scaled coordinates are u and the v below det with v = u * v1 mod det,
+    for v1 that of the point whose first one is 1."""
+    size = 2 * genus + 2
+    steps = list(cone.rays)
+    if not cone.full:
+        (r1, r2), d = cone.rays, cone.det
+        v1 = cone.scaled_coords(cone.unit_point(0))[1]
+        steps += [tuple((u * a + u * v1 % d * b) // d for a, b in zip(r1, r2)) for u in range(1, d)]
+    steps = [h for h in steps if len(lattice_box(cone, h)) <= size]
+    points, todo = {(0,) * cone.p}, [(0,) * cone.p]
+    while todo:
+        x = todo.pop()
+        for h in steps:
+            y = tuple(a + b for a, b in zip(x, h))
+            if y not in points and len(lattice_box(cone, y)) <= size:
+                points.add(y)
+                todo.append(y)
+    return points
+
+
+@pytest.mark.parametrize("name", TEST_CONES + ("det20", "lean999"))
+def test_a_layout_numbers_its_points_densely(name, request):
+    """To each genus up to 7, the layout's slots are 0 to |P| - 1, one for
+    each point of P, in as few words as those fields take; and a point off
+    the cone whose key is that of a point of P has no slot."""
+    cone = {"det20": DET20, "lean999": LEAN999}.get(name) or request.getfixturevalue(name)
+    top = _p_points(cone, 7)
+    for genus in range(1, 8):
+        points = {x for x in top if len(lattice_box(cone, x)) <= 2 * genus + 2}
+        layout = Layout(cone, genus)
+        assert layout.words == layout.width * len(points) // 64 + 1
+        assert sorted(map(layout.slot, points)) == list(range(len(points)))
+        if cone.p > 1:
+            alias = layout.basis.point((0,) * (cone.p - 2) + (-1, layout.radix))
+            assert not cone.contains(alias) and layout.slot(alias) is None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_walked_decomposition_count_is_exact(full1, full2, full3, cone_a, cone_skew, data):
+    """Down a random tree path to genus 7, each field of a state's dec is
+    the number of ordered pairs of nonzero members of P that sum to its
+    point, and each bit of R says whether its point lies below some gap."""
+    cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20, LEAN999]))
+    cap = capacity()
+    layout = Layout(cone, 7, cap)
+    points = [layout.basis.point(i) for i in layout.index]
+    slots = {x: j for j, x in enumerate(points)}
+    field = (1 << layout.width) - 1
+    node, pending = wilf._node(layout)
+    while True:
+        gaps, members, dec, region, _ = node
+        nonzero = [x for j, x in enumerate(points) if members >> layout.width * j & 1]
+        pairs = [0] * len(points)
+        for a in nonzero:
+            for b in nonzero:
+                if (j := slots.get(tuple(s + t for s, t in zip(a, b)))) is not None:
+                    pairs[j] += 1
+        assert [dec >> layout.width * j & field for j in range(len(points))] == pairs
+        assert dec >> layout.width * len(points) == 0
+        below = [any(cone.leq(x, h) for h in gaps) for x in points]
+        assert [bool(region >> layout.width * j & 1) for j in range(len(points))] == below
+        assert region >> layout.width * len(points) == 0
+        kids = wilf._kids(layout, node, pending, cap, True)
+        if not kids:
+            break
+        node, pending = kids[data.draw(st.sampled_from(range(len(kids))))]
