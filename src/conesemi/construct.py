@@ -36,6 +36,7 @@ from .geom import (
     charge,
     enumerate_cone_points,
     is_zero,
+    json_ints,
     json_points,
     lower_set,
     scale,
@@ -95,8 +96,12 @@ class IdemaxialSpec(Record):
             raise UnsupportedDimension("idemaxial semigroups are built over 2D cones")
         self.__dict__.update(cone=cone, pattern=pattern)
 
-    def level(self, x: Point) -> Fraction:
+    def level(self, x) -> Fraction:
         """Ray-coordinate level alpha + beta of a lattice point."""
+        return self._level(json_ints(x, "x"))
+
+    def _level(self, x: Point) -> Fraction:
+        """`level` for a point already read by `json_ints`."""
         u, v = self.cone._scaled_coords(x)
         return Fraction(u + v, self.cone.det)
 
@@ -117,7 +122,7 @@ def idemaxial(spec: IdemaxialSpec) -> CSemigroup:
     for x in enumerate_cone_points(spec.cone, cap):
         if is_zero(x):
             continue
-        lvl = spec.level(x)
+        lvl = spec._level(x)
         if lvl <= frob and not spec.level_in_pattern(lvl):
             gaps.append(x)
     return make_csemigroup(spec.cone, gaps)
@@ -196,7 +201,7 @@ def pf_lines_check(spec: IdemaxialSpec) -> PfLinesReport:
     pf_levels = set(pattern.pseudo_frobenius())
     statuses = []
     for t in pattern.gaps:
-        line = [x for x in s.gaps if spec.level(x) == t]
+        line = [x for x in s.gaps if spec._level(x) == t]
         counterexample = None
         for x in line:
             if x not in pf_points:

@@ -16,7 +16,7 @@ n * r_i has i-th coordinate n * det:
   3. The members in the box are the sums of generators in the box, since
      summands lie below their sum. They are one `Grid` mask: {0}, closed
      under each generator a in turn by shifts of 2^i * a while that stays
-     in the box (`Grid.doublings`).
+     in the box (`Grid.sums`).
   4. The band of box points with u >= K_1 det or v >= K_2 det certifies
      the rest: a cone point beyond the box, less m_1 r_1 while its u is
      past the box and m_2 r_2 while its v is, is a band point, and the
@@ -159,14 +159,7 @@ def expand(g: GeneratorInput) -> CSemigroup:
             )
     while True:
         grid = Grid(cone, ((k[0] + m[0]) * d - 1, (k[1] + m[1]) * d - 1))
-        ones, members = grid.ones, 1
-        for a in g.generators:
-            steps = list(grid.doublings(a))
-            # a member already: the members are closed under adding it
-            if steps and not members >> steps[0] & 1:
-                for j in steps:
-                    members |= (members << j) & ones
-        gaps = ones ^ members
+        gaps = grid.ones ^ grid.sums(g.generators)
         far = _far_gaps(grid, gaps, k)
         if not any(far):
             return CSemigroup(cone, tuple(grid.points(gaps)))

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     from fractions import Fraction
 
-from .errors import CapacityExceeded, DimensionMismatch, InvalidInput
+from .errors import CapacityExceeded, DimensionMismatch, InvalidInput, InvalidRay
 
 Point = tuple[int, ...]
 
@@ -273,6 +273,9 @@ class Cone(Record):
 
     def ray_multiples(self, points, i: int) -> list[int]:
         """The k with k * rays[i] among the points, in input order."""
+        i = json_int(i, "i")
+        if not 0 <= i < len(self.rays):
+            raise InvalidRay(f"ray index {i} out of range for {len(self.rays)} rays")
         out = []
         for x in json_points(points, "points"):
             sc = self._scaled_coords(x)
@@ -430,10 +433,10 @@ def lattice_box(cone: Cone, x: Point) -> list[Point]:
     # scan also steps through every u, listed or not
     points = min((uh + 1) * (vh // d + 1), (vh + 1) * (uh // d + 1))
     charge(max(uh + 1, points), "the lower-set scan")
-    # the points of row u are those of Basis with 0 <= k * d - u * lean <= vh
-    _, (bx, by), lean = Basis.of(cone)
+    # row u holds the box points' k, whose second scaled coordinate is at most vh
+    _, (bx, by), _ = basis = Basis.of(cone)
     return [(u * bx + k * r2[0], u * by + k * r2[1]) for u in range(uh + 1)
-            for k in range(-(-u * lean // d), (vh + u * lean) // d + 1)]
+            for k in basis.row(u, vh)]
 
 
 class Basis(NamedTuple):
@@ -467,6 +470,12 @@ class Basis(NamedTuple):
             return tuple(x)
         u, v = cone._scaled_coords(x)
         return (u, (v + u * self.lean) // cone.det)
+
+    def row(self, u: int, v: int) -> range:
+        """The k of the cone points (u, k) with k * det - u * lean <= v, their
+        second scaled coordinate (on N^p, where lean is 0, the k <= v)."""
+        d, w = self.cone.det, u * self.lean
+        return range(-(-w // d), (v + w) // d + 1)
 
     def point(self, i: tuple) -> Point:
         """The point of the index i."""
@@ -503,27 +512,26 @@ class Grid:
         self.cone, self.bounds = cone, bounds
         self.basis = Basis.of(cone)
         # a full cone has lean 0 and det 1: its index is the point
-        d, lean, last = cone.det, self.basis.lean, bounds[-1]
-        extents = [b + 1 for b in bounds[:-1]] + [last // d + 1]  # of a row
+        basis, last = self.basis, bounds[-1]
+        extents = [b + 1 for b in bounds[:-1]] + [last // cone.det + 1]  # of a row
         self.strides = strides = [1]
         for e in reversed(extents[1:]):
             strides.insert(0, 2 * e * strides[0])
         # the slot of the last index of the last row
         top = sum((e - 1) * s for e, s in zip(extents, strides[:-1]))
-        top += (last + bounds[0] * lean) // d
+        top += basis.row(bounds[0], last).stop - 1
         self.nbytes = top // 8 + 1
         # a row for each index of the coordinates before the last
         charge(max(top // 64 + 1, prod(extents[:-1])), GRID)
         out = bytearray(self.nbytes)
         for head in itertools.product(*map(range, extents[:-1])):
-            # on a sector, row u holds the k with 0 <= k * d - u * lean <= last
-            w = sum(head) * lean
-            lo, hi = -(-w // d), (last + w) // d
-            if lo <= hi:
+            # on a sector head is (u,); on N^p the row's k are 0..last
+            ks = basis.row(sum(head), last)
+            if ks:
                 # rows come in slot order, so only a row's first byte can
                 # hold bits of the row before it
-                start = self.index_slot(head + (lo,))
-                run = ((1 << hi - lo + 1) - 1) << (start & 7)
+                start = self.index_slot(head + (ks.start,))
+                run = ((1 << len(ks)) - 1) << (start & 7)
                 chunk = run.to_bytes((run.bit_length() + 7) // 8, "little")
                 i = start >> 3
                 out[i] |= chunk[0]
@@ -612,6 +620,19 @@ class Grid:
             yield j
             j, scaled = 2 * j, [2 * c for c in scaled]
 
+    def sums(self, points) -> int:
+        """The box points that are sums of these points: {0} closed under
+        adding each in turn by the shifts of its `doublings`, but for one
+        that is a sum already, and so adds nothing. Summands of a box point
+        lie below it, so in the box."""
+        ones, members = self.ones, 1
+        for a in points:
+            steps = list(self.doublings(a))
+            if steps and not members >> steps[0] & 1:
+                for j in steps:
+                    members |= (members << j) & ones
+        return members
+
     def below(self, mask: int) -> int:
         """The box points below some point of the mask in the cone order:
         the mask closed under subtracting each cone atom as often as the
@@ -652,12 +673,24 @@ class Layout:
     scanned once, each in closed form.
 
     Slots. The points of P take the slots 0..|P| - 1 in lexicographic
-    order of their indexes, and slot j is the field at bit width * j. The
-    index is additive, and that of a nonzero cone point m is
-    lexicographically positive (on a sector k > 0 where u = 0), so for y
-    and y + m in P, y + m comes after y: a move by m takes the field of
-    each such y up by d = slot(y + m) - slot(y) > 0 slots, one `<<` of a
-    masked `int` for each distinct d (see `move`).
+    order of their indexes, and slot j is the field at bit width * j;
+    `slot` looks an index up in `slots`. The index is additive, and that
+    of a nonzero cone point m is lexicographically positive (on a sector
+    k > 0 where u = 0), so for y and y + m in P, y + m comes after y: a
+    move by m takes the field of each such y up by d = slot(y + m) -
+    slot(y) > 0 slots, one `<<` of a masked `int` for each distinct d.
+
+    Tables. P holds the box of each of its points, so the pairs y + m = x
+    of points of P are the y of each box(x), listed over the rows of P
+    whose difference from x's row is one too (`Basis.row`). One pass over
+    them builds three lists by slot:
+      * boxes[x], 1 in the field of each y of box(x);
+      * moves[m], (bit, classes, plus): bit is m's field; classes holds a
+        (mask, shift) for each distinct d above, where mask selects those
+        y and shift is width * d + 1; plus is 1 in the field of 2m if 2m
+        is in P, else 0. So the sum of ((F & mask) << shift) is 2 in the
+        field of y + m for each y in F;
+      * names[j], (canonical key, point).
 
     Counts. `counts` holds, for each point x of P, the number of ordered
     pairs of nonzero members of the gap-free semigroup that sum to x:
@@ -670,15 +703,15 @@ class Layout:
 
     The layout is charged to CONESEMI_CAPACITY by its lines or rows before
     P is listed, in 64-bit words before it is packed, and each mask in
-    words when it is built (see `charge` for cap). Nothing is computed at
-    import.
+    words before it is built (see `charge` for cap). Nothing is computed
+    at import, and nothing once the constructor returns.
     """
 
     def __init__(self, cone: Cone, g_max: int, cap: int | None = None):
         if cap is None:
             cap = capacity()
         self.cone, self.g_max = cone, g_max
-        self.basis = Basis.of(cone)
+        self.basis = basis = Basis.of(cone)
         size = 2 * g_max + 2  # the largest box of a point of P
         self.width = width = (size - 1).bit_length() + 1
         self.top = width - 1  # the guard bit of each field
@@ -691,11 +724,10 @@ class Layout:
                 heads = [(x + (i,), b * (i + 1)) for x, b in heads for i in range(size // b)]
             rows = [(x, 0, size // b - 1, b, 0) for x, b in heads]
         else:
-            d, lean = cone.det, self.basis.lean
-            charge(size * d, LAYOUT, cap)
+            charge(size * cone.det, LAYOUT, cap)
             rows, total = [], 0
-            for u in range(size * d):
-                lo = -(-u * lean // d)
+            for u in range(size * cone.det):
+                lo = basis.row(u, 0).start
                 total += lo
                 # |box(u, k)| = (u + 1) * (k + 1) - 2 * total <= size
                 hi = (size + 2 * total) // (u + 1) - 1
@@ -703,27 +735,36 @@ class Layout:
                     rows.append(((u,), lo, hi, u + 1, -2 * total))
         self.words = width * sum(hi - lo + 1 for _, lo, hi, _, _ in rows) // 64 + 1
         charge(self.words, LAYOUT, cap)
-        boxes = [(x + (k,), a * (k + 1) + c) for x, lo, hi, a, c in rows for k in range(lo, hi + 1)]
-        self.radix = 2 * max(max(i) for i, _ in boxes) + 2
-        self.index = [i for i, _ in boxes]  # the index of each slot
-        self.keys = {self._key(i): j for j, i in enumerate(self.index)}
-        ones = self._pack((j, 1) for j in range(len(boxes)))
+        sizes = [(x + (k,), a * (k + 1) + c) for x, lo, hi, a, c in rows for k in range(lo, hi + 1)]
+        self.index = [i for i, _ in sizes]  # the index of each slot
+        self.slots = slots = {i: j for j, i in enumerate(self.index)}
+        ones = self._pack((j, 1) for j in range(len(sizes)))
         self.members = ones ^ 1  # 0 is no nonzero member
-        self.counts = self._pack((j, b - 2) for j, (_, b) in enumerate(boxes) if b > 2)
+        self.counts = self._pack((j, b - 2) for j, (_, b) in enumerate(sizes) if b > 2)
         self.guards = ones << self.top
-        self.moves: dict[int, tuple] = {}
-        self.boxes: dict[int, int] = {}
-        self.names: dict[int, tuple] = {}
-
-    def _key(self, i: tuple) -> int:
-        """The index i as one integer in base `radix`. Each coordinate of P
-        is below radix / 2, so the key of a sum of two indexes of P is the
-        sum of their keys, and the difference of their keys is the key of
-        a point of P only if their difference is that point."""
-        key = 0
-        for c in i:
-            key = key * self.radix + c
-        return key
+        # the addition table: for each slot, the y of its box, the y its
+        # move takes by each distance, and the field of its double
+        boxes, steps, plus = [[] for _ in sizes], [{} for _ in sizes], [0] * len(sizes)
+        first = {head: slots[head + (lo,)] - lo for head, lo, *_ in rows}  # slot less k
+        for r, (head, lo, hi, _, _) in enumerate(rows):
+            # the rows h of P up to head's (in index order) with head - h in P
+            below = [(first[h], first[m], sum(h)) for h, *_ in rows[:r + 1]
+                     if (m := tuple(map(int.__sub__, head, h))) in first]
+            fx, u = first[head], sum(head)
+            for k in range(lo, hi + 1):
+                # x = head + (k,), v its last scaled coordinate
+                sx, v = fx + k, k * cone.det - u * basis.lean
+                for fy, fm, w in below:
+                    for i in basis.row(w, v):
+                        sy, sm = fy + i, fm + k - i
+                        boxes[sx].append(sy)
+                        steps[sm].setdefault(sx - sy, []).append(sy)
+                        if sy == sm:
+                            plus[sm] = 1 << width * sx
+        self.boxes = [self._ones(ys, cap) for ys in boxes]
+        self.moves = [(1 << width * m, [(self._ones(ys, cap), width * d + 1) for d, ys in by_d.items()],
+                       plus[m]) for m, by_d in enumerate(steps)]
+        self.names = [(canon_key(x), x) for x in map(basis.point, self.index)]
 
     def _pack(self, fields) -> int:
         """The `int` with v in the field of slot j for each (j, v) of fields."""
@@ -738,22 +779,15 @@ class Layout:
                 bit += 1
         return int.from_bytes(out, "little")
 
-    def _ones(self, slots: list[int], cap: int | None) -> int:
-        """1 in the field of each slot, charged in words before it is built."""
-        charge(self.width * max(slots, default=0) // 64 + 1, LAYOUT, cap)
-        return self._pack((j, 1) for j in slots)
+    def _ones(self, slots: list[int], cap: int) -> int:
+        """1 in the field of each of these distinct slots, charged in words
+        before it is built."""
+        charge(self.width * max(slots) // 64 + 1, LAYOUT, cap)
+        return sum(1 << self.width * j for j in slots)
 
     def slot(self, x: Point) -> int | None:
         """The slot of the cone point x, or None if x is not in P."""
-        i = self.basis.index(x)
-        j = self.keys.get(self._key(i))
-        return j if j is not None and self.index[j] == i else None
-
-    def name(self, j: int) -> tuple:
-        """(canonical key, point) of slot j, cached in `names`."""
-        x = self.basis.point(self.index[j])
-        self.names[j] = out = (canon_key(x), x)
-        return out
+        return self.slots.get(self.basis.index(x))
 
     def zeros(self, counts: int) -> int:
         """The low bit of each field of P whose count is 0: setting a
@@ -761,31 +795,6 @@ class Layout:
         only where the count is 0, and no field borrows from the next."""
         guards = self.guards
         return ((guards - counts) & guards) >> self.top
-
-    def move(self, j: int, cap: int | None = None) -> tuple[int, list, int]:
-        """(bit, classes, plus) for the point m at slot j, cached in
-        `moves`: bit is m's field; classes holds a (mask, shift) for each
-        distinct d = slot(y + m) - slot(y) over the points y of P with y + m
-        in P, where mask selects those y and shift is width * d + 1; plus is
-        1 in the field of 2m if 2m is in P, else 0. So the sum of
-        ((F & mask) << shift) is 2 in the field of y + m for each y in F."""
-        keys, km = self.keys, self._key(self.index[j])
-        steps: dict[int, list[int]] = {}
-        for k, s in keys.items():
-            if (t := keys.get(k + km)) is not None:
-                steps.setdefault(t - s, []).append(s)
-        classes = [(self._ones(slots, cap), self.width * d + 1) for d, slots in steps.items()]
-        two = keys.get(2 * km)
-        plus = 0 if two is None else 1 << self.width * two
-        self.moves[j] = out = (1 << self.width * j, classes, plus)
-        return out
-
-    def box(self, j: int, cap: int | None = None) -> int:
-        """The lattice box of the point at slot j, 1 in each of its fields,
-        cached in `boxes`: the points y of P with x - y in P."""
-        keys, kx = self.keys, self._key(self.index[j])
-        self.boxes[j] = mask = self._ones([s for k, s in keys.items() if kx - k in keys], cap)
-        return mask
 
 
 def lower_set(cone: Cone, x: Point) -> list[Point]:

@@ -21,7 +21,6 @@ from .errors import (
     EmptyGapSet,
     GapOutsideCone,
     InvalidInput,
-    InvalidRay,
     NotAMember,
     NotClosed,
     ZeroGap,
@@ -40,7 +39,6 @@ from .geom import (
     enumerate_cone_points,
     is_zero,
     json_field,
-    json_int,
     json_ints,
     json_points,
     lower_set,
@@ -73,10 +71,10 @@ class NumericalSemigroup(Record):
 
     @classmethod
     def from_generators(cls, generators) -> "NumericalSemigroup":
-        """Expand a coprime generating set; gaps found by graded reachability.
-
-        The table marks exactly the sums of generators, so its unmarked
-        entries form a closed gap set without a separate closure check.
+        """Expand a coprime generating set; the gaps are the points of a
+        grid on N below the Frobenius bound that are no sums of generators
+        (`Grid.sums`), so they form a closed gap set without a separate
+        closure check.
         """
         gens = sorted(set(json_ints(generators, "generators", ordered=False)))
         if not gens or gens[0] < 1:
@@ -89,14 +87,9 @@ class NumericalSemigroup(Record):
         last = next(a for a, c in zip(gens, accumulate(gens, gcd)) if c == 1)
         bound = m * last
         charge(bound, "the reachability table")
-        reach = bytearray(bound)
-        reach[0] = 1
-        for t in range(1, bound):
-            for a in gens:
-                if a <= t and reach[t - a]:
-                    reach[t] = 1
-                    break
-        return cls(tuple(k for k in range(bound) if not reach[k]))
+        grid = Grid(Cone.full_cone(1), (bound - 1,))
+        sums = grid.sums((a,) for a in gens)
+        return cls(tuple(k for k, in grid.points(grid.ones ^ sums)))
 
     @cached_property
     def _gap_set(self) -> frozenset[int]:
@@ -331,9 +324,6 @@ class CSemigroup(Record):
     def ray_restriction(self, i: int) -> NumericalSemigroup:
         """Multiples k of ray i with k * r_i missing from the semigroup, as a
         numerical semigroup gap set."""
-        rays, i = self.cone.rays, json_int(i, "i")
-        if not 0 <= i < len(rays):
-            raise InvalidRay(f"ray index {i} out of range for {len(rays)} rays")
         # the gaps are closed, so are those on a ray: no closure check
         return NumericalSemigroup(tuple(sorted(self.cone.ray_multiples(self.gaps, i))))
 

@@ -24,8 +24,8 @@ threads.
 The walk is bit-parallel (Fromentin and Hivert, "Exploring the tree of
 numerical semigroups", Math. Comp. 2016), with Python's `int` as the
 vector register. A node is a few masks over one packed `geom.Layout` of
-the cone points the walk can read, built once per walk (the workers of a
-split sweep inherit the parent's):
+the cone points the walk can read, built once per walk with all its
+tables (the workers of a split sweep inherit the parent's):
   * F, the nonzero members, one bit per point;
   * dec, the ordered two-member decompositions of each point, one field
     per point;
@@ -57,9 +57,9 @@ the sweep reads each leaf's e and c from one update, and `enumerate_genus`
 builds nothing for a leaf but its gap tuple. A parent's leaves are charged
 to the walk as one batch. A walk (an `enumerate_genus` call or a sweep)
 reads CONESEMI_CAPACITY once and checks every charge against that value:
-its nodes, its layout, and each mask of the layout when it is built. A
-sweep's tasks carry its layout, their nodes and its cap, so a forked
-worker inherits all three and builds no state twice.
+its layout and each of the layout's masks, as the layout is built, and
+then its nodes. A sweep's tasks carry its layout, their nodes and its
+cap, so a forked worker inherits all three and builds no state twice.
 """
 
 from __future__ import annotations
@@ -135,22 +135,21 @@ def _node(layout: Layout) -> tuple:
     return ((), layout.members, layout.counts, 0, gens), _named(layout, gens)
 
 
-def _child(layout: Layout, node: tuple, j: int, cap: int, counted: bool) -> tuple:
+def _child(layout: Layout, node: tuple, j: int, counted: bool) -> tuple:
     """The state of S \\ {m}, for the minimal generator m at slot j of the
     node S. The pairs that lose m are (m, y) and (y, m) for each nonzero
     member y, with one pair at y = m: dec loses 2 in the field of y + m,
-    one masked shift per class of `Layout.move`, and gains 1 at 2m. With
-    counted, R gains m's box; otherwise R stays 0."""
+    one masked shift per class of m's `Layout.moves` entry, and gains 1 at
+    2m. With counted, R gains m's box; otherwise R stays 0."""
     gaps, members, dec, region, _ = node
-    bit, classes, plus = layout.moves.get(j) or layout.move(j, cap)
+    bit, classes, plus = layout.moves[j]
     dec += plus
     for mask, shift in classes:
         dec -= (members & mask) << shift
     members ^= bit
     if counted:
-        region |= layout.boxes.get(j) or layout.box(j, cap)
-    point = (layout.names.get(j) or layout.name(j))[1]
-    return gaps + (point,), members, dec, region, members & layout.zeros(dec)
+        region |= layout.boxes[j]
+    return gaps + (layout.names[j][1],), members, dec, region, members & layout.zeros(dec)
 
 
 def _named(layout: Layout, mask: int, last: tuple = ()) -> list[tuple]:
@@ -162,14 +161,14 @@ def _named(layout: Layout, mask: int, last: tuple = ()) -> list[tuple]:
         low = mask & -mask
         mask ^= low
         j = low.bit_length() // width
-        key = (names.get(j) or layout.name(j))[0]
+        key = names[j][0]
         if key > last:
             out.append((key, j))
     out.sort()
     return out
 
 
-def _kids(layout: Layout, node: tuple, pending: list, cap: int, counted: bool) -> list[tuple]:
+def _kids(layout: Layout, node: tuple, pending: list, counted: bool) -> list[tuple]:
     """The (child, pending) pair of each child of the state node, whose
     pending generators are given, in canonical order. The child that
     removes m has those of its parent past m, and its new generators,
@@ -177,7 +176,7 @@ def _kids(layout: Layout, node: tuple, pending: list, cap: int, counted: bool) -
     generator mask gains."""
     gens, kids = node[4], []
     for i, (key, j) in enumerate(pending):
-        child = _child(layout, node, j, cap, counted)
+        child = _child(layout, node, j, counted)
         # m itself is among the changed bits, and is not past m
         kids.append((child, sorted(pending[i + 1:] + _named(layout, child[4] ^ gens, key))))
     return kids
@@ -205,16 +204,16 @@ def _walk(layout: Layout, pairs: list, g_max: int, walked: int, cap: int, counte
         gaps = node[0]
         yield gaps, node[4].bit_count(), node[3].bit_count()
         if len(gaps) + 1 < g_max:
-            stack += reversed(_kids(layout, node, ms, cap, counted))
+            stack += reversed(_kids(layout, node, ms, counted))
         elif len(gaps) < g_max:
             walked += len(ms)
             charge(walked, WALK, cap)
             for _, j in ms:
                 if counted:
-                    leaf = _child(layout, node, j, cap, True)
+                    leaf = _child(layout, node, j, True)
                     yield leaf[0], leaf[4].bit_count(), leaf[3].bit_count()
                 else:
-                    yield gaps + ((layout.names.get(j) or layout.name(j))[1],), None, None
+                    yield gaps + (layout.names[j][1],), None, None
 
 
 def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
@@ -464,9 +463,9 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     CONESEMI_CAPACITY once, and the tasks carry the value.
 
     Like Fromentin and Hivert's walk, which spawns no work below a fixed
-    depth, a split has a grain: forking the workers, importing `pickle`,
-    warming each worker's layout caches and sending the rows back cost
-    about 15 ms from the command line on a 2-vCPU host.
+    depth, a split has a grain: forking the workers, importing `pickle`
+    and sending the rows back cost about 15 ms from the command line on a
+    2-vCPU host.
     The work under the split level is estimated as its n_cut nodes grown
     by n_cut / n_above per level down to g_max, the geometric growth of
     the levels above. A node costs about 5 us of walk, so SPLIT_MIN = 8192
@@ -491,7 +490,7 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
         head += level
         charge(len(head), WALK, cap)
         above = len(level)
-        level = [kid for s, ms in level for kid in _kids(layout, s, ms, cap, True)]
+        level = [kid for s, ms in level for kid in _kids(layout, s, ms, True)]
         cut += 1
     nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s, _ in head)
     rows = [_rows(cone, nodes, g_max)]

@@ -232,7 +232,7 @@ def test_a_sweep_task_carries_the_capacity(monkeypatch):
     layout = Layout(FULL2, 5, cap)
     pairs = [wilf._node(layout)]
     for _ in range(2):
-        pairs = [kid for pair in pairs for kid in wilf._kids(layout, *pair, cap, True)]
+        pairs = [kid for pair in pairs for kid in wilf._kids(layout, *pair, True)]
     assert [state[0] for state, _ in pairs] == [s.gaps for s in enumerate_genus(FULL2, 2)[2].semigroups]
     env = _CountingEnviron(os.environ, CONESEMI_CAPACITY="1")
     monkeypatch.setattr(os, "environ", env)

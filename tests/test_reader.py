@@ -12,14 +12,15 @@ from fractions import Fraction
 import pytest
 
 from conesemi import Cone, CSemigroup, NumericalSemigroup, lower_set, make_csemigroup
-from conesemi.construct import lower_set_semigroup
-from conesemi.errors import InvalidInput, ZeroGap
+from conesemi.construct import IdemaxialSpec, lower_set_semigroup
+from conesemi.errors import InvalidInput, InvalidRay, ZeroGap
 from conesemi.genexp import GeneratorInput, expand
 from conesemi.oracle import oracle_member
 
 N2 = Cone.full_cone(2)
 S11 = Cone.from_rays((1, 0), (1, 1))
 S = make_csemigroup(N2, [(1, 0)])
+SPEC = IdemaxialSpec(S11, NumericalSemigroup.from_gaps([1]))
 
 
 class IntLike:
@@ -62,6 +63,8 @@ ENTRY_POINTS = {
     "Cone.scaled_coords": (lambda v: S11.scaled_coords((v, 0)), "x[0]", 1),
     "Cone.ray_coords": (lambda v: S11.ray_coords((v, 0)), "x[0]", 1),
     "Cone.ray_multiples": (lambda v: N2.ray_multiples([(1, 0), (v, 0)], 0), "points[1][0]", 2),
+    "Cone.ray_multiples-i": (lambda v: N2.ray_multiples([(1, 0), (0, 2)], v), "i", 1),
+    "IdemaxialSpec.level": (lambda v: SPEC.level((v, 0)), "x[0]", 3),
 }
 
 NOT_INTEGERS = {"float": 1.5, "str": "2", "bool": True, "Fraction": Fraction(3, 2)}
@@ -103,6 +106,8 @@ WRONG_ANSWERS = {
     "float-scaled-coords": lambda: Cone.full_cone(2).scaled_coords((0.5, 0)),
     "float-ray-multiples": lambda: Cone.full_cone(2).ray_multiples([(0.5, 0)], 0),
     "float-ray-coords": lambda: S11.ray_coords((1.5, 0.5)),
+    "float-ray-multiples-index": lambda: Cone.full_cone(2).ray_multiples([(1, 0)], 0.5),
+    "float-level": lambda: SPEC.level((0.5, 0)),
 }
 
 
@@ -110,6 +115,14 @@ WRONG_ANSWERS = {
 def test_a_truncated_float_is_refused(name):
     with pytest.raises(InvalidInput):
         WRONG_ANSWERS[name]()
+
+
+@pytest.mark.parametrize("points,i", [([(2, 0)], -1), ([(0, 0)], 5), ([(0, 2)], 2)])
+def test_a_ray_index_out_of_range_is_refused(points, i):
+    """Once read, a ray index must name one of the cone's rays: a negative
+    one returned [] and one past the last raised a bare IndexError."""
+    with pytest.raises(InvalidRay, match=f"ray index {i} out of range for 2 rays"):
+        N2.ray_multiples(points, i)
 
 
 def test_any_iterable_but_a_string_or_dict_reads_as_a_list():

@@ -613,7 +613,7 @@ def _closed_gap_set(cone, data):
     layout = Layout(cone, 8, cap)
     pair = _node(layout)
     for _ in range(data.draw(st.integers(0, 8))):
-        kids = _kids(layout, *pair, cap, False)
+        kids = _kids(layout, *pair, False)
         if not kids:
             break
         pair = kids[data.draw(st.sampled_from(range(len(kids))))]

@@ -131,14 +131,24 @@ def test_enumerate_no_duplicates_and_sorted(full1, full2, full3, cone_a, cone_sk
 
 
 def test_enumerate_builds_no_boxes(full2, monkeypatch):
-    """Only the sweep carries the region under the gaps."""
+    """Only the sweep carries the region under the gaps: every state
+    `enumerate_genus` builds has R = 0."""
+    regions = []
+    child = wilf._child
 
     def no_box(*args):
         raise AssertionError("enumerate_genus built a lattice box")
 
+    def recording(*args):
+        state = child(*args)
+        regions.append(state[3])
+        return state
+
     monkeypatch.setattr(wilf, "gap_grid", no_box)
-    monkeypatch.setattr(Layout, "box", no_box)
+    monkeypatch.setattr(wilf, "_child", recording)
     assert [lv.count for lv in enumerate_genus(full2, 4)] == [1, 2, 7, 23, 71]
+    # the states of genus 1 to 3; the leaves are bare gap tuples
+    assert len(regions) == 2 + 7 + 23 and set(regions) == {0}
 
 
 def test_enumerate_children_validate(cone_skew):
@@ -412,12 +422,12 @@ def test_region_is_the_union_of_every_gap_box(name, request):
         assert wilf_report(s).c == _region_size(s)
 
 
-def _levels(layout, genus, cap):
+def _levels(layout, genus):
     """The (state, pending) pairs of each level to genus, built as the
     sweep's head builds them: counted children, level by level."""
     levels = [[wilf._node(layout)]]
     for _ in range(genus):
-        levels.append([kid for pair in levels[-1] for kid in wilf._kids(layout, *pair, cap, True)])
+        levels.append([kid for pair in levels[-1] for kid in wilf._kids(layout, *pair, True)])
     return levels
 
 
@@ -425,7 +435,7 @@ def _genus2_tasks(cone, g_max):
     """The split sweep's tasks for the nodes of genus 2, one each."""
     cap = capacity()
     layout = Layout(cone, g_max, cap)
-    return [(layout, [pair], g_max, 0, cap) for pair in _levels(layout, 2, cap)[2]]
+    return [(layout, [pair], g_max, 0, cap) for pair in _levels(layout, 2)[2]]
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
@@ -437,8 +447,8 @@ def test_a_task_of_mixed_depths_reports_each_genus_in_its_row(name, request):
     cone = request.getfixturevalue(name)
     cap = capacity()
     layout = Layout(cone, 5, cap)
-    first, *rest = _levels(layout, 1, cap)[1]
-    rows = wilf._sweep_node((layout, wilf._kids(layout, *first, cap, True) + rest, 5, 0, cap))
+    first, *rest = _levels(layout, 1)[1]
+    rows = wilf._sweep_node((layout, wilf._kids(layout, *first, True) + rest, 5, 0, cap))
     assert len(rows) == 6 and rows[0] == (0, None, ())
     sweep = wilf_sweep(cone, 5)
     assert tuple(count for count, _, _ in rows) == (0, sweep.counts[1] - 1) + sweep.counts[2:]
@@ -587,7 +597,7 @@ def _points(layout, mask):
     while mask:
         low = mask & -mask
         mask ^= low
-        out.append(layout.name(low.bit_length() // layout.width))
+        out.append(layout.names[low.bit_length() // layout.width])
     return tuple(x for _, x in sorted(out))
 
 
@@ -608,7 +618,7 @@ def test_grid_queries_match_the_walk_on_every_node(name):
     the c the walk carries."""
     cone, g_max = GRID_WALKS[name]
     layout, nodes = _walk(cone, g_max)
-    states = {state[0]: state for level in _levels(layout, g_max, capacity()) for state, _ in level}
+    states = {state[0]: state for level in _levels(layout, g_max) for state, _ in level}
     assert len(states) == len(nodes)
     for gaps, _, c in nodes:
         walked = tuple(layout.names[j][1] for _, j in wilf._named(layout, states[gaps][4]))
@@ -657,11 +667,11 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
         if s.genus == 9:
             break
         m = data.draw(st.sampled_from(s.minimal_generators))
-        child = wilf._child(layout, node, layout.slot(m), cap, True)
+        child = wilf._child(layout, node, layout.slot(m), True)
         t = make_csemigroup(cone, s.gaps + (m,))
         assert _points(layout, child[4]) == t.minimal_generators
         assert child[3].bit_count() == _region_size(t)
-        kids = wilf._kids(layout, node, pending, cap, True)
+        kids = wilf._kids(layout, node, pending, True)
         if not kids:
             break
         node, pending = kids[data.draw(st.sampled_from(range(len(kids))))]
@@ -711,7 +721,7 @@ def test_every_walk_node_matches_the_oracle(request, data):
                 _oracle_check(layout, cone, *leaf)
             break
         m = data.draw(st.sampled_from(leaves))[0][-1]
-        pair = next(kid for kid in wilf._kids(layout, *pair, cap, True) if kid[0][0][-1] == m)
+        pair = next(kid for kid in wilf._kids(layout, *pair, True) if kid[0][0][-1] == m)
 
 
 def _p_points(cone, genus):
@@ -743,7 +753,8 @@ def _p_points(cone, genus):
 def test_a_layout_numbers_its_points_densely(name, request):
     """To each genus up to 7, the layout's slots are 0 to |P| - 1, one for
     each point of P, in as few words as those fields take; and a point off
-    the cone whose key is that of a point of P has no slot."""
+    the cone, one step before a point of P in its first index coordinate,
+    has no slot."""
     cone = {"det20": DET20, "lean999": LEAN999}.get(name) or request.getfixturevalue(name)
     top = _p_points(cone, 7)
     for genus in range(1, 8):
@@ -751,9 +762,36 @@ def test_a_layout_numbers_its_points_densely(name, request):
         layout = Layout(cone, genus)
         assert layout.words == layout.width * len(points) // 64 + 1
         assert sorted(map(layout.slot, points)) == list(range(len(points)))
-        if cone.p > 1:
-            alias = layout.basis.point((0,) * (cone.p - 2) + (-1, layout.radix))
-            assert not cone.contains(alias) and layout.slot(alias) is None
+        off = layout.basis.point((-1,) + (1,) * (cone.p - 1))
+        assert not cone.contains(off) and layout.slot(off) is None
+
+
+@pytest.mark.parametrize("name", TEST_CONES + ("det20", "lean999"))
+def test_the_layout_tables_are_a_scan_of_the_pairs_of_p(name, request):
+    """To each genus up to 8, the layout's lists equal a brute-force scan of
+    the pairs y + m = x of points of P: boxes[x] masks the y, moves[m] is
+    (m's field, a mask of the y for each distance slot(x) - slot(y), the
+    field of 2m if 2m is in P) and names[j] is (canonical key, point)."""
+    cone = {"det20": DET20, "lean999": LEAN999}.get(name) or request.getfixturevalue(name)
+    for genus in range(9):
+        layout = Layout(cone, genus)
+        points = [layout.basis.point(i) for i in layout.index]
+        slots = {x: j for j, x in enumerate(points)}
+        bit = [1 << layout.width * j for j in range(len(points))]
+        assert layout.names == [(canon_key(x), x) for x in points]
+        for j, x in enumerate(points):
+            box = [bit[slots[y]] for y in points if tuple(map(int.__sub__, x, y)) in slots]
+            assert layout.boxes[j] == sum(box)
+        for j, m in enumerate(points):
+            classes = {}  # shift: mask
+            for y in points:
+                if (x := tuple(map(int.__add__, y, m))) in slots:
+                    shift = layout.width * (slots[x] - slots[y]) + 1
+                    classes[shift] = classes.get(shift, 0) | bit[slots[y]]
+            double = slots.get(tuple(2 * a for a in m))
+            first, moves, plus = layout.moves[j]
+            assert (first, plus) == (bit[j], 0 if double is None else bit[double])
+            assert len(moves) == len(classes) and {s: k for k, s in moves} == classes
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -782,7 +820,7 @@ def test_every_walked_decomposition_count_is_exact(full1, full2, full3, cone_a, 
         below = [any(cone.leq(x, h) for h in gaps) for x in points]
         assert [bool(region >> layout.width * j & 1) for j in range(len(points))] == below
         assert region >> layout.width * len(points) == 0
-        kids = wilf._kids(layout, node, pending, cap, True)
+        kids = wilf._kids(layout, node, pending, True)
         if not kids:
             break
         node, pending = kids[data.draw(st.sampled_from(range(len(kids))))]
