@@ -667,10 +667,13 @@ class Layout:
     ceil(u * lean / det) >= 0; counting box(u, k) row by row gives
         |box(u, k)| = (u + 1)(k + 1) - 2 * sum_{j <= u} lo(j),
     which grows by u + 1 >= 1 with each step of k: P holds at most size
-    points of a row, lo(u) <= k < lo(u) + size. A box holds
-    floor(U / det) + floor(V / det) + 1 ray multiples, for scaled
-    coordinates U and V, so P lies in the rows u < size * det, which are
-    scanned once, each in closed form.
+    points of a row, lo(u) <= k < lo(u) + size. The lowest point of row
+    u = r + t * det, r < det, has second scaled coordinate v(r) =
+    lo(r) * det - r * lean < det, and its box holds t * (v(r) + 1) +
+    |box(r, lo(r))| points, since v takes each value below det once in
+    each det rows (lean is prime to det). So the rows r < det are scanned
+    once, each in closed form, and each that holds P gives the rows
+    r + t * det that do.
 
     Slots. The points of P take the slots 0..|P| - 1 in lexicographic
     order of their indexes, and slot j is the field at bit width * j;
@@ -683,14 +686,16 @@ class Layout:
     Tables. P holds the box of each of its points, so the pairs y + m = x
     of points of P are the y of each box(x), listed over the rows of P
     whose difference from x's row is one too (`Basis.row`). One pass over
-    them builds three lists by slot:
+    them builds two lists by slot:
       * boxes[x], 1 in the field of each y of box(x);
       * moves[m], (bit, classes, plus): bit is m's field; classes holds a
         (mask, shift) for each distinct d above, where mask selects those
         y and shift is width * d + 1; plus is 1 in the field of 2m if 2m
         is in P, else 0. So the sum of ((F & mask) << shift) is 2 in the
-        field of y + m for each y in F;
-      * names[j], (canonical key, point).
+        field of y + m for each y in F.
+    The layout alone holds the canonical order of P: names[j] is the point
+    of slot j, rank[j] its place in that order, and after[j] is 1 in the
+    field of each slot ranked above j.
 
     Counts. `counts` holds, for each point x of P, the number of ordered
     pairs of nonzero members of the gap-free semigroup that sum to x:
@@ -701,15 +706,15 @@ class Layout:
     (2 g_max + 1).bit_length() + 1 bits wide; its top bit is a guard (see
     `zeros`).
 
-    The layout is charged to CONESEMI_CAPACITY by its lines or rows before
-    P is listed, in 64-bit words before it is packed, and each mask in
-    words before it is built (see `charge` for cap). Nothing is computed
-    at import, and nothing once the constructor returns.
+    The layout reads CONESEMI_CAPACITY once, as `cap`, the budget of its
+    walk (see `charge`), and is charged to it by its lines or rows before P
+    is listed, in 64-bit words before it is packed, and by the words of all
+    its masks in one charge before any is built. Nothing is computed at
+    import, and nothing once the constructor returns.
     """
 
-    def __init__(self, cone: Cone, g_max: int, cap: int | None = None):
-        if cap is None:
-            cap = capacity()
+    def __init__(self, cone: Cone, g_max: int):
+        self.cap = cap = capacity()
         self.cone, self.g_max = cone, g_max
         self.basis = basis = Basis.of(cone)
         size = 2 * g_max + 2  # the largest box of a point of P
@@ -724,15 +729,22 @@ class Layout:
                 heads = [(x + (i,), b * (i + 1)) for x, b in heads for i in range(size // b)]
             rows = [(x, 0, size // b - 1, b, 0) for x, b in heads]
         else:
-            charge(size * cone.det, LAYOUT, cap)
-            rows, total = [], 0
-            for u in range(size * cone.det):
-                lo = basis.row(u, 0).start
+            d, lean = cone.det, basis.lean
+            charge(size * d, LAYOUT, cap)
+            # (r, lo(r), v(r), |box(r, lo(r))|) for the rows r < det with a point of P
+            low, total = [], 0
+            for r in range(d):
+                lo = -(-r * lean // d)  # basis.row(r, 0).start
                 total += lo
-                # |box(u, k)| = (u + 1) * (k + 1) - 2 * total <= size
-                hi = (size + 2 * total) // (u + 1) - 1
-                if hi >= lo:
-                    rows.append(((u,), lo, hi, u + 1, -2 * total))
+                if (box := (r + 1) * (lo + 1) - 2 * total) <= size:
+                    low.append((r, lo, lo * d - r * lean, box))
+            rows = []
+            for t in range(size):
+                # row u = r + t * det has lo(u) = lo(r) + t * lean and v(u) = v(r)
+                for r, lo, v, box in low:
+                    if (b := box + t * (v + 1)) <= size:
+                        u, k = r + t * d, lo + t * lean
+                        rows.append(((u,), k, k + (size - b) // (u + 1), u + 1, b - (u + 1) * (k + 1)))
         self.words = width * sum(hi - lo + 1 for _, lo, hi, _, _ in rows) // 64 + 1
         charge(self.words, LAYOUT, cap)
         sizes = [(x + (k,), a * (k + 1) + c) for x, lo, hi, a, c in rows for k in range(lo, hi + 1)]
@@ -761,10 +773,21 @@ class Layout:
                         steps[sm].setdefault(sx - sy, []).append(sy)
                         if sy == sm:
                             plus[sm] = 1 << width * sx
-        self.boxes = [self._ones(ys, cap) for ys in boxes]
-        self.moves = [(1 << width * m, [(self._ones(ys, cap), width * d + 1) for d, ys in by_d.items()],
+        self.names = names = [basis.point(i) for i in self.index]
+        order = sorted(range(len(names)), key=lambda j: canon_key(names[j]))
+        self.rank = sorted(range(len(names)), key=order.__getitem__)  # order's inverse
+        # the highest slot of each mask: each box, each move class, and each
+        # nonempty after[j], whose highest is that of the slots ranked above j
+        tops = [max(ys) for ys in boxes] + [max(ys) for by_d in steps for ys in by_d.values()]
+        tops += itertools.accumulate(reversed(order[1:]), max)
+        charge(sum(width * h // 64 + 1 for h in tops), LAYOUT, cap)
+        self.boxes = [self._ones(ys) for ys in boxes]
+        self.moves = [(1 << width * m, [(self._ones(ys), width * d + 1) for d, ys in by_d.items()],
                        plus[m]) for m, by_d in enumerate(steps)]
-        self.names = [(canon_key(x), x) for x in map(basis.point, self.index)]
+        self.after, above = [0] * len(names), 0
+        for j in reversed(order):
+            self.after[j] = above
+            above |= 1 << width * j
 
     def _pack(self, fields) -> int:
         """The `int` with v in the field of slot j for each (j, v) of fields."""
@@ -779,10 +802,8 @@ class Layout:
                 bit += 1
         return int.from_bytes(out, "little")
 
-    def _ones(self, slots: list[int], cap: int) -> int:
-        """1 in the field of each of these distinct slots, charged in words
-        before it is built."""
-        charge(self.width * max(slots) // 64 + 1, LAYOUT, cap)
+    def _ones(self, slots: list[int]) -> int:
+        """1 in the field of each of these distinct slots."""
         return sum(1 << self.width * j for j in slots)
 
     def slot(self, x: Point) -> int | None:

@@ -23,27 +23,21 @@ threads.
 
 The walk is bit-parallel (Fromentin and Hivert, "Exploring the tree of
 numerical semigroups", Math. Comp. 2016), with Python's `int` as the
-vector register. A node is a few masks over one packed `geom.Layout` of
-the cone points the walk can read, built once per walk with all its
-tables (the workers of a split sweep inherit the parent's):
-  * F, the nonzero members, one bit per point;
-  * dec, the ordered two-member decompositions of each point, one field
-    per point;
-  * R, the region under the gaps (the cone points below some gap), one
-    bit per point;
-  * gens, the minimal generators: the members whose dec field is 0.
-So e is gens.bit_count() and c is R.bit_count(). The child S \\ {m} costs
-a few big-int operations (`_child`): F loses m, dec loses the pairs that
-held m, and R gains m's lattice box. No node scans a region or builds a
-generator tuple; the pairwise scan of `oracle.oracle_minimals` stays the
-reference in the tests.
-
-The generators of S other than m stay minimal in S \\ {m}, since a
-decomposition there is one in S. A new generator decomposed in S only
-through m, so it is m plus a nonzero member, heavier than m. The children
-of S \\ {m} therefore remove the generators of S past m, or the new ones:
-each node travels with that list (`_kids`, the one place that builds a
-node's children), so a child reads only the bits its generator mask gains.
+vector register. A node is one state: its gap tuple and five masks over
+one packed `geom.Layout` of the cone points the walk can read, built once
+per walk with all its tables (the workers of a split sweep inherit the
+parent's). F masks the nonzero members, dec counts the ordered two-member
+decompositions of each point in its field, R masks the region under the
+gaps, gens the minimal generators (the members whose dec field is 0) and
+pending the generators past the largest gap, whose removals give the
+node's children. So e is gens.bit_count() and c is R.bit_count(). The
+child S \\ {m} costs a few big-int operations (`_child`): F loses m, dec
+loses the pairs that held m, R gains m's lattice box, and pending is gens
+under `Layout.after[m]`, since m is the child's largest gap. No node
+scans a region, builds a generator tuple or compares points: the layout
+alone knows the canonical order, and `_kids`, the one place that builds
+a node's children, lists them by `Layout.rank`. The pairwise scan of
+`oracle.oracle_minimals` stays the reference in the tests.
 
 The walk yields nodes in canonical order: a node's canonical gap tuple is
 its path from the root, since each child's largest gap is the generator it
@@ -56,10 +50,10 @@ Hivert again). A node at genus g_max - 1 yields its children right away:
 the sweep reads each leaf's e and c from one update, and `enumerate_genus`
 builds nothing for a leaf but its gap tuple. A parent's leaves are charged
 to the walk as one batch. A walk (an `enumerate_genus` call or a sweep)
-reads CONESEMI_CAPACITY once and checks every charge against that value:
-its layout and each of the layout's masks, as the layout is built, and
-then its nodes. A sweep's tasks carry its layout, their nodes and its
-cap, so a forked worker inherits all three and builds no state twice.
+reads CONESEMI_CAPACITY once, as its layout is built (`Layout.cap`), and
+checks every charge against that value: its layout and the layout's
+tables, and then its nodes. A sweep's tasks are its layout and states
+alone, so a forked worker inherits both and builds no state twice.
 """
 
 from __future__ import annotations
@@ -70,7 +64,7 @@ from typing import NamedTuple
 from .errors import InvalidInput
 # lower_set and make_csemigroup are unused here but stay importable: the
 # benchmark tracer replaces wilf's copies along with the other modules'
-from .geom import Cone, Layout, capacity, charge, lower_set
+from .geom import Cone, Layout, charge, lower_set
 from .semigroup import CSemigroup, gap_grid, make_csemigroup
 
 WALK = "the genus-tree walk"
@@ -122,17 +116,11 @@ class GenusLevel(NamedTuple):
 
 
 def _node(layout: Layout) -> tuple:
-    """The gap-free root as the walk's (state, pending) pair.
-
-    A state is (gaps, F, dec, R, gens), each mask in `layout`'s fields: F
-    the nonzero members, dec the ordered two-member decompositions of each
-    point, R the region under the gaps and gens the minimal generators,
-    the members whose dec field is 0. pending is the (canonical key, slot)
-    of each generator past the largest gap, in canonical order: those
-    whose removal gives the node's children (see the module docstring).
-    """
+    """The gap-free root as the walk's state (gaps, F, dec, R, gens,
+    pending) over `layout` (see the module docstring): every generator is
+    pending."""
     gens = layout.members & layout.zeros(layout.counts)
-    return ((), layout.members, layout.counts, 0, gens), _named(layout, gens)
+    return (), layout.members, layout.counts, 0, gens, gens
 
 
 def _child(layout: Layout, node: tuple, j: int, counted: bool) -> tuple:
@@ -140,8 +128,10 @@ def _child(layout: Layout, node: tuple, j: int, counted: bool) -> tuple:
     node S. The pairs that lose m are (m, y) and (y, m) for each nonzero
     member y, with one pair at y = m: dec loses 2 in the field of y + m,
     one masked shift per class of m's `Layout.moves` entry, and gains 1 at
-    2m. With counted, R gains m's box; otherwise R stays 0."""
-    gaps, members, dec, region, _ = node
+    2m. With counted, R gains m's box; otherwise R stays 0. m is the
+    child's largest gap, so its pending generators are those ranked above
+    m (`Layout.after`)."""
+    gaps, members, dec, region, _, _ = node
     bit, classes, plus = layout.moves[j]
     dec += plus
     for mask, shift in classes:
@@ -149,81 +139,69 @@ def _child(layout: Layout, node: tuple, j: int, counted: bool) -> tuple:
     members ^= bit
     if counted:
         region |= layout.boxes[j]
-    return gaps + (layout.names[j][1],), members, dec, region, members & layout.zeros(dec)
+    gens = members & layout.zeros(dec)
+    return gaps + (layout.names[j],), members, dec, region, gens, gens & layout.after[j]
 
 
-def _named(layout: Layout, mask: int, last: tuple = ()) -> list[tuple]:
-    """(canonical key, slot) of each point of the mask past the key last,
-    in canonical order."""
-    names, width = layout.names, layout.width
-    out = []
+def _ranked(layout: Layout, mask: int) -> list[int]:
+    """The slots of the fields set in mask, in canonical order."""
+    slots = []
     while mask:
-        low = mask & -mask
-        mask ^= low
-        j = low.bit_length() // width
-        key = names[j][0]
-        if key > last:
-            out.append((key, j))
-    out.sort()
-    return out
+        top = mask.bit_length() - 1
+        mask ^= 1 << top
+        slots.append(top // layout.width)
+    return sorted(slots, key=layout.rank.__getitem__)
 
 
-def _kids(layout: Layout, node: tuple, pending: list, counted: bool) -> list[tuple]:
-    """The (child, pending) pair of each child of the state node, whose
-    pending generators are given, in canonical order. The child that
-    removes m has those of its parent past m, and its new generators,
-    which are all heavier than m (see the module docstring): the bits its
-    generator mask gains."""
-    gens, kids = node[4], []
-    for i, (key, j) in enumerate(pending):
-        child = _child(layout, node, j, counted)
-        # m itself is among the changed bits, and is not past m
-        kids.append((child, sorted(pending[i + 1:] + _named(layout, child[4] ^ gens, key))))
-    return kids
+def _kids(layout: Layout, node: tuple, counted: bool) -> list[tuple]:
+    """The state of each child of the state node, in canonical order: one
+    for each of its pending generators."""
+    return [_child(layout, node, j, counted) for j in _ranked(layout, node[5])]
 
 
-def _walk(layout: Layout, pairs: list, g_max: int, walked: int, cap: int, counted: bool = False):
-    """Yield (gaps, e, c) for each node of the subtrees under the (state,
-    pending) pairs of one level, subtree by subtree, up to genus g_max:
-    depth first on an explicit stack, children in canonical order
-    (`_kids`), so each genus comes in `CSemigroup.sort_key` order (see the
-    module docstring). c is 0 unless counted.
+def _walk(layout: Layout, states: list, g_max: int, walked: int, counted: bool = False):
+    """Yield (gaps, e, c) for each node of the subtrees under the states
+    of one level, subtree by subtree, up to genus g_max: depth first on an
+    explicit stack, children in canonical order (`_kids`), so each genus
+    comes in `CSemigroup.sort_key` order (see the module docstring). c is
+    0 unless counted.
 
     Nodes below genus g_max - 1 push their children. Those at g_max - 1
-    yield their children, the leaves, right away and build no pending
-    list: with counted, each with its e and c, and otherwise as bare gap
-    tuples with e and c None. Each node is charged to the point budget cap
-    before it is yielded, on top of `walked` nodes visited elsewhere, and a
-    parent's leaves as one batch.
+    yield their children, the leaves, right away: with counted, each with
+    its e and c, and otherwise as bare gap tuples with e and c None. Each
+    node is charged to the layout's point budget before it is yielded, on
+    top of `walked` nodes visited elsewhere, and a parent's leaves as one
+    batch.
     """
-    stack = pairs[::-1]
+    cap, names = layout.cap, layout.names
+    stack = states[::-1]
     while stack:
-        node, ms = stack.pop()
+        node = stack.pop()
         walked += 1
         charge(walked, WALK, cap)
         gaps = node[0]
         yield gaps, node[4].bit_count(), node[3].bit_count()
         if len(gaps) + 1 < g_max:
-            stack += reversed(_kids(layout, node, ms, counted))
+            stack += reversed(_kids(layout, node, counted))
         elif len(gaps) < g_max:
-            walked += len(ms)
+            slots = _ranked(layout, node[5])
+            walked += len(slots)
             charge(walked, WALK, cap)
-            for _, j in ms:
+            for j in slots:
                 if counted:
                     leaf = _child(layout, node, j, True)
                     yield leaf[0], leaf[4].bit_count(), leaf[3].bit_count()
                 else:
-                    yield gaps + (layout.names[j][1],), None, None
+                    yield gaps + (names[j],), None, None
 
 
 def enumerate_genus(cone: Cone, g_max: int) -> list[GenusLevel]:
     """GenusLevel for each genus up to g_max, exhaustive and duplicate-free."""
     if g_max < 0:
         raise InvalidInput("g_max must be nonnegative")
-    cap = capacity()
-    layout = Layout(cone, g_max, cap)
+    layout = Layout(cone, g_max)
     levels = [[] for _ in range(g_max + 1)]
-    for gaps, _, _ in _walk(layout, [_node(layout)], g_max, 0, cap):
+    for gaps, _, _ in _walk(layout, [_node(layout)], g_max, 0):
         levels[len(gaps)].append(CSemigroup(cone, gaps))
     return [GenusLevel(g, tuple(level)) for g, level in enumerate(levels)]
 
@@ -384,17 +362,18 @@ _pool_walked = 0
 
 
 def _sweep_node(task) -> tuple:
-    """Sweep the subtrees under the (state, pending) pairs of one level: a
-    (count, least margin or None, counterexamples) row for each genus up to
-    g_max, empty above the level's.
+    """Sweep the subtrees under the states of one level: a (count, least
+    margin or None, counterexamples) row for each genus up to g_max, empty
+    above the level's.
 
-    The task is (layout, pairs, g_max, walked, cap): a layout for g_max or
-    beyond, the pairs (`_node`, `_kids`), the nodes the sweep's head walked
-    and the sweep's point budget. The budget counts those, every node this
-    process walked for the sweep's earlier tasks and the subtrees' own."""
+    The task is (layout, states, g_max, walked): a layout for g_max or
+    beyond, whose cap is the sweep's point budget, the states (`_node`,
+    `_kids`) and the nodes the sweep's head walked. The budget counts
+    those, every node this process walked for the sweep's earlier tasks and
+    the subtrees' own."""
     global _pool_walked
-    layout, pairs, g_max, walked, cap = task
-    nodes = _walk(layout, pairs, g_max, walked + _pool_walked, cap, True)
+    layout, states, g_max, walked = task
+    nodes = _walk(layout, states, g_max, walked + _pool_walked, True)
     rows = _rows(layout.cone, nodes, g_max)
     _pool_walked += sum(count for count, _, _ in rows)
     return rows
@@ -460,7 +439,7 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     level order, which keeps each genus canonical, so the summary does not
     depend on jobs. The walk is charged to the point budget as it goes,
     and the merged total before this returns. This process reads
-    CONESEMI_CAPACITY once, and the tasks carry the value.
+    CONESEMI_CAPACITY once, into its layout, which the tasks carry.
 
     Like Fromentin and Hivert's walk, which spawns no work below a fixed
     depth, a split has a grain: forking the workers, importing `pickle`
@@ -483,28 +462,27 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     if jobs < 1:
         raise InvalidInput("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    cap = capacity()
-    layout = Layout(cone, g_max, cap)
+    layout = Layout(cone, g_max)
     head, level, cut, above = [], [_node(layout)], 0, 1
     while jobs > 1 and cut < g_max and (cut < 2 or len(level) < 8 * jobs):
         head += level
-        charge(len(head), WALK, cap)
+        charge(len(head), WALK, layout.cap)
         above = len(level)
-        level = [kid for s, ms in level for kid in _kids(layout, s, ms, True)]
+        level = [kid for s in level for kid in _kids(layout, s, True)]
         cut += 1
-    nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s, _ in head)
+    nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s in head)
     rows = [_rows(cone, nodes, g_max)]
     _pool_walked = 0
     if len(level) >= 8 * jobs and _split_pays(len(level), above, g_max - cut):
-        tasks = [(layout, [pair], g_max, len(head), cap) for pair in level]
+        tasks = [(layout, [s], g_max, len(head)) for s in level]
         with get_context().Pool(jobs) as pool:
             rows += pool.map(_sweep_node, tasks, chunksize=1)
     else:
-        rows.append(_sweep_node((layout, level, g_max, len(head), cap)))
+        rows.append(_sweep_node((layout, level, g_max, len(head))))
     genera = list(zip(*rows))  # the rows of each genus, one per part
     counts = tuple(sum(count for count, _, _ in g) for g in genera)
     # forked workers charged only their own shares
-    charge(sum(counts), WALK, cap)
+    charge(sum(counts), WALK, layout.cap)
     return WilfSummary(
         cone=cone,
         max_genus=g_max,

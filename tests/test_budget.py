@@ -6,12 +6,14 @@ so a case cannot pass by tripping an earlier charge. The inputs are those of
 the older per-site guard tests where one exists.
 """
 
+import copy
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
 
 import pytest
 
@@ -72,8 +74,9 @@ SITES = {
     # the closure check charges the grid of the gaps' box: 2,001 bits, 32 words
     "from_gaps": (
         "the lattice grid", 10, lambda: NumericalSemigroup.from_gaps(range(1, 2001))),
-    "enumerate_genus": ("the genus-tree walk", 10, lambda: enumerate_genus(FULL2, 4)),
-    "wilf_sweep": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4)),
+    # FULL2 to genus 6 is 952 nodes; its layout's tables take 486 words
+    "enumerate_genus": ("the genus-tree walk", 500, lambda: enumerate_genus(FULL2, 6)),
+    "wilf_sweep": ("the genus-tree walk", 500, lambda: wilf_sweep(FULL2, 6)),
     # the region's grid has the 10 rows of the box (9, 9); the generator
     # region's, built after it, has 20
     "wilf_report-region": ("the lattice grid", 9, lambda: wilf_report(AXES_9)),
@@ -83,8 +86,8 @@ SITES = {
     "minimal_generators": (
         "the lattice grid", 7,
         lambda: CSemigroup(FULL2, ((1, 0), (2, 0), (3, 0))).minimal_generators),
-    # the parent walks 10 nodes to genus 2; a worker's first subtree is the 11th
-    "wilf_sweep-jobs2": ("the genus-tree walk", 10, lambda: wilf_sweep(FULL2, 4, jobs=2)),
+    # the parent walks 10 nodes to genus 2; the walk of the level below is refused
+    "wilf_sweep-jobs2": ("the genus-tree walk", 500, lambda: wilf_sweep(FULL2, 6, jobs=2)),
     # the box's (48 + 7) * (1 + 1) = 110 points > 100 >= the <7, 9> table 65
     "expand-strips": ("the strip sweeps", 100,
                       lambda: expand(GeneratorInput(CONE_A, ((7, 0), (9, 0), (1, 1))))),
@@ -159,17 +162,18 @@ class _InProcessPool:
 @pytest.mark.usefixtures("forced_split")
 @pytest.mark.parametrize("fresh_workers", [True, False])
 def test_split_sweeps_charge_every_subtree_and_the_total(fresh_workers, monkeypatch):
-    """FULL2 to genus 4 under --jobs 2: the parent walks the 10 nodes to
+    """FULL2 to genus 6 under --jobs 2: the parent walks the 10 nodes to
     genus 2 and hands out the 23 roots of genus 3, whose subtrees hold at
-    most 10 nodes each. With the parent's 10, every subtree fits a cap of 30,
-    but the 104 nodes together do not: the parent refuses the merged total.
-    One worker that walks every subtree refuses its own running total."""
-    monkeypatch.setenv("CONESEMI_CAPACITY", "30")
+    most 258 nodes each. With the parent's 10, every subtree fits a cap of
+    500, as do the layout's 486 words of tables, but the 952 nodes together
+    do not: the parent refuses the merged total. One worker that walks
+    every subtree refuses its own running total."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "500")
     monkeypatch.setattr(wilf, "_pool_walked", 0)
     pool = _InProcessPool(fresh_workers)
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
-    with pytest.raises(CapacityExceeded, match="the genus-tree walk needs more than 30"):
-        wilf_sweep(FULL2, 4, jobs=2)
+    with pytest.raises(CapacityExceeded, match="the genus-tree walk needs more than 500"):
+        wilf_sweep(FULL2, 6, jobs=2)
     if fresh_workers:
         assert pool.started == 23
     else:
@@ -178,12 +182,13 @@ def test_split_sweeps_charge_every_subtree_and_the_total(fresh_workers, monkeypa
 
 @pytest.mark.parametrize("call", [wilf_sweep, enumerate_genus])
 def test_tree_walks_are_refused_exactly_past_their_node_total(call, monkeypatch):
-    """FULL2 to genus 4 holds 1 + 2 + 7 + 23 + 71 = 104 nodes."""
-    monkeypatch.setenv("CONESEMI_CAPACITY", "104")
-    call(FULL2, 4)
-    monkeypatch.setenv("CONESEMI_CAPACITY", "103")
-    with pytest.raises(CapacityExceeded, match="the genus-tree walk needs more than 103"):
-        call(FULL2, 4)
+    """FULL2 to genus 6 holds 1 + 2 + 7 + 23 + 71 + 210 + 638 = 952 nodes,
+    more than the 486 words of its layout's tables."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "952")
+    call(FULL2, 6)
+    monkeypatch.setenv("CONESEMI_CAPACITY", "951")
+    with pytest.raises(CapacityExceeded, match="the genus-tree walk needs more than 951"):
+        call(FULL2, 6)
 
 
 class _CountingEnviron(dict):
@@ -223,26 +228,29 @@ def test_a_split_sweep_reads_the_capacity_once_in_the_parent(monkeypatch):
 
 
 def test_a_sweep_task_carries_the_capacity(monkeypatch):
-    """A task carries the sweep's cap: it reads CONESEMI_CAPACITY 0 times,
-    runs under an environment whose cap would refuse it, and is refused by
-    a cap it carries one short of its subtree's nodes. The task states
-    have gaps, so their regions are boxed too. Each task holds one
-    (state, pending) pair of genus 2, built as the sweep's head builds it."""
-    cap = capacity()
-    layout = Layout(FULL2, 5, cap)
-    pairs = [wilf._node(layout)]
+    """A task carries the sweep's cap in its layout: it reads
+    CONESEMI_CAPACITY 0 times, runs under an environment whose cap would
+    refuse it, and is refused by a layout whose cap is one short of its
+    subtree's nodes. The task states have gaps, so their regions are boxed
+    too. Each task holds one state of genus 2, built as the sweep's head
+    builds it."""
+    layout = Layout(FULL2, 5)
+    assert layout.cap == capacity()
+    states = [wilf._node(layout)]
     for _ in range(2):
-        pairs = [kid for pair in pairs for kid in wilf._kids(layout, *pair, True)]
-    assert [state[0] for state, _ in pairs] == [s.gaps for s in enumerate_genus(FULL2, 2)[2].semigroups]
+        states = [kid for state in states for kid in wilf._kids(layout, state, True)]
+    assert [state[0] for state in states] == [s.gaps for s in enumerate_genus(FULL2, 2)[2].semigroups]
     env = _CountingEnviron(os.environ, CONESEMI_CAPACITY="1")
     monkeypatch.setattr(os, "environ", env)
     monkeypatch.setattr(wilf, "_pool_walked", 0)
-    for pair in pairs:
+    for state in states:
         wilf._pool_walked = 0
-        nodes = sum(count for count, _, _ in wilf._sweep_node((layout, [pair], 5, 0, cap)))
+        nodes = sum(count for count, _, _ in wilf._sweep_node((layout, [state], 5, 0)))
         wilf._pool_walked = 0
+        short = copy.copy(layout)
+        short.cap = nodes - 1
         with pytest.raises(CapacityExceeded, match=f"the genus-tree walk needs more than {nodes - 1} points"):
-            wilf._sweep_node((layout, [pair], 5, 0, nodes - 1))
+            wilf._sweep_node((short, [state], 5, 0))
     assert env.reads == 0
 
 
@@ -262,8 +270,9 @@ def test_tree_walks_refuse_a_bad_capacity(argv, raw, monkeypatch, capsys):
 
 def test_deep_sweeps_run_out_of_budget_not_of_stack(monkeypatch):
     """The walk keeps its path on an explicit stack: a sweep far deeper than
-    the interpreter's recursion limit ends in CapacityExceeded."""
-    monkeypatch.setenv("CONESEMI_CAPACITY", "400")
+    the interpreter's recursion limit ends in CapacityExceeded. The
+    layout's tables to genus 150 take 28,964 words."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "30000")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
@@ -319,11 +328,33 @@ def test_a_huge_genus_is_refused_by_its_layout_first(call):
     assert peak < 40_000
 
 
+def test_a_layout_is_refused_by_the_total_of_its_masks_before_any_is_built(monkeypatch):
+    """(1, 0), (1, 200) to genus 1 lays out 204 points. Its row scan is
+    charged 800, P 10 words and each of its masks at most 10 words, but all
+    its masks together take 2,490 words. Under a cap of 1,000 that total
+    refuses the layout before any mask is built: the peak stays below that
+    of a whole layout by more than the masks' words."""
+    cone = Cone.from_rays((1, 0), (1, 200))
+    Layout(cone, 0)
+    peaks = []
+    for cap in (10_000, 1_000):
+        monkeypatch.setenv("CONESEMI_CAPACITY", str(cap))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="^the lattice layout") if cap < 2490 else nullcontext():
+                Layout(cone, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] + 8 * 2490 < peaks[0]
+
+
 def test_a_leaning_sector_lays_out_in_few_words(monkeypatch):
     """On (1, 0), (999, 1000) the lean is 999: the points a * (1, 0) run
-    along a diagonal of their (u, k) rows. The layout to genus 4 scans
-    10 * 1000 rows and packs its 44 points of 5 bits into 4 words, so the
-    whole sweep fits a cap of 10,000, the charge of its row scan."""
+    along a diagonal of their (u, k) rows. The layout to genus 4 charges
+    its row scan 10 * 1000, the bound on the rows u < size * det, and packs
+    its 44 points of 5 bits into 4 words, so the whole sweep fits a cap of
+    10,000."""
     monkeypatch.setenv("CONESEMI_CAPACITY", "10000")
     lean = Cone.from_rays((1, 0), (999, 1000))
     assert Layout(lean, 4).words == 4

@@ -35,7 +35,7 @@ from conesemi.errors import (
     ZeroShift,
 )
 from conesemi.fme import feasible_strict
-from conesemi.geom import Layout, add, canon_key, capacity, sub, weight
+from conesemi.geom import Layout, add, canon_key, sub, weight
 from conesemi.wilf import _kids, _node, enumerate_genus
 
 S_A_MSG = ((1, 0), (2, 1), (3, 2), (3, 3), (4, 4), (5, 5))
@@ -609,15 +609,14 @@ def _closed_gap_set(cone, data):
              if any(a) and cone.contains(tuple(x - y for x, y in zip(f, a)))},
             key=canon_key,
         )
-    cap = capacity()
-    layout = Layout(cone, 8, cap)
-    pair = _node(layout)
+    layout = Layout(cone, 8)
+    node = _node(layout)
     for _ in range(data.draw(st.integers(0, 8))):
-        kids = _kids(layout, *pair, False)
+        kids = _kids(layout, node, False)
         if not kids:
             break
-        pair = kids[data.draw(st.sampled_from(range(len(kids))))]
-    return list(pair[0][0])
+        node = kids[data.draw(st.sampled_from(range(len(kids))))]
+    return list(node[0])
 
 
 def _addable(cone, gaps):

@@ -20,7 +20,7 @@ from conesemi import (
 )
 from conesemi.cli import main
 from conesemi.errors import CapacityExceeded, InvalidInput
-from conesemi.geom import Layout, canon_key, capacity, lattice_box, lower_set
+from conesemi.geom import Layout, canon_key, lattice_box, lower_set
 from conesemi.semigroup import msg_weight_bound
 from conesemi.wilf import enumerate_genus, wilf_report, wilf_sweep
 
@@ -246,7 +246,7 @@ def test_a_failed_worker_ends_the_sweep_and_leaves_no_child(how, full2, monkeypa
     sweep_node = wilf._sweep_node
 
     def fails(task):
-        (state, _), = task[1]
+        state, = task[1]
         gaps = state[0]
         if gaps in (roots[4], roots[9]):
             if how == "dies":
@@ -327,7 +327,7 @@ def test_sweep_split_at_the_last_genus_prints_the_bytes_of_one_job(monkeypatch, 
     monkeypatch.setattr(wilf, "get_context", lambda: pool)
     monkeypatch.setattr(wilf, "_pool_walked", 0)
     wilf_sweep(Cone.full_cone(2), 3, jobs=2)
-    assert [[len(state[0]) for state, _ in task[1]] for task in pool.tasks] == [[3]] * 23
+    assert [[len(state[0]) for state in task[1]] for task in pool.tasks] == [[3]] * 23
 
 
 DET5 = Cone.from_rays((2, 1), (1, 3))
@@ -423,32 +423,30 @@ def test_region_is_the_union_of_every_gap_box(name, request):
 
 
 def _levels(layout, genus):
-    """The (state, pending) pairs of each level to genus, built as the
-    sweep's head builds them: counted children, level by level."""
+    """The states of each level to genus, built as the sweep's head builds
+    them: counted children, level by level."""
     levels = [[wilf._node(layout)]]
     for _ in range(genus):
-        levels.append([kid for pair in levels[-1] for kid in wilf._kids(layout, *pair, True)])
+        levels.append([kid for state in levels[-1] for kid in wilf._kids(layout, state, True)])
     return levels
 
 
 def _genus2_tasks(cone, g_max):
     """The split sweep's tasks for the nodes of genus 2, one each."""
-    cap = capacity()
-    layout = Layout(cone, g_max, cap)
-    return [(layout, [pair], g_max, 0, cap) for pair in _levels(layout, 2)[2]]
+    layout = Layout(cone, g_max)
+    return [(layout, [state], g_max, 0) for state in _levels(layout, 2)[2]]
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
 def test_a_task_of_mixed_depths_reports_each_genus_in_its_row(name, request):
     """A task holding the children of the first genus-1 node and the other
     genus-1 nodes returns one row for each genus 0 to g_max, whatever genus
-    its first pair has: with the root and that first node, the rows give
+    its first state has: with the root and that first node, the rows give
     the sweep's counts, least margin and counterexamples."""
     cone = request.getfixturevalue(name)
-    cap = capacity()
-    layout = Layout(cone, 5, cap)
+    layout = Layout(cone, 5)
     first, *rest = _levels(layout, 1)[1]
-    rows = wilf._sweep_node((layout, wilf._kids(layout, *first, True) + rest, 5, 0, cap))
+    rows = wilf._sweep_node((layout, wilf._kids(layout, first, True) + rest, 5, 0))
     assert len(rows) == 6 and rows[0] == (0, None, ())
     sweep = wilf_sweep(cone, 5)
     assert tuple(count for count, _, _ in rows) == (0, sweep.counts[1] - 1) + sweep.counts[2:]
@@ -525,8 +523,8 @@ UNSPLIT = [
 @pytest.mark.parametrize("cone,g_max", UNSPLIT)
 def test_an_unsplit_sweep_walks_its_split_level_as_one_task(cone, g_max, monkeypatch):
     """Under --jobs 2 an unsplit sweep hands its whole split level, every
-    (state, pending) pair of it, to one _sweep_node call, as --jobs 1 hands
-    it the root, and opens no pool."""
+    state of it, to one _sweep_node call, as --jobs 1 hands it the root,
+    and opens no pool."""
     tasks = []
     sweep_node = wilf._sweep_node
 
@@ -540,25 +538,25 @@ def test_an_unsplit_sweep_walks_its_split_level_as_one_task(cone, g_max, monkeyp
     monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
     summary = wilf_sweep(cone, g_max, jobs=2)
     assert len(tasks) == 1
-    (_, pairs, _, walked, _), = tasks
-    assert len(pairs) >= 16
-    assert walked + sum(summary.counts[len(pairs[0][0][0]):]) == sum(summary.counts)
+    (_, states, _, walked), = tasks
+    assert len(states) >= 16
+    assert walked + sum(summary.counts[len(states[0][0]):]) == sum(summary.counts)
     assert pool.sizes == []
 
 
 @pytest.mark.parametrize("cone,g_max", UNSPLIT)
 def test_an_unsplit_sweep_reads_the_generator_bits_of_one_walk(cone, g_max, monkeypatch):
-    """The head and the walk both expand a node through _kids, with the
-    pending generators it carries, so an unsplit --jobs 2 sweep reads as
-    many bits of generator masks (`_named`) as --jobs 1 and no rescan."""
+    """The head and the walk both expand a node through its pending mask,
+    so an unsplit --jobs 2 sweep lists as many bits of pending masks
+    (`_ranked`) as --jobs 1 and no rescan."""
     bits = []
-    named = wilf._named
+    ranked = wilf._ranked
 
-    def counting(layout, mask, last=()):
+    def counting(layout, mask):
         bits[-1] += mask.bit_count()
-        return named(layout, mask, last)
+        return ranked(layout, mask)
 
-    monkeypatch.setattr(wilf, "_named", counting)
+    monkeypatch.setattr(wilf, "_ranked", counting)
     monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
     for jobs in (1, 2):
         bits.append(0)
@@ -569,9 +567,8 @@ def test_an_unsplit_sweep_reads_the_generator_bits_of_one_walk(cone, g_max, monk
 def _walk(cone, g_max):
     """The layout for g_max and the (gaps, e, c) of each node of the
     counted walk from the root, in walk order."""
-    cap = capacity()
-    layout = Layout(cone, g_max, cap)
-    return layout, list(wilf._walk(layout, [wilf._node(layout)], g_max, 0, cap, True))
+    layout = Layout(cone, g_max)
+    return layout, list(wilf._walk(layout, [wilf._node(layout)], g_max, 0, True))
 
 
 def _children(nodes):
@@ -598,7 +595,7 @@ def _points(layout, mask):
         low = mask & -mask
         mask ^= low
         out.append(layout.names[low.bit_length() // layout.width])
-    return tuple(x for _, x in sorted(out))
+    return tuple(sorted(out, key=canon_key))
 
 
 # sectors far from N^2: det 20, det 1 between two nearly parallel rays, and
@@ -618,10 +615,10 @@ def test_grid_queries_match_the_walk_on_every_node(name):
     the c the walk carries."""
     cone, g_max = GRID_WALKS[name]
     layout, nodes = _walk(cone, g_max)
-    states = {state[0]: state for level in _levels(layout, g_max) for state, _ in level}
+    states = {state[0]: state for level in _levels(layout, g_max) for state in level}
     assert len(states) == len(nodes)
     for gaps, _, c in nodes:
-        walked = tuple(layout.names[j][1] for _, j in wilf._named(layout, states[gaps][4]))
+        walked = tuple(layout.names[j] for j in wilf._ranked(layout, states[gaps][4]))
         s = CSemigroup(cone, gaps)
         assert s.minimal_generators == walked
         assert wilf_report(s).c == c
@@ -652,18 +649,20 @@ def test_children_inherit_the_rescanned_generators(name, request):
 @given(data=st.data())
 def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone_a, cone_skew, data):
     """Down a random tree path to genus 9, each state's generator mask and
-    region are those a rescan finds, and its pending list holds the
-    generators past its largest gap. At each node, also remove a random
-    minimal generator, which need not lie past the largest gap."""
+    region are those a rescan finds, and its pending mask holds the
+    generators past its largest gap, which `_ranked` lists in canonical
+    order. At each node, also remove a random minimal generator, which
+    need not lie past the largest gap."""
     cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20]))
-    cap = capacity()
-    layout = Layout(cone, 9, cap)
-    node, pending = wilf._node(layout)
+    layout = Layout(cone, 9)
+    node = wilf._node(layout)
     while True:
         s = CSemigroup(cone, node[0])
         assert _points(layout, node[4]) == s.minimal_generators
         assert node[3].bit_count() == _region_size(s)
-        assert [layout.names[j][1] for _, j in pending] == _past(s.gaps, s.minimal_generators)
+        past = _past(s.gaps, s.minimal_generators)
+        assert _points(layout, node[5]) == tuple(past)
+        assert [layout.names[j] for j in wilf._ranked(layout, node[5])] == past
         if s.genus == 9:
             break
         m = data.draw(st.sampled_from(s.minimal_generators))
@@ -671,10 +670,10 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
         t = make_csemigroup(cone, s.gaps + (m,))
         assert _points(layout, child[4]) == t.minimal_generators
         assert child[3].bit_count() == _region_size(t)
-        kids = wilf._kids(layout, node, pending, True)
+        kids = wilf._kids(layout, node, True)
         if not kids:
             break
-        node, pending = kids[data.draw(st.sampled_from(range(len(kids))))]
+        node = kids[data.draw(st.sampled_from(range(len(kids))))]
 
 
 # the genus each cone's oracle test walks to at most: at genus 2 the pairwise
@@ -706,12 +705,11 @@ def test_every_walk_node_matches_the_oracle(request, data):
     name = data.draw(st.sampled_from(sorted(ORACLE_GENUS)))
     cone = DET20 if name == "det20" else request.getfixturevalue(name)
     g_max = data.draw(st.integers(1, ORACLE_GENUS[name]))
-    cap = capacity()
-    layout = Layout(cone, g_max, cap)
-    pair = wilf._node(layout)
+    layout = Layout(cone, g_max)
+    node = wilf._node(layout)
     while True:
-        genus = len(pair[0][0])
-        (gaps, e, c), *leaves = wilf._walk(layout, [pair], genus + 1, 0, cap, True)
+        genus = len(node[0])
+        (gaps, e, c), *leaves = wilf._walk(layout, [node], genus + 1, 0, True)
         generators = _oracle_check(layout, cone, gaps, e, c)
         assert [leaf[0][-1] for leaf in leaves] == _past(gaps, generators)
         if not leaves:
@@ -721,7 +719,7 @@ def test_every_walk_node_matches_the_oracle(request, data):
                 _oracle_check(layout, cone, *leaf)
             break
         m = data.draw(st.sampled_from(leaves))[0][-1]
-        pair = next(kid for kid in wilf._kids(layout, *pair, True) if kid[0][0][-1] == m)
+        node = next(kid for kid in wilf._kids(layout, node, True) if kid[0][-1] == m)
 
 
 def _p_points(cone, genus):
@@ -771,14 +769,21 @@ def test_the_layout_tables_are_a_scan_of_the_pairs_of_p(name, request):
     """To each genus up to 8, the layout's lists equal a brute-force scan of
     the pairs y + m = x of points of P: boxes[x] masks the y, moves[m] is
     (m's field, a mask of the y for each distance slot(x) - slot(y), the
-    field of 2m if 2m is in P) and names[j] is (canonical key, point)."""
+    field of 2m if 2m is in P) and names[j] is the point. rank sorts the
+    names canonically, and after[j] masks the points ranked above j."""
     cone = {"det20": DET20, "lean999": LEAN999}.get(name) or request.getfixturevalue(name)
     for genus in range(9):
         layout = Layout(cone, genus)
         points = [layout.basis.point(i) for i in layout.index]
         slots = {x: j for j, x in enumerate(points)}
         bit = [1 << layout.width * j for j in range(len(points))]
-        assert layout.names == [(canon_key(x), x) for x in points]
+        assert layout.names == points
+        ranked = sorted(range(len(points)), key=layout.rank.__getitem__)
+        assert sorted(layout.rank) == list(range(len(points)))
+        assert [points[j] for j in ranked] == sorted(points, key=canon_key)
+        for j, x in enumerate(points):
+            above = [bit[slots[y]] for y in points if canon_key(y) > canon_key(x)]
+            assert layout.after[j] == sum(above)
         for j, x in enumerate(points):
             box = [bit[slots[y]] for y in points if tuple(map(int.__sub__, x, y)) in slots]
             assert layout.boxes[j] == sum(box)
@@ -801,14 +806,13 @@ def test_every_walked_decomposition_count_is_exact(full1, full2, full3, cone_a, 
     the number of ordered pairs of nonzero members of P that sum to its
     point, and each bit of R says whether its point lies below some gap."""
     cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20, LEAN999]))
-    cap = capacity()
-    layout = Layout(cone, 7, cap)
+    layout = Layout(cone, 7)
     points = [layout.basis.point(i) for i in layout.index]
     slots = {x: j for j, x in enumerate(points)}
     field = (1 << layout.width) - 1
-    node, pending = wilf._node(layout)
+    node = wilf._node(layout)
     while True:
-        gaps, members, dec, region, _ = node
+        gaps, members, dec, region, _, _ = node
         nonzero = [x for j, x in enumerate(points) if members >> layout.width * j & 1]
         pairs = [0] * len(points)
         for a in nonzero:
@@ -820,7 +824,7 @@ def test_every_walked_decomposition_count_is_exact(full1, full2, full3, cone_a, 
         below = [any(cone.leq(x, h) for h in gaps) for x in points]
         assert [bool(region >> layout.width * j & 1) for j in range(len(points))] == below
         assert region >> layout.width * len(points) == 0
-        kids = wilf._kids(layout, node, pending, True)
+        kids = wilf._kids(layout, node, True)
         if not kids:
             break
-        node, pending = kids[data.draw(st.sampled_from(range(len(kids))))]
+        node = kids[data.draw(st.sampled_from(range(len(kids))))]
