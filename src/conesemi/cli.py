@@ -240,10 +240,8 @@ COMMANDS = [
 ]
 
 
-def build_parser(first: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or only of the command or group that
-    first, the first word of a command line, names: that line parses the
-    same, and its usage errors print the same bytes."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in the table."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -252,15 +250,10 @@ def build_parser(first: str | None = None) -> argparse.ArgumentParser:
         epilog="Set CONESEMI_CAPACITY to override the default enumeration cap of 10^7 points.",
     )
     parser.set_defaults(out=None)
-    words = list(dict.fromkeys(path.split(" ")[0] for path, *_ in COMMANDS))
-    # the root usage of a partial parser still lists every first word
-    metavar = "{" + ",".join(words) + "}" if first in words else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for path, help_text, kind, run, extra in COMMANDS:
         group, _, name = path.rpartition(" ")
-        if metavar and (group or name) != first:
-            continue
         if group and group not in groups:
             dest, group_help = GROUPS[group]
             groups[group] = sub.add_parser(group, help=group_help).add_subparsers(
@@ -328,7 +321,7 @@ def main(argv=None) -> int:
     exit code. Without argv, the process ends once the output is flushed."""
     entry = argv is None
     argv = sys.argv[1:] if entry else list(argv)
-    args = _strict(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _strict(argv) or build_parser().parse_args(argv)
     code = 0
     try:
         result = args.run(args.decode(_read_json(args.source)), args)

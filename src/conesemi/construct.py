@@ -87,7 +87,7 @@ def high_elasticity(cone: Cone, target) -> CSemigroup:
 
 
 class IdemaxialSpec(Record):
-    """A 2D cone plus the common pattern of both ray restrictions."""
+    """A 2D cone with the common pattern of both ray restrictions."""
 
     _fields = ("cone", "pattern")
 

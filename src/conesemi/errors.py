@@ -2,7 +2,7 @@
 
 Every domain failure raises a subclass of ConesemiError carrying an
 optional JSON-ready payload (witness data for diagnostics). The CLI maps
-these to exit code 1 and prints ``type(e).__name__`` plus the payload.
+these to exit code 1 and prints ``type(e).__name__`` and the payload.
 """
 
 from __future__ import annotations

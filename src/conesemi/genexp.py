@@ -10,7 +10,7 @@ n * r_i has i-th coordinate n * det:
      and the depth K_i, which starts at its conductor (at least 1), size
      the box u < (K_1 + m_1) det, v < (K_2 + m_2) det.
   2. A member on the lattice line at distance 1 from ray i (the other
-     coordinate 1) is a generator on that line plus multiples of r_i. With
+     coordinate 1) is a generator on that line shifted along r_i. With
      no such generator the line holds no member and the complement is
      infinite; with one, j times it lies on each line at distance j.
   3. The members in the box are the sums of generators in the box, since
@@ -62,7 +62,7 @@ from .semigroup import CSemigroup, NumericalSemigroup, make_csemigroup
 
 
 class GeneratorInput(Record):
-    """A 2D cone plus a deduplicated set of nonzero generators inside it."""
+    """A 2D cone with a deduplicated set of nonzero generators inside it."""
 
     _fields = ("cone", "generators")
 
@@ -145,7 +145,7 @@ def expand(g: GeneratorInput) -> CSemigroup:
     # when line sweeps did the work
     charge((k[0] + m[0]) * (k[1] + m[1]) * d, "the strip sweeps")
     for axis, ray in enumerate(cone.rays):
-        # a member at distance 1 from the ray is a generator there plus
+        # a member at distance 1 from the ray is a generator there shifted by
         # multiples of the ray, and j times that generator lies on line j
         if not any(cone._scaled_coords(a)[1 - axis] == 1 for a in g.generators):
             base = cone.unit_point(1 - axis)

@@ -244,7 +244,7 @@ class Cone(Record):
         to c times its other one, mod det (2D only).
 
         The lattice points whose other scaled coordinate is w are w times
-        `unit_point(1 - i)` plus multiples of ray i, whose i-th scaled
+        `unit_point(1 - i)` shifted by multiples of ray i, whose i-th scaled
         coordinate is det.
         """
         return self._scaled_coords(self.unit_point(1 - i))[i]
@@ -688,29 +688,30 @@ class Layout:
     whose difference from x's row is one too (`Basis.row`). One pass over
     them builds two lists by slot:
       * boxes[x], 1 in the field of each y of box(x);
-      * moves[m], (bit, classes, plus): bit is m's field; classes holds a
+      * moves[m], (bit, classes): bit is m's field, and classes holds a
         (mask, shift) for each distinct d above, where mask selects those
-        y and shift is width * d + 1; plus is 1 in the field of 2m if 2m
-        is in P, else 0. So the sum of ((F & mask) << shift) is 2 in the
-        field of y + m for each y in F.
+        y and shift is width * d. So the sum of ((F & mask) << shift) is
+        1 in the field of y + m for each y in F.
     The layout alone holds the canonical order of P: names[j] is the point
     of slot j, rank[j] its place in that order, and after[j] is 1 in the
     field of each slot ranked above j.
 
-    Counts. `counts` holds, for each point x of P, the number of ordered
-    pairs of nonzero members of the gap-free semigroup that sum to x:
-    |box(x)| - 2, at most 2 g_max. Both points of each pair lie in box(x),
-    so in P: removing a member m takes exactly the pairs (m, y) and (y, m)
-    from each point m + y of P (one pair from 2m), and every count stays
-    exact through any number of removals. A field is `width` =
-    (2 g_max + 1).bit_length() + 1 bits wide; its top bit is a guard (see
-    `zeros`).
+    Counts. `counts` holds, for each point x of P, the number of unordered
+    pairs {a, x - a} of nonzero members of the gap-free semigroup (after
+    Fromentin and Hivert): (|box(x)| - 2 + [x's index is even]) / 2, at
+    most g_max, as a = x - a for one a just when x's index is even. Both
+    points of each pair lie in box(x), so in P: removing a member m takes
+    exactly the pair {m, y} from each point m + y of P, y any nonzero
+    member (m included), and every count stays exact through any number of
+    removals. A field is `width` = g_max.bit_length() + 1 bits wide; its
+    top bit is a guard (see `zeros`).
 
     The layout reads CONESEMI_CAPACITY once, as `cap`, the budget of its
     walk (see `charge`), and is charged to it by its lines or rows before P
-    is listed, in 64-bit words before it is packed, and by the words of all
-    its masks in one charge before any is built. Nothing is computed at
-    import, and nothing once the constructor returns.
+    is listed, in 64-bit words before it is packed, by its pairs (the sum
+    of |box(x)| over P) before they are listed, and by the words of all its
+    masks in one charge before any is built. Nothing is computed at import,
+    and nothing once the constructor returns.
     """
 
     def __init__(self, cone: Cone, g_max: int):
@@ -718,7 +719,7 @@ class Layout:
         self.cone, self.g_max = cone, g_max
         self.basis = basis = Basis.of(cone)
         size = 2 * g_max + 2  # the largest box of a point of P
-        self.width = width = (size - 1).bit_length() + 1
+        self.width = width = g_max.bit_length() + 1
         self.top = width - 1  # the guard bit of each field
         # (head, lo, hi, a, c): the indexes head + (k,) for lo <= k <= hi,
         # whose boxes hold a * (k + 1) + c points, in index order
@@ -752,11 +753,12 @@ class Layout:
         self.slots = slots = {i: j for j, i in enumerate(self.index)}
         ones = self._pack((j, 1) for j in range(len(sizes)))
         self.members = ones ^ 1  # 0 is no nonzero member
-        self.counts = self._pack((j, b - 2) for j, (_, b) in enumerate(sizes) if b > 2)
+        self.counts = self._pack((j, (b - 1 - any(c & 1 for c in i)) // 2) for j, (i, b) in enumerate(sizes))
         self.guards = ones << self.top
-        # the addition table: for each slot, the y of its box, the y its
-        # move takes by each distance, and the field of its double
-        boxes, steps, plus = [[] for _ in sizes], [{} for _ in sizes], [0] * len(sizes)
+        charge(sum(b for _, b in sizes), LAYOUT, cap)
+        # the addition table: for each slot, the y of its box and the y its
+        # move takes by each distance
+        boxes, steps = [[] for _ in sizes], [{} for _ in sizes]
         first = {head: slots[head + (lo,)] - lo for head, lo, *_ in rows}  # slot less k
         for r, (head, lo, hi, _, _) in enumerate(rows):
             # the rows h of P up to head's (in index order) with head - h in P
@@ -771,8 +773,6 @@ class Layout:
                         sy, sm = fy + i, fm + k - i
                         boxes[sx].append(sy)
                         steps[sm].setdefault(sx - sy, []).append(sy)
-                        if sy == sm:
-                            plus[sm] = 1 << width * sx
         self.names = names = [basis.point(i) for i in self.index]
         order = sorted(range(len(names)), key=lambda j: canon_key(names[j]))
         self.rank = sorted(range(len(names)), key=order.__getitem__)  # order's inverse
@@ -782,8 +782,8 @@ class Layout:
         tops += itertools.accumulate(reversed(order[1:]), max)
         charge(sum(width * h // 64 + 1 for h in tops), LAYOUT, cap)
         self.boxes = [self._ones(ys) for ys in boxes]
-        self.moves = [(1 << width * m, [(self._ones(ys), width * d + 1) for d, ys in by_d.items()],
-                       plus[m]) for m, by_d in enumerate(steps)]
+        self.moves = [(1 << width * m, [(self._ones(ys), width * d) for d, ys in by_d.items()])
+                      for m, by_d in enumerate(steps)]
         self.after, above = [0] * len(names), 0
         for j in reversed(order):
             self.after[j] = above

@@ -148,7 +148,7 @@ class CofiniteNat(NamedTuple):
 
 
 class CSemigroup(Record):
-    """Cone plus canonically sorted gap tuple.
+    """Cone with a canonically sorted gap tuple.
 
     Construct through :func:`make_csemigroup`, which validates that the
     gaps are nonzero cone points whose complement is closed under addition.
@@ -190,7 +190,7 @@ class CSemigroup(Record):
 
     @cached_property
     def _generator_region(self) -> tuple[tuple[int, ...], int]:
-        """Scaled per-ray bounds containing every minimal generator, plus a
+        """Scaled per-ray bounds containing every minimal generator, and a
         weight cap for the bounded region.
 
         If the i-th scaled ray coordinate of x exceeds every gap's by more
@@ -235,10 +235,12 @@ class CSemigroup(Record):
         Both run on the grid of the gaps' box (`gap_grid`), which holds every
         gap above a gap. In the induced order a gap h lies below another
         exactly when h + a is a gap for an atom a of the nonzero members below
-        a gap: such an s with h + s a gap lies below that gap, and h + s for s = a + r is the gap h + a plus the member r, or a
-        member. In the cone order h lies below a gap exactly when h + b lies
-        below a gap for a cone atom b of the box (`Grid.below`). Either way
-        h is maximal unless its bit is in one shift of the mask above it.
+        a gap. For if h + s is a gap for a nonzero member s, then s lies
+        below that gap, so s = a + r for such an atom a and a member r, and
+        h + a is a gap, or h + s = (h + a) + r would be a member. In the cone
+        order h lies below a gap exactly when h + b lies below a gap for a
+        cone atom b of the box (`Grid.below`). Either way h is maximal unless
+        its bit is in one shift of the mask above it.
         """
         if order not in ("cone", "induced"):
             raise InvalidInput(f"order must be 'cone' or 'induced', got {order!r}")

@@ -10,7 +10,7 @@ largest gap. Adding the canonically largest gap back is the unique inverse
 step, so every gap set of each genus appears exactly once. One walker,
 `_walk`, serves both `enumerate_genus` and `wilf_sweep`. It walks the
 subtrees under one level depth-first on an explicit stack (Fromentin and
-Hivert), so memory holds one path and its pending siblings rather than a
+Hivert) of lazy child iterators, so memory holds one path rather than a
 whole genus, and a deep tree cannot exhaust the interpreter's recursion
 limit. With `jobs > 1`, `wilf_sweep` hands those subtrees to forked
 workers (`_sweep_node`) where the work estimated under them beats the
@@ -26,17 +26,18 @@ numerical semigroups", Math. Comp. 2016), with Python's `int` as the
 vector register. A node is one state: its gap tuple and five masks over
 one packed `geom.Layout` of the cone points the walk can read, built once
 per walk with all its tables (the workers of a split sweep inherit the
-parent's). F masks the nonzero members, dec counts the ordered two-member
-decompositions of each point in its field, R masks the region under the
-gaps, gens the minimal generators (the members whose dec field is 0) and
-pending the generators past the largest gap, whose removals give the
-node's children. So e is gens.bit_count() and c is R.bit_count(). The
-child S \\ {m} costs a few big-int operations (`_child`): F loses m, dec
-loses the pairs that held m, R gains m's lattice box, and pending is gens
-under `Layout.after[m]`, since m is the child's largest gap. No node
+parent's). F masks the nonzero members, dec counts the unordered pairs
+of nonzero members that sum to each point in its field, R masks the
+region under the gaps, gens the minimal generators (the members whose dec
+field is 0) and pending the generators past the largest gap, whose
+removals give the node's children. So e is gens.bit_count() and c is
+R.bit_count(). The child S \\ {m} costs a few big-int operations
+(`_child`): F loses m, dec loses the pairs that held m by m's masked
+shifts, R gains m's lattice box, and pending is gens under
+`Layout.after[m]`, since m is the child's largest gap. No node
 scans a region, builds a generator tuple or compares points: the layout
 alone knows the canonical order, and `_kids`, the one place that builds
-a node's children, lists them by `Layout.rank`. The pairwise scan of
+a node's children, yields them by `Layout.rank`. The pairwise scan of
 `oracle.oracle_minimals` stays the reference in the tests.
 
 The walk yields nodes in canonical order: a node's canonical gap tuple is
@@ -125,15 +126,13 @@ def _node(layout: Layout) -> tuple:
 
 def _child(layout: Layout, node: tuple, j: int, counted: bool) -> tuple:
     """The state of S \\ {m}, for the minimal generator m at slot j of the
-    node S. The pairs that lose m are (m, y) and (y, m) for each nonzero
-    member y, with one pair at y = m: dec loses 2 in the field of y + m,
-    one masked shift per class of m's `Layout.moves` entry, and gains 1 at
-    2m. With counted, R gains m's box; otherwise R stays 0. m is the
-    child's largest gap, so its pending generators are those ranked above
-    m (`Layout.after`)."""
+    node S. The pairs that lose m are {m, y}, one for each nonzero member
+    y, y = m included: dec loses 1 in the field of y + m, one masked shift
+    per class of m's `Layout.moves` entry. With counted, R gains m's box;
+    otherwise R stays 0. m is the child's largest gap, so its pending
+    generators are those ranked above m (`Layout.after`)."""
     gaps, members, dec, region, _, _ = node
-    bit, classes, plus = layout.moves[j]
-    dec += plus
+    bit, classes = layout.moves[j]
     for mask, shift in classes:
         dec -= (members & mask) << shift
     members ^= bit
@@ -153,10 +152,11 @@ def _ranked(layout: Layout, mask: int) -> list[int]:
     return sorted(slots, key=layout.rank.__getitem__)
 
 
-def _kids(layout: Layout, node: tuple, counted: bool) -> list[tuple]:
-    """The state of each child of the state node, in canonical order: one
-    for each of its pending generators."""
-    return [_child(layout, node, j, counted) for j in _ranked(layout, node[5])]
+def _kids(layout: Layout, node: tuple, counted: bool):
+    """An iterator over the states of the children of the state node, one
+    for each of its pending generators, in canonical order: each child is
+    built only when the iterator reaches it."""
+    return (_child(layout, node, j, counted) for j in _ranked(layout, node[5]))
 
 
 def _walk(layout: Layout, states: list, g_max: int, walked: int, counted: bool = False):
@@ -166,7 +166,9 @@ def _walk(layout: Layout, states: list, g_max: int, walked: int, counted: bool =
     comes in `CSemigroup.sort_key` order (see the module docstring). c is
     0 unless counted.
 
-    Nodes below genus g_max - 1 push their children. Those at g_max - 1
+    The stack holds one iterator per depth, the states and then each path
+    node's `_kids`, so no node is built before the walk reaches it. Nodes
+    below genus g_max - 1 push their children. Those at g_max - 1
     yield their children, the leaves, right away: with counted, each with
     its e and c, and otherwise as bare gap tuples with e and c None. Each
     node is charged to the layout's point budget before it is yielded, on
@@ -174,15 +176,17 @@ def _walk(layout: Layout, states: list, g_max: int, walked: int, counted: bool =
     batch.
     """
     cap, names = layout.cap, layout.names
-    stack = states[::-1]
+    stack = [iter(states)]
     while stack:
-        node = stack.pop()
+        if (node := next(stack[-1], None)) is None:
+            stack.pop()
+            continue
         walked += 1
         charge(walked, WALK, cap)
         gaps = node[0]
         yield gaps, node[4].bit_count(), node[3].bit_count()
         if len(gaps) + 1 < g_max:
-            stack += reversed(_kids(layout, node, counted))
+            stack.append(_kids(layout, node, counted))
         elif len(gaps) < g_max:
             slots = _ranked(layout, node[5])
             walked += len(slots)
@@ -356,8 +360,8 @@ def get_context():
     return _ForkContext
 
 
-# Nodes this process has walked for the current sweep's tasks: reset when a
-# sweep starts, so the workers it forks inherit 0.
+# Nodes this process has walked for the current sweep: set to the head's
+# before its tasks, so the workers it forks inherit that count.
 _pool_walked = 0
 
 
@@ -366,14 +370,14 @@ def _sweep_node(task) -> tuple:
     margin or None, counterexamples) row for each genus up to g_max, empty
     above the level's.
 
-    The task is (layout, states, g_max, walked): a layout for g_max or
-    beyond, whose cap is the sweep's point budget, the states (`_node`,
-    `_kids`) and the nodes the sweep's head walked. The budget counts
-    those, every node this process walked for the sweep's earlier tasks and
-    the subtrees' own."""
+    The task is (layout, states, g_max): a layout for g_max or beyond,
+    whose cap is the sweep's point budget, and the states (`_node`,
+    `_kids`). The budget counts the subtrees' nodes on top of
+    `_pool_walked`: the head's nodes and every node this process walked
+    for the sweep's earlier tasks."""
     global _pool_walked
-    layout, states, g_max, walked = task
-    nodes = _walk(layout, states, g_max, walked + _pool_walked, True)
+    layout, states, g_max = task
+    nodes = _walk(layout, states, g_max, _pool_walked, True)
     rows = _rows(layout.cone, nodes, g_max)
     _pool_walked += sum(count for count, _, _ in rows)
     return rows
@@ -438,7 +442,8 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
     jobs == 1 runs from the root, and forks nothing. The rows merge in
     level order, which keeps each genus canonical, so the summary does not
     depend on jobs. The walk is charged to the point budget as it goes,
-    and the merged total before this returns. This process reads
+    each task on top of the head (`_pool_walked`), and the merged total
+    before this returns. This process reads
     CONESEMI_CAPACITY once, into its layout, which the tasks carry.
 
     Like Fromentin and Hivert's walk, which spawns no work below a fixed
@@ -472,13 +477,13 @@ def wilf_sweep(cone: Cone, g_max: int, jobs: int = 1) -> WilfSummary:
         cut += 1
     nodes = ((s[0], s[4].bit_count(), s[3].bit_count()) for s in head)
     rows = [_rows(cone, nodes, g_max)]
-    _pool_walked = 0
+    _pool_walked = len(head)
     if len(level) >= 8 * jobs and _split_pays(len(level), above, g_max - cut):
-        tasks = [(layout, [s], g_max, len(head)) for s in level]
+        tasks = [(layout, [s], g_max) for s in level]
         with get_context().Pool(jobs) as pool:
             rows += pool.map(_sweep_node, tasks, chunksize=1)
     else:
-        rows.append(_sweep_node((layout, level, g_max, len(head))))
+        rows.append(_sweep_node((layout, level, g_max)))
     genera = list(zip(*rows))  # the rows of each genus, one per part
     counts = tuple(sum(count for count, _, _ in g) for g in genera)
     # forked workers charged only their own shares

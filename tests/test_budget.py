@@ -150,10 +150,10 @@ class _InProcessPool:
         return False
 
     def map(self, fn, tasks, chunksize=None):
-        out = []
+        out, forked = [], wilf._pool_walked  # what a forked worker inherits
         for task in tasks:
             if self.fresh_workers:
-                wilf._pool_walked = 0
+                wilf._pool_walked = forked
             self.started += 1
             out.append(fn(task))
         return out
@@ -165,7 +165,7 @@ def test_split_sweeps_charge_every_subtree_and_the_total(fresh_workers, monkeypa
     """FULL2 to genus 6 under --jobs 2: the parent walks the 10 nodes to
     genus 2 and hands out the 23 roots of genus 3, whose subtrees hold at
     most 258 nodes each. With the parent's 10, every subtree fits a cap of
-    500, as do the layout's 486 words of tables, but the 952 nodes together
+    500, as do the layout's 346 pairs and 395 words of tables, but the 952 nodes together
     do not: the parent refuses the merged total. One worker that walks
     every subtree refuses its own running total."""
     monkeypatch.setenv("CONESEMI_CAPACITY", "500")
@@ -183,7 +183,7 @@ def test_split_sweeps_charge_every_subtree_and_the_total(fresh_workers, monkeypa
 @pytest.mark.parametrize("call", [wilf_sweep, enumerate_genus])
 def test_tree_walks_are_refused_exactly_past_their_node_total(call, monkeypatch):
     """FULL2 to genus 6 holds 1 + 2 + 7 + 23 + 71 + 210 + 638 = 952 nodes,
-    more than the 486 words of its layout's tables."""
+    more than its layout's 346 pairs and 395 words of tables."""
     monkeypatch.setenv("CONESEMI_CAPACITY", "952")
     call(FULL2, 6)
     monkeypatch.setenv("CONESEMI_CAPACITY", "951")
@@ -245,12 +245,12 @@ def test_a_sweep_task_carries_the_capacity(monkeypatch):
     monkeypatch.setattr(wilf, "_pool_walked", 0)
     for state in states:
         wilf._pool_walked = 0
-        nodes = sum(count for count, _, _ in wilf._sweep_node((layout, [state], 5, 0)))
+        nodes = sum(count for count, _, _ in wilf._sweep_node((layout, [state], 5)))
         wilf._pool_walked = 0
         short = copy.copy(layout)
         short.cap = nodes - 1
         with pytest.raises(CapacityExceeded, match=f"the genus-tree walk needs more than {nodes - 1} points"):
-            wilf._sweep_node((short, [state], 5, 0))
+            wilf._sweep_node((short, [state], 5))
     assert env.reads == 0
 
 
@@ -271,8 +271,9 @@ def test_tree_walks_refuse_a_bad_capacity(argv, raw, monkeypatch, capsys):
 def test_deep_sweeps_run_out_of_budget_not_of_stack(monkeypatch):
     """The walk keeps its path on an explicit stack: a sweep far deeper than
     the interpreter's recursion limit ends in CapacityExceeded. The
-    layout's tables to genus 150 take 28,964 words."""
-    monkeypatch.setenv("CONESEMI_CAPACITY", "30000")
+    layout to genus 150 lists 45,753 pairs and its tables take 26,033
+    words."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "50000")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
@@ -330,10 +331,10 @@ def test_a_huge_genus_is_refused_by_its_layout_first(call):
 
 def test_a_layout_is_refused_by_the_total_of_its_masks_before_any_is_built(monkeypatch):
     """(1, 0), (1, 200) to genus 1 lays out 204 points. Its row scan is
-    charged 800, P 10 words and each of its masks at most 10 words, but all
-    its masks together take 2,490 words. Under a cap of 1,000 that total
-    refuses the layout before any mask is built: the peak stays below that
-    of a whole layout by more than the masks' words."""
+    charged 800, P 7 words, its pairs 425 and each of its masks at most 7
+    words, but all its masks together take 1,809 words. Under a cap of
+    1,000 that total refuses the layout before any mask is built: the peak
+    stays below that of a whole layout by more than the masks' words."""
     cone = Cone.from_rays((1, 0), (1, 200))
     Layout(cone, 0)
     peaks = []
@@ -341,21 +342,68 @@ def test_a_layout_is_refused_by_the_total_of_its_masks_before_any_is_built(monke
         monkeypatch.setenv("CONESEMI_CAPACITY", str(cap))
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityExceeded, match="^the lattice layout") if cap < 2490 else nullcontext():
+            with pytest.raises(CapacityExceeded, match="^the lattice layout") if cap < 1809 else nullcontext():
                 Layout(cone, 1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] + 8 * 2490 < peaks[0]
+    assert peaks[1] + 8 * 1809 < peaks[0]
 
 
 def test_a_leaning_sector_lays_out_in_few_words(monkeypatch):
     """On (1, 0), (999, 1000) the lean is 999: the points a * (1, 0) run
     along a diagonal of their (u, k) rows. The layout to genus 4 charges
     its row scan 10 * 1000, the bound on the rows u < size * det, and packs
-    its 44 points of 5 bits into 4 words, so the whole sweep fits a cap of
+    its 44 points of 4 bits into 3 words, so the whole sweep fits a cap of
     10,000."""
     monkeypatch.setenv("CONESEMI_CAPACITY", "10000")
     lean = Cone.from_rays((1, 0), (999, 1000))
-    assert Layout(lean, 4).words == 4
+    assert Layout(lean, 4).words == 3
     assert wilf_sweep(lean, 4).counts == (1, 3, 13, 52, 197)
+
+
+def test_a_layout_is_refused_by_its_pairs_before_its_addition_table_is_listed(monkeypatch):
+    """N^1 to genus 300 lays out the 602 points 0..601. Their boxes hold
+    sum(x + 1) = 181,503 pairs y + m = x, the entries of its addition
+    table, and all its masks take 113,646 words. Under a cap between the
+    two, the pairs refuse the layout before any of them is listed: the
+    peak is a small part of a whole layout's."""
+    cone = Cone.full_cone(1)
+    peaks = []
+    for cap in (181_503, 150_000):
+        monkeypatch.setenv("CONESEMI_CAPACITY", str(cap))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="^the lattice layout") if cap < 181_503 else nullcontext():
+                Layout(cone, 300)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 20 * peaks[1] < peaks[0]
+
+
+def test_a_walk_builds_no_node_before_charging_it(monkeypatch):
+    """N^1 to genus 60 is refused by the walk under a cap of 20,000. The
+    walk builds each child only when it reaches it, and a parent's leaves
+    after their batch is charged, so it makes no more _child calls than
+    the nodes it charged, however many siblings are pending on its path."""
+    monkeypatch.setenv("CONESEMI_CAPACITY", "20000")
+    calls = charged = 0
+    child, charge = wilf._child, wilf.charge
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return child(*args)
+
+    def recording(points, what, cap=None):
+        nonlocal charged
+        if what == wilf.WALK:
+            charged = max(charged, points)
+        charge(points, what, cap)
+
+    monkeypatch.setattr(wilf, "_child", counting)
+    monkeypatch.setattr(wilf, "charge", recording)
+    with pytest.raises(CapacityExceeded, match="^the genus-tree walk needs more than 20000"):
+        wilf_sweep(Cone.full_cone(1), 60)
+    assert 0 < calls <= charged

@@ -847,7 +847,7 @@ def _options(row):
 def _parsed(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser(argv[0]).parse_args(argv))
+            return vars(build_parser().parse_args(argv))
         except SystemExit:
             pytest.fail(f"the strict reader took a line argparse refuses: {argv}")
 

@@ -612,7 +612,7 @@ def _closed_gap_set(cone, data):
     layout = Layout(cone, 8)
     node = _node(layout)
     for _ in range(data.draw(st.integers(0, 8))):
-        kids = _kids(layout, node, False)
+        kids = list(_kids(layout, node, False))
         if not kids:
             break
         node = kids[data.draw(st.sampled_from(range(len(kids))))]

@@ -434,7 +434,7 @@ def _levels(layout, genus):
 def _genus2_tasks(cone, g_max):
     """The split sweep's tasks for the nodes of genus 2, one each."""
     layout = Layout(cone, g_max)
-    return [(layout, [state], g_max, 0) for state in _levels(layout, 2)[2]]
+    return [(layout, [state], g_max) for state in _levels(layout, 2)[2]]
 
 
 @pytest.mark.parametrize("name", TEST_CONES)
@@ -446,7 +446,7 @@ def test_a_task_of_mixed_depths_reports_each_genus_in_its_row(name, request):
     cone = request.getfixturevalue(name)
     layout = Layout(cone, 5)
     first, *rest = _levels(layout, 1)[1]
-    rows = wilf._sweep_node((layout, wilf._kids(layout, first, True) + rest, 5, 0))
+    rows = wilf._sweep_node((layout, list(wilf._kids(layout, first, True)) + rest, 5))
     assert len(rows) == 6 and rows[0] == (0, None, ())
     sweep = wilf_sweep(cone, 5)
     assert tuple(count for count, _, _ in rows) == (0, sweep.counts[1] - 1) + sweep.counts[2:]
@@ -529,7 +529,7 @@ def test_an_unsplit_sweep_walks_its_split_level_as_one_task(cone, g_max, monkeyp
     sweep_node = wilf._sweep_node
 
     def recording(task):
-        tasks.append(task)
+        tasks.append((task, wilf._pool_walked))
         return sweep_node(task)
 
     pool = _RecordingPool()
@@ -538,7 +538,7 @@ def test_an_unsplit_sweep_walks_its_split_level_as_one_task(cone, g_max, monkeyp
     monkeypatch.setattr(wilf.os, "cpu_count", lambda: 2)
     summary = wilf_sweep(cone, g_max, jobs=2)
     assert len(tasks) == 1
-    (_, states, _, walked), = tasks
+    ((_, states, _), walked), = tasks
     assert len(states) >= 16
     assert walked + sum(summary.counts[len(states[0][0]):]) == sum(summary.counts)
     assert pool.sizes == []
@@ -670,7 +670,7 @@ def test_random_paths_inherit_the_rescanned_generators(full1, full2, full3, cone
         t = make_csemigroup(cone, s.gaps + (m,))
         assert _points(layout, child[4]) == t.minimal_generators
         assert child[3].bit_count() == _region_size(t)
-        kids = wilf._kids(layout, node, True)
+        kids = list(wilf._kids(layout, node, True))
         if not kids:
             break
         node = kids[data.draw(st.sampled_from(range(len(kids))))]
@@ -768,9 +768,10 @@ def test_a_layout_numbers_its_points_densely(name, request):
 def test_the_layout_tables_are_a_scan_of_the_pairs_of_p(name, request):
     """To each genus up to 8, the layout's lists equal a brute-force scan of
     the pairs y + m = x of points of P: boxes[x] masks the y, moves[m] is
-    (m's field, a mask of the y for each distance slot(x) - slot(y), the
-    field of 2m if 2m is in P) and names[j] is the point. rank sorts the
-    names canonically, and after[j] masks the points ranked above j."""
+    (m's field, a mask of the y for each distance slot(x) - slot(y)) and
+    names[j] is the point. The move's masked shifts of the nonzero points
+    of P put 1 in the field of each y + m and nothing elsewhere. rank sorts
+    the names canonically, and after[j] masks the points ranked above j."""
     cone = {"det20": DET20, "lean999": LEAN999}.get(name) or request.getfixturevalue(name)
     for genus in range(9):
         layout = Layout(cone, genus)
@@ -788,23 +789,25 @@ def test_the_layout_tables_are_a_scan_of_the_pairs_of_p(name, request):
             box = [bit[slots[y]] for y in points if tuple(map(int.__sub__, x, y)) in slots]
             assert layout.boxes[j] == sum(box)
         for j, m in enumerate(points):
-            classes = {}  # shift: mask
+            classes, sums = {}, 0  # shift: mask; 1 at each y + m of a nonzero y
             for y in points:
                 if (x := tuple(map(int.__add__, y, m))) in slots:
-                    shift = layout.width * (slots[x] - slots[y]) + 1
+                    shift = layout.width * (slots[x] - slots[y])
                     classes[shift] = classes.get(shift, 0) | bit[slots[y]]
-            double = slots.get(tuple(2 * a for a in m))
-            first, moves, plus = layout.moves[j]
-            assert (first, plus) == (bit[j], 0 if double is None else bit[double])
+                    sums += bit[slots[x]] if any(y) else 0
+            first, moves = layout.moves[j]
+            assert first == bit[j]
             assert len(moves) == len(classes) and {s: k for k, s in moves} == classes
+            assert sum((layout.members & k) << s for k, s in moves) == sums
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_walked_decomposition_count_is_exact(full1, full2, full3, cone_a, cone_skew, data):
     """Down a random tree path to genus 7, each field of a state's dec is
-    the number of ordered pairs of nonzero members of P that sum to its
-    point, and each bit of R says whether its point lies below some gap."""
+    the number of unordered pairs {a, b} of nonzero members of P that sum
+    to its point, and each bit of R says whether its point lies below some
+    gap."""
     cone = data.draw(st.sampled_from([full1, full2, full3, cone_a, cone_skew, DET20, LEAN999]))
     layout = Layout(cone, 7)
     points = [layout.basis.point(i) for i in layout.index]
@@ -815,8 +818,8 @@ def test_every_walked_decomposition_count_is_exact(full1, full2, full3, cone_a, 
         gaps, members, dec, region, _, _ = node
         nonzero = [x for j, x in enumerate(points) if members >> layout.width * j & 1]
         pairs = [0] * len(points)
-        for a in nonzero:
-            for b in nonzero:
+        for i, a in enumerate(nonzero):
+            for b in nonzero[i:]:
                 if (j := slots.get(tuple(s + t for s, t in zip(a, b)))) is not None:
                     pairs[j] += 1
         assert [dec >> layout.width * j & field for j in range(len(points))] == pairs
@@ -824,7 +827,7 @@ def test_every_walked_decomposition_count_is_exact(full1, full2, full3, cone_a, 
         below = [any(cone.leq(x, h) for h in gaps) for x in points]
         assert [bool(region >> layout.width * j & 1) for j in range(len(points))] == below
         assert region >> layout.width * len(points) == 0
-        kids = wilf._kids(layout, node, True)
+        kids = list(wilf._kids(layout, node, True))
         if not kids:
             break
         node = kids[data.draw(st.sampled_from(range(len(kids))))]
